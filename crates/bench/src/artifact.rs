@@ -1,5 +1,5 @@
 //! Shared artifact-loading helpers: the JSON files drivers write
-//! (`results/*.json`, `BENCH_perf.json`) and the JSONL trace journals
+//! (`results/*.json`, `BENCH_quality.json`) and the JSONL trace journals
 //! they emit, loaded into the plain structs `dbtune-trace` analyzes.
 //!
 //! This is the JSON boundary the trace toolkit deliberately does not
@@ -7,7 +7,7 @@
 //! links the vendored `serde`/`serde_json` for driver output) does the
 //! parsing.
 
-use dbtune_trace::{JournalData, PerfBaseline};
+use dbtune_trace::JournalData;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -41,79 +41,10 @@ pub fn load_journal(path: &Path) -> Result<JournalData, String> {
     dbtune_trace::load_journal_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn u64_map(value: Option<&Value>, what: &str) -> Result<BTreeMap<String, u64>, String> {
-    let mut out = BTreeMap::new();
-    let Some(value) = value else { return Ok(out) };
-    let fields = value.as_object().ok_or_else(|| format!("{what} is not an object"))?;
-    for (k, v) in fields {
-        let v = v.as_u64().ok_or_else(|| format!("{what}.{k} is not a u64"))?;
-        out.insert(k.clone(), v);
-    }
-    Ok(out)
-}
-
-fn f64_series(value: &Value, what: &str) -> Result<Vec<f64>, String> {
-    value
-        .as_array()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| format!("{what} has a non-numeric entry")))
-        .collect()
-}
-
-/// Parses a `BENCH_perf.json` value into the plain [`PerfBaseline`]
-/// struct `dbtune_trace::diff_baselines` compares. The deterministic
-/// `results` block is captured whole as a canonical-serialization
-/// fingerprint, so any drift there — not just in the whitelisted
-/// counters — flags the diff.
-pub fn parse_perf_baseline(value: &Value) -> Result<PerfBaseline, String> {
-    let results = lookup(value, "results").ok_or("BENCH_perf.json has no \"results\"")?;
-    let timing = lookup(value, "timing").ok_or("BENCH_perf.json has no \"timing\"")?;
-    let mut baseline = PerfBaseline {
-        counters: u64_map(lookup(results, "counters"), "results.counters")?,
-        results_fingerprint: serde_json::to_string(results)
-            .map_err(|e| format!("cannot serialize results fingerprint: {e:?}"))?,
-        wall_secs: f64_series(
-            lookup(timing, "wall_secs").ok_or("timing has no \"wall_secs\"")?,
-            "timing.wall_secs",
-        )?,
-        ..Default::default()
-    };
-    if let Some(phases) = lookup(timing, "phases") {
-        let fields = phases.as_object().ok_or("timing.phases is not an object")?;
-        for (name, series) in fields {
-            baseline
-                .phase_secs
-                .insert(name.clone(), f64_series(series, &format!("timing.phases.{name}"))?);
-        }
-    }
-    if let Some(spans) = lookup(timing, "spans") {
-        let fields = spans.as_object().ok_or("timing.spans is not an object")?;
-        for (name, span) in fields {
-            let min = lookup(span, "min_nanos")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("timing.spans.{name}.min_nanos missing"))?;
-            baseline.span_min_nanos.insert(name.clone(), min);
-        }
-    }
-    // Memory columns arrived after the first committed baselines —
-    // optional, so pre-memprof artifacts still parse (and the diff's
-    // one-sided rule keeps the comparison silent when a side is empty).
-    if let Some(mem) = lookup(timing, "mem") {
-        if let Some(peak) = lookup(mem, "peak_bytes") {
-            baseline.mem_peak_bytes = f64_series(peak, "timing.mem.peak_bytes")?;
-        }
-        if let Some(allocs) = lookup(mem, "alloc_count") {
-            baseline.mem_alloc_counts = f64_series(allocs, "timing.mem.alloc_count")?;
-        }
-    }
-    Ok(baseline)
-}
-
-/// The comparable content of one `BENCH_quality.json` artifact (the
-/// regret-curve sibling of [`PerfBaseline`]). Everything here is
-/// deterministic, so the diff rule is exact equality throughout — the
-/// fingerprint decides, the per-session fields exist to name what moved.
+/// The comparable content of one `BENCH_quality.json` artifact.
+/// Everything here is deterministic, so the diff rule is exact equality
+/// throughout — the fingerprint decides, the per-session fields exist to
+/// name what moved.
 #[derive(Clone, Debug, Default)]
 pub struct QualityBaseline {
     /// Canonical serialization of the whole `results` block.
@@ -131,8 +62,7 @@ fn opt_f64(value: Option<&Value>, what: &str) -> Result<Option<f64>, String> {
 }
 
 /// Parses a `BENCH_quality.json` value into the plain
-/// [`QualityBaseline`] struct the `quality_baseline` driver compares
-/// (mirror of [`parse_perf_baseline`]).
+/// [`QualityBaseline`] struct the `quality_baseline` driver compares.
 pub fn parse_quality_baseline(value: &Value) -> Result<QualityBaseline, String> {
     let results = lookup(value, "results").ok_or("BENCH_quality.json has no \"results\"")?;
     let mut baseline = QualityBaseline {
@@ -160,69 +90,6 @@ pub fn parse_quality_baseline(value: &Value) -> Result<QualityBaseline, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SAMPLE: &str = r#"{
-        "schema": 1,
-        "results": {
-            "cells": [{"workload": "job", "optimizer": "vanilla-bo", "best_improvement": 0.31}],
-            "counters": {"exec.cache.hits": 12, "sim.evals": 88}
-        },
-        "timing": {
-            "wall_secs": [1.5, 1.25],
-            "phases": {"surrogate_fit_secs": [0.5, 0.4]},
-            "spans": {"suggest": {"count": 40, "min_nanos": 900, "p50_nanos": 1000, "p99_nanos": 2000}},
-            "mem": {"peak_bytes": [5000000, 5100000], "alloc_count": [120000, 120000]}
-        }
-    }"#;
-
-    #[test]
-    fn parses_the_documented_shape() {
-        let value: Value = serde_json::from_str(SAMPLE).expect("sample parses");
-        let b = parse_perf_baseline(&value).expect("baseline parses");
-        assert_eq!(b.counters["exec.cache.hits"], 12);
-        assert_eq!(b.counters["sim.evals"], 88);
-        assert_eq!(b.wall_secs, vec![1.5, 1.25]);
-        assert_eq!(b.phase_secs["surrogate_fit_secs"], vec![0.5, 0.4]);
-        assert_eq!(b.span_min_nanos["suggest"], 900);
-        assert_eq!(b.mem_peak_bytes, vec![5_000_000.0, 5_100_000.0]);
-        assert_eq!(b.mem_alloc_counts, vec![120_000.0, 120_000.0]);
-        assert!(b.results_fingerprint.contains("best_improvement"));
-    }
-
-    #[test]
-    fn artifacts_without_mem_columns_still_parse() {
-        let value: Value = serde_json::from_str(
-            r#"{"results": {"counters": {}}, "timing": {"wall_secs": [1.0]}}"#,
-        )
-        .expect("sample JSON parses");
-        let b = parse_perf_baseline(&value).expect("pre-memprof artifact parses");
-        assert!(b.mem_peak_bytes.is_empty());
-        assert!(b.mem_alloc_counts.is_empty());
-    }
-
-    #[test]
-    fn fingerprint_is_insensitive_to_timing_but_not_results() {
-        let a: Value = serde_json::from_str(SAMPLE).expect("parses");
-        let mut faster = serde_json::from_str::<Value>(SAMPLE).expect("parses");
-        if let Some(Value::Object(timing)) = match &mut faster {
-            Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == "timing").map(|(_, v)| v),
-            _ => None,
-        } {
-            timing.retain(|(k, _)| k != "phases");
-        }
-        let fa = parse_perf_baseline(&a).expect("baseline artifact parses").results_fingerprint;
-        let fb = parse_perf_baseline(&faster).expect("artifact parses").results_fingerprint;
-        assert_eq!(fa, fb, "timing changes must not move the results fingerprint");
-    }
-
-    #[test]
-    fn missing_sections_are_named_in_errors() {
-        let value: Value = serde_json::from_str(r#"{"results": {}}"#).expect("sample JSON parses");
-        assert!(parse_perf_baseline(&value).expect_err("must be rejected").contains("timing"));
-        let value: Value =
-            serde_json::from_str(r#"{"timing": {"wall_secs": []}}"#).expect("sample JSON parses");
-        assert!(parse_perf_baseline(&value).expect_err("must be rejected").contains("results"));
-    }
 
     const QUALITY_SAMPLE: &str = r#"{
         "schema": 1,
@@ -259,9 +126,30 @@ mod tests {
 
     #[test]
     fn lookup_path_walks_nested_objects() {
-        let value: Value = serde_json::from_str(SAMPLE).expect("sample JSON parses");
-        let hits = lookup_path(&value, &["results", "counters", "exec.cache.hits"]);
+        let value: Value = serde_json::from_str(r#"{"exec": {"cache": {"hits": 12}}}"#)
+            .expect("sample JSON parses");
+        let hits = lookup_path(&value, &["exec", "cache", "hits"]);
         assert_eq!(hits.and_then(Value::as_u64), Some(12));
-        assert!(lookup_path(&value, &["results", "nope"]).is_none());
+        assert!(lookup_path(&value, &["exec", "nope"]).is_none());
+    }
+
+    #[test]
+    fn load_errors_name_the_file() {
+        let dir = std::env::temp_dir().join("dbtune_artifact_load_errors");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let missing = dir.join("missing.json");
+        let err = load_json_file(&missing).expect_err("missing file rejected");
+        assert!(err.starts_with("cannot read") && err.contains("missing.json"), "{err}");
+        let err = load_journal(&missing).expect_err("missing journal rejected");
+        assert!(err.starts_with("cannot read") && err.contains("missing.json"), "{err}");
+
+        let garbage = dir.join("garbage.json");
+        std::fs::write(&garbage, "not json at all\n").expect("write garbage");
+        let err = load_json_file(&garbage).expect_err("garbage rejected");
+        assert!(err.starts_with("cannot parse") && err.contains("garbage.json"), "{err}");
+        let err = load_journal(&garbage).expect_err("garbage journal rejected");
+        assert!(err.contains("garbage.json"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

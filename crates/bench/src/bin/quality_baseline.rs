@@ -12,11 +12,11 @@
 //! Usage: `quality_baseline [repeats=2] [iters=30] [workers=1]
 //! [write=BENCH_quality.json] [against=<baseline.json>] [mode=warn|gate]`
 //!
-//! Unlike `BENCH_perf.json` there is no timing section: everything in
-//! the artifact is deterministic (the `results` block is a pure
-//! function of seeds), so the diff holds the whole block to exact
-//! equality, and the binary itself verifies every repeat reproduced the
-//! same block before writing anything.
+//! There is no timing section: everything in the artifact is
+//! deterministic (the `results` block is a pure function of seeds), so
+//! the diff holds the whole block to exact equality, and the binary
+//! itself verifies every repeat reproduced the same block before
+//! writing anything.
 //!
 //! Exit codes: 0 ok (including `mode=warn` with drift, and a missing
 //! `against=` file), 1 determinism failure or drift under `mode=gate`,

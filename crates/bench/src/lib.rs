@@ -1,5 +1,5 @@
 //! Shared plumbing for the experiment drivers (one binary per paper table
-//! or figure — see `src/bin/`) and the Criterion micro-benchmarks.
+//! or figure — see `src/bin/`) and the trace and quality tooling.
 //!
 //! Every driver accepts `key=value` command-line overrides (`iters=200`,
 //! `seeds=3`, `samples=6250`, …). Defaults are scaled for a single-core

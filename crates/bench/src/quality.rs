@@ -1,11 +1,9 @@
 //! Shared definition of the optimizer-quality baseline: the fixed
 //! optimizer × workload matrix the `quality_baseline` driver runs, and
 //! the pure journal → `"results"` fold both that driver and the
-//! `quality_determinism` suite use.
+//! `observer_inertness` suite use.
 //!
-//! The quality artifact (`BENCH_quality.json`) is the regret-curve
-//! sibling of `BENCH_perf.json`: where the perf baseline pins *how
-//! fast* the matrix runs, the quality baseline pins *how well* each
+//! The quality artifact (`BENCH_quality.json`) pins *how well* each
 //! optimizer converges — final incumbent, simple and cumulative regret
 //! against the workload's estimated optimum, best-so-far checkpoints,
 //! and (for model-based optimizers) surrogate calibration. Everything
@@ -46,7 +44,7 @@ pub const MATRIX: [(Workload, OptimizerKind); 14] = [
 /// importance ranking — the baseline must not depend on a pool file).
 pub const KNOBS: usize = 12;
 
-/// Session seed shared by every cell (mirrors `perf_baseline`).
+/// Session seed shared by every cell.
 pub const SEED: u64 = 42;
 
 /// Default iterations per session — small enough for CI, long enough

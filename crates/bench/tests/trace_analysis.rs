@@ -1,31 +1,31 @@
 //! End-to-end tests for the trace analysis toolkit: `trace_report` /
-//! `trace_diff` / `perf_baseline` against *real* journals produced by a
-//! real driver, plus the strengthened structural checks in
-//! `trace_validate`.
+//! `trace_diff` against *real* journals produced by a real driver, plus
+//! the structural checks in `trace_validate`.
 //!
 //! These pin the acceptance criteria of the toolkit:
 //! * self time reconstructed from a `fig9_overhead` journal sums to the
 //!   instrumented wall time within 1%;
-//! * two identical-seed runs diff to zero counter deltas;
-//! * `perf_baseline` writes a byte-identical deterministic `"results"`
-//!   block across runs, and a self-diff under `mode=gate` is clean;
+//! * two identical-seed runs diff to zero deltas, span counts included;
 //! * structurally broken journals (truncation, backwards counters,
-//!   parent mismatches) fail validation with the offending line named.
+//!   parent mismatches) fail validation with the offending line named,
+//!   garbage exits 1 and a missing file exits 2;
+//! * `quality_baseline`, which folds diag journals into
+//!   `BENCH_quality.json`, writes the same results block on every run
+//!   and at any worker count, and keeps its exit-code contract: 0 when
+//!   the diff is clean or drift is only warned about, 1 for drift under
+//!   `mode=gate`, 2 for usage and input errors.
 
-use dbtune_bench::artifact::{load_journal, lookup};
+mod common;
+
+use common::scratch;
+use dbtune_bench::artifact::{load_journal, load_json_file, lookup, parse_quality_baseline};
+use dbtune_bench::quality;
 use dbtune_trace::{build_trees, diff_summaries, merge_paths, summarize, DiffConfig};
 use serde::Value;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbtune_trace_analysis_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs `fig9_overhead` at tiny scale with tracing into `journal`.
+/// Runs `fig9_overhead` at `workers=1` with tracing into `journal`.
 ///
 /// `workers=1` keeps the evaluation counters exactly reproducible: at
 /// two or more workers, concurrent sessions can race the shared cache
@@ -34,26 +34,18 @@ fn scratch(tag: &str) -> PathBuf {
 /// payload is still byte-identical — only the work-count telemetry
 /// moves — but the zero-delta diff below needs the single-worker case.
 fn run_fig9(dir: &Path, journal: &Path) {
-    std::fs::create_dir_all(dir).expect("create driver cwd");
-    let exe = env!("CARGO_BIN_EXE_fig9_overhead");
-    let out = Command::new(exe)
-        .args(["samples=120", "iters=6", "workers=1", "seeds=1"])
-        .arg(format!("trace={}", journal.display()))
-        .current_dir(dir)
-        .output()
-        .expect("spawn fig9_overhead");
-    assert!(out.status.success(), "fig9_overhead failed: {}", String::from_utf8_lossy(&out.stderr));
+    common::run_fig9(dir, 1, &[format!("trace={}", journal.display())]);
 }
 
 #[test]
 fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
-    let dir = scratch("report");
+    let dir = scratch("trace_analysis_report");
     let journal_path = dir.join("fig9.jsonl");
     run_fig9(&dir, &journal_path);
 
     // In-process: the tree's total self time must equal the instrumented
     // wall time to within 1% (it is exact by construction — the 1% bound
-    // is the acceptance criterion's tolerance for clock-skew saturation).
+    // only leaves room for clock-skew saturation).
     let journal = load_journal(&journal_path).expect("journal loads");
     let trees = build_trees(&journal.events).expect("journal is structurally sound");
     let merged = merge_paths(&trees);
@@ -98,7 +90,7 @@ fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
 
 #[test]
 fn identical_seed_runs_diff_to_zero_counter_deltas() {
-    let dir = scratch("diff_clean");
+    let dir = scratch("trace_analysis_diff_clean");
     let (a, b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
     run_fig9(&dir.join("run_a"), &a);
     run_fig9(&dir.join("run_b"), &b);
@@ -126,7 +118,7 @@ fn identical_seed_runs_diff_to_zero_counter_deltas() {
 
 #[test]
 fn trace_diff_gate_flags_an_artificially_slowed_span() {
-    let dir = scratch("diff_slow");
+    let dir = scratch("trace_analysis_diff_slow");
     let mk = |path: &Path, fit_nanos: u64| {
         let text = format!(
             concat!(
@@ -165,52 +157,8 @@ fn trace_diff_gate_flags_an_artificially_slowed_span() {
 }
 
 #[test]
-fn perf_baseline_results_are_deterministic_and_self_diff_is_clean() {
-    let dir = scratch("perf");
-    let exe = env!("CARGO_BIN_EXE_perf_baseline");
-    let small = ["repeats=2", "iters=16", "workers=1"];
-    let (a, b) = (dir.join("a.json"), dir.join("b.json"));
-
-    let out = Command::new(exe)
-        .args(small)
-        .arg(format!("write={}", a.display()))
-        .current_dir(&dir)
-        .output()
-        .expect("spawn perf_baseline");
-    assert!(out.status.success(), "first run failed: {}", String::from_utf8_lossy(&out.stderr));
-
-    // Second run diffs against the first under gate mode: identical
-    // results (byte-for-byte) and no wall regressions expected.
-    let out = Command::new(exe)
-        .args(small)
-        .arg(format!("write={}", b.display()))
-        .arg(format!("against={}", a.display()))
-        .arg("mode=gate")
-        .current_dir(&dir)
-        .output()
-        .expect("spawn perf_baseline");
-    assert!(
-        out.status.success(),
-        "self-diff gate failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("deterministic results identical"));
-
-    // The "results" block is byte-identical across the two artifacts.
-    let results_bytes = |path: &Path| {
-        let value: Value =
-            serde_json::from_str(&std::fs::read_to_string(path).expect("artifact readable"))
-                .expect("artifact parses");
-        serde_json::to_string(lookup(&value, "results").expect("results block"))
-            .expect("results serialize")
-    };
-    assert_eq!(results_bytes(&a), results_bytes(&b), "results must be byte-identical");
-}
-
-#[test]
 fn trace_validate_rejects_structural_violations_with_line_numbers() {
-    let dir = scratch("validate");
+    let dir = scratch("trace_analysis_validate");
     let exe = env!("CARGO_BIN_EXE_trace_validate");
     let run = |name: &str, text: &str| {
         let path = dir.join(name);
@@ -269,4 +217,153 @@ fn trace_validate_rejects_structural_violations_with_line_numbers() {
         ),
     );
     assert_eq!(code, Some(0), "sound journal must pass: {stderr}");
+}
+
+#[test]
+fn trace_validate_rejects_garbage_and_missing_files() {
+    // Lines that are not journal events at all, and a path that does
+    // not exist, are the two other exit codes.
+    let dir = scratch("trace_analysis_garbage");
+    let exe = env!("CARGO_BIN_EXE_trace_validate");
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&bad, "{\"type\":\"span\",\"oops\":1}\nnot json at all\n").expect("write bad");
+    let rejected = Command::new(exe).arg(&bad).output().expect("spawn trace_validate");
+    assert_eq!(
+        rejected.status.code(),
+        Some(1),
+        "garbage journal must exit 1: {}",
+        String::from_utf8_lossy(&rejected.stderr)
+    );
+    let missing = Command::new(exe).arg(dir.join("nope.jsonl")).output().expect("spawn");
+    assert_eq!(missing.status.code(), Some(2), "missing file must exit 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `quality_baseline` on a short matrix (`iters=8`, well under a
+/// second per repeat) with `extra` flags in `dir`; returns the exit code
+/// and stdout followed by stderr.
+fn run_quality_baseline(dir: &Path, extra: &[String]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_quality_baseline"))
+        .arg("iters=8")
+        .args(extra)
+        .current_dir(dir)
+        .output()
+        .expect("spawn quality_baseline");
+    let text =
+        format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    (out.status.code(), text)
+}
+
+fn write_flag(path: &Path) -> String {
+    format!("write={}", path.display())
+}
+
+fn against_flag(path: &Path) -> String {
+    format!("against={}", path.display())
+}
+
+fn results_bytes(path: &Path) -> String {
+    let value = load_json_file(path).expect("artifact loads");
+    serde_json::to_string(lookup(&value, "results").expect("results block"))
+        .expect("results serialize")
+}
+
+#[test]
+fn quality_baseline_results_are_deterministic_and_self_diff_is_clean() {
+    let dir = scratch("trace_analysis_quality");
+    let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+
+    // Two repeats: the binary refuses to write unless both fold to the
+    // same results block.
+    let (code, out) =
+        run_quality_baseline(&dir, &["repeats=2".into(), "workers=1".into(), write_flag(&a)]);
+    assert_eq!(code, Some(0), "first run failed:\n{out}");
+    let parsed = parse_quality_baseline(&load_json_file(&a).expect("artifact loads"))
+        .expect("artifact parses as a quality baseline");
+    assert_eq!(parsed.sessions.len(), quality::MATRIX.len(), "one entry per matrix cell");
+
+    // A second run at another worker count diffs against the first
+    // under gate mode.
+    let (code, out) = run_quality_baseline(
+        &dir,
+        &["workers=2".into(), write_flag(&b), against_flag(&a), "mode=gate".into()],
+    );
+    assert_eq!(code, Some(0), "self-diff gate failed:\n{out}");
+    assert!(out.contains("quality results identical"), "{out}");
+    assert_eq!(results_bytes(&a), results_bytes(&b), "results must be byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Mutable field lookup in a parsed JSON object.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    match value {
+        Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+#[test]
+fn quality_baseline_gate_flags_drift_and_warn_mode_only_reports_it() {
+    let dir = scratch("trace_analysis_quality_drift");
+    let (base, drifted) = (dir.join("base.json"), dir.join("drifted.json"));
+    let (code, out) = run_quality_baseline(&dir, &["repeats=1".into(), write_flag(&base)]);
+    assert_eq!(code, Some(0), "baseline run failed:\n{out}");
+
+    // Move one session's final incumbent, as an optimizer change would.
+    let mut artifact = load_json_file(&base).expect("artifact loads");
+    let session = match field_mut(&mut artifact, "results").and_then(|r| field_mut(r, "sessions")) {
+        Some(Value::Array(sessions)) => sessions.first_mut().expect("at least one session"),
+        _ => panic!("artifact has no results.sessions array"),
+    };
+    let label = lookup(session, "session").and_then(Value::as_str).expect("label").to_string();
+    let best = field_mut(session, "final_best").expect("final_best present");
+    let moved = best.as_f64().expect("numeric final_best") + 1.0;
+    *best = Value::Number(serde::Number::Float(moved));
+    let text = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
+    std::fs::write(&drifted, text).expect("write drifted artifact");
+
+    let current = write_flag(&dir.join("current.json"));
+    let (code, out) = run_quality_baseline(
+        &dir,
+        &["repeats=1".into(), current.clone(), against_flag(&drifted), "mode=gate".into()],
+    );
+    assert_eq!(code, Some(1), "drift under mode=gate must exit 1:\n{out}");
+    assert!(out.contains("DRIFTED"), "{out}");
+    assert!(out.contains(&format!("{label}: final best")), "the moved session is named:\n{out}");
+
+    let (code, out) =
+        run_quality_baseline(&dir, &["repeats=1".into(), current, against_flag(&drifted)]);
+    assert_eq!(code, Some(0), "drift under the default mode=warn must exit 0:\n{out}");
+    assert!(out.contains("DRIFTED") && out.contains("mode=warn"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quality_baseline_usage_and_input_errors_exit_2() {
+    let dir = scratch("trace_analysis_quality_usage");
+    let current = write_flag(&dir.join("current.json"));
+
+    let (code, out) = run_quality_baseline(&dir, &["mode=strict".into(), current.clone()]);
+    assert_eq!(code, Some(2), "an unknown mode must exit 2:\n{out}");
+    assert!(out.contains("bad mode 'strict'"), "{out}");
+
+    // A baseline that is not a quality artifact is an input error, not
+    // drift.
+    let wrong = dir.join("wrong.json");
+    std::fs::write(&wrong, "{\"schema\": 1}\n").expect("write wrong artifact");
+    let (code, out) = run_quality_baseline(
+        &dir,
+        &["repeats=1".into(), current.clone(), against_flag(&wrong), "mode=gate".into()],
+    );
+    assert_eq!(code, Some(2), "an unparseable baseline must exit 2:\n{out}");
+    assert!(out.contains("no \"results\""), "{out}");
+
+    // A baseline that does not exist yet leaves nothing to compare.
+    let (code, out) = run_quality_baseline(
+        &dir,
+        &["repeats=1".into(), current, against_flag(&dir.join("nope.json")), "mode=gate".into()],
+    );
+    assert_eq!(code, Some(0), "a missing baseline is not an error:\n{out}");
+    assert!(out.contains("nothing to compare"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,7 +35,7 @@ pub use turbo::{Turbo, TurboParams};
 /// or `None` when no model scored the suggestion (model-free optimizers,
 /// init/random-interleave/fallback paths). Implementations must only
 /// *observe*: capturing the prediction may never consume randomness or
-/// alter the suggestion stream (the `quality_determinism` suite enforces
+/// alter the suggestion stream (the `observer_inertness` suite enforces
 /// byte-identical results with diagnostics on or off).
 ///
 /// [`last_prediction`]: SurrogateIntrospect::last_prediction

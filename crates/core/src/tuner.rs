@@ -562,7 +562,7 @@ pub fn run_session_resumable(
     // strictly observational — the optimum estimate and the surrogate's
     // capture of its own prediction consume no randomness and never feed
     // back into tuning decisions, so results are byte-identical with
-    // diagnostics on or off (the `quality_determinism` suite).
+    // diagnostics on or off (the `observer_inertness` suite).
     let diag = telemetry::global().diag_enabled();
     let diag_label: String = if diag {
         cfg.diag_label.clone().unwrap_or_else(|| opt.name().to_string())

@@ -10,6 +10,7 @@
 //! the C2 lock-order propagation — filter to uniquely-resolved names
 //! themselves.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::symbols::{FileSymbols, FnItem};
@@ -93,15 +94,15 @@ impl CallGraph {
         let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         for &r in roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, None);
+            if let Entry::Vacant(slot) = parent.entry(r) {
+                slot.insert(None);
                 queue.push_back(r);
             }
         }
         while let Some(n) = queue.pop_front() {
             for &c in self.callees(n) {
-                if !parent.contains_key(&c) {
-                    parent.insert(c, Some(n));
+                if let Entry::Vacant(slot) = parent.entry(c) {
+                    slot.insert(Some(n));
                     queue.push_back(c);
                 }
             }

@@ -79,7 +79,7 @@ fn determinism_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
         .collect();
     let parents = graph.reach(&roots);
 
-    for (&i, _) in &parents {
+    for &i in parents.keys() {
         let n = &graph.nodes[i];
         if n.item.in_test {
             continue;

@@ -29,7 +29,7 @@
 //! randomness, never feeds timing back into tuning decisions, and keeps
 //! wall-clock numbers out of every `"results"` payload — a traced run and
 //! an untraced run produce byte-identical results (enforced by
-//! `crates/bench/tests/telemetry_determinism.rs`).
+//! `crates/bench/tests/observer_inertness.rs`).
 //!
 //! The crate is std-only (no external dependencies, not even the
 //! workspace's vendored stubs) so any crate in the stack can depend on it.

@@ -35,7 +35,7 @@
 //! **Determinism contract**: accounting is read-only with respect to
 //! tuning. Nothing in the tuning stack reads these counters, so results
 //! are byte-identical with the latch on or off at every worker count —
-//! enforced end to end by `crates/bench/tests/memprof_determinism.rs`.
+//! enforced end to end by `crates/bench/tests/observer_inertness.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};

@@ -109,7 +109,8 @@ pub enum DiffKind {
 #[derive(Clone, Debug)]
 pub struct DiffEntry {
     /// Aligned key, prefixed by namespace (`counter:`, `gauge:`,
-    /// `span.count:`, `span.min:`, `phase:`, `wall:`, `cells`).
+    /// `mem.allocs:`, `mem.bytes:`, `span.count:`, `span.min:`), or a
+    /// bare `cells` / `diag.records`.
     pub key: String,
     /// Comparison rule applied.
     pub kind: DiffKind,
@@ -267,106 +268,6 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
             cfg,
         ));
     }
-    out
-}
-
-/// The comparable content of one `BENCH_perf.json` artifact, parsed by
-/// `dbtune-bench` (this crate stays JSON-free at runtime) and diffed
-/// here.
-#[derive(Clone, Debug, Default)]
-pub struct PerfBaseline {
-    /// Deterministic counter totals (`results.counters`).
-    pub counters: std::collections::BTreeMap<String, u64>,
-    /// Canonical serialization of the whole deterministic `results`
-    /// block; exact-compared so *any* determinism drift is flagged.
-    pub results_fingerprint: String,
-    /// Per-repeat whole-matrix wall seconds (`timing.wall_secs`).
-    pub wall_secs: Vec<f64>,
-    /// Per-phase per-repeat seconds (`timing.phases`).
-    pub phase_secs: std::collections::BTreeMap<String, Vec<f64>>,
-    /// Per-span aggregates (`timing.spans`): name → (count, min_nanos).
-    pub span_min_nanos: std::collections::BTreeMap<String, u64>,
-    /// Per-repeat global peak bytes (`mem.peak_bytes`); empty when the
-    /// artifact predates memory profiling.
-    pub mem_peak_bytes: Vec<f64>,
-    /// Per-repeat global allocation counts (`mem.alloc_count`).
-    pub mem_alloc_counts: Vec<f64>,
-}
-
-/// Minimum of a per-repeat series (the min-of-N statistic), `None` when
-/// empty.
-fn min_of(series: &[f64]) -> Option<f64> {
-    series.iter().copied().fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.min(v))))
-}
-
-/// Diffs two perf-baseline artifacts: counters and the results
-/// fingerprint exactly, wall/phase seconds and span minima by the
-/// noise-aware rule (seconds are converted to nanos for the floor).
-pub fn diff_baselines(base: &PerfBaseline, cur: &PerfBaseline, cfg: &DiffConfig) -> Vec<DiffEntry> {
-    let mut out = Vec::new();
-    for key in union_keys(&base.counters, &cur.counters) {
-        out.push(exact_entry(
-            format!("counter:{key}"),
-            base.counters.get(key).map(|&v| v as f64),
-            cur.counters.get(key).map(|&v| v as f64),
-        ));
-    }
-    let fp_equal = base.results_fingerprint == cur.results_fingerprint;
-    out.push(DiffEntry {
-        key: "results".to_string(),
-        kind: DiffKind::Count,
-        base: None,
-        cur: None,
-        flagged: !fp_equal,
-        note: if fp_equal {
-            String::new()
-        } else {
-            "deterministic results block differs between runs".to_string()
-        },
-    });
-    let to_nanos = |s: f64| s * 1e9;
-    out.push(wall_entry(
-        "wall:matrix".to_string(),
-        min_of(&base.wall_secs).map(to_nanos),
-        min_of(&cur.wall_secs).map(to_nanos),
-        cfg,
-    ));
-    for key in union_keys(&base.phase_secs, &cur.phase_secs) {
-        out.push(wall_entry(
-            format!("phase:{key}"),
-            base.phase_secs.get(key).and_then(|s| min_of(s)).map(to_nanos),
-            cur.phase_secs.get(key).and_then(|s| min_of(s)).map(to_nanos),
-            cfg,
-        ));
-    }
-    for key in union_keys(&base.span_min_nanos, &cur.span_min_nanos) {
-        out.push(wall_entry(
-            format!("span.min:{key}"),
-            base.span_min_nanos.get(key).map(|&v| v as f64),
-            cur.span_min_nanos.get(key).map(|&v| v as f64),
-            cfg,
-        ));
-    }
-    // Memory columns, keyed under the `mem:` namespace so the CI gate
-    // can treat them warn-only (runner allocators and std versions move
-    // these; wall times at least have the same excuse). Peak uses the
-    // caller's floor (5e6 ≈ 5 MB by default); allocation counts get a
-    // tighter floor — a thousand allocations is real churn.
-    out.push(noisy_entry(
-        "mem:peak_bytes".to_string(),
-        min_of(&base.mem_peak_bytes),
-        min_of(&cur.mem_peak_bytes),
-        cfg,
-        "bytes",
-    ));
-    let alloc_cfg = DiffConfig { rel_threshold: cfg.rel_threshold, abs_floor_nanos: 1_000 };
-    out.push(noisy_entry(
-        "mem:alloc_count".to_string(),
-        min_of(&base.mem_alloc_counts),
-        min_of(&cur.mem_alloc_counts),
-        &alloc_cfg,
-        "allocs",
-    ));
     out
 }
 
@@ -641,77 +542,5 @@ mod tests {
             entries.iter().find(|e| e.key == "gauge:mem.peak_bytes").expect("peak entry in diff");
         assert!(peak.flagged, "{peak:?}");
         assert!(peak.note.contains("bytes"), "{}", peak.note);
-    }
-
-    #[test]
-    fn baseline_mem_columns_ride_the_noise_rule_and_tolerate_old_artifacts() {
-        let mut base = PerfBaseline {
-            results_fingerprint: "{}".into(),
-            mem_peak_bytes: vec![100_000_000.0, 101_000_000.0],
-            mem_alloc_counts: vec![500_000.0, 500_100.0],
-            ..Default::default()
-        };
-        let mut same = base.clone();
-        same.mem_peak_bytes = vec![108_000_000.0];
-        same.mem_alloc_counts = vec![500_050.0];
-        let entries = diff_baselines(&base, &same, &DiffConfig::default());
-        assert!(!entries.iter().any(|e| e.flagged), "{entries:#?}");
-
-        // 2x peak regression flags under the mem: namespace.
-        let mut grown = base.clone();
-        grown.mem_peak_bytes = vec![200_000_000.0];
-        let entries = diff_baselines(&base, &grown, &DiffConfig::default());
-        let peak = entries.iter().find(|e| e.key == "mem:peak_bytes").expect("peak entry");
-        assert!(peak.flagged, "{peak:?}");
-
-        // A 40% allocation-count regression flags even though it is far
-        // below the 5e6 wall floor (counts get the tighter floor).
-        let mut churny = base.clone();
-        churny.mem_alloc_counts = vec![700_000.0];
-        let entries = diff_baselines(&base, &churny, &DiffConfig::default());
-        let allocs = entries.iter().find(|e| e.key == "mem:alloc_count").expect("alloc entry");
-        assert!(allocs.flagged, "{allocs:?}");
-        assert!(allocs.note.contains("allocs"), "{}", allocs.note);
-
-        // An old baseline with no mem series diffs clean against a new
-        // artifact that has them (one-sided measurements never flag).
-        base.mem_peak_bytes.clear();
-        base.mem_alloc_counts.clear();
-        let entries = diff_baselines(&base, &grown, &DiffConfig::default());
-        assert!(!entries.iter().any(|e| e.key.starts_with("mem:") && e.flagged), "{entries:#?}");
-    }
-
-    #[test]
-    fn baseline_diff_uses_min_of_n_and_exact_results() {
-        let mut base = PerfBaseline {
-            results_fingerprint: "{\"cells\":[1]}".into(),
-            wall_secs: vec![2.0, 1.0, 1.5],
-            ..Default::default()
-        };
-        base.counters.insert("exec.cache.hits".into(), 40);
-        base.phase_secs.insert("surrogate_fit_secs".into(), vec![0.5, 0.4]);
-        base.span_min_nanos.insert("suggest".into(), 10_000_000);
-
-        // Current run: noisy max but identical min — not flagged.
-        let mut same = base.clone();
-        same.wall_secs = vec![9.0, 1.0];
-        let entries = diff_baselines(&base, &same, &DiffConfig::default());
-        assert!(!entries.iter().any(|e| e.flagged), "{entries:#?}");
-
-        // Slowed phase: min doubles.
-        let mut slow = base.clone();
-        slow.phase_secs.insert("surrogate_fit_secs".into(), vec![0.9, 0.8]);
-        let entries = diff_baselines(&base, &slow, &DiffConfig::default());
-        let phase = entries
-            .iter()
-            .find(|e| e.key == "phase:surrogate_fit_secs")
-            .expect("phase entry in diff");
-        assert!(phase.flagged, "{phase:?}");
-
-        // Results drift: exact flag regardless of timing.
-        let mut drift = base.clone();
-        drift.results_fingerprint = "{\"cells\":[2]}".into();
-        let entries = diff_baselines(&base, &drift, &DiffConfig::default());
-        assert!(entries.iter().any(|e| e.key == "results" && e.flagged));
     }
 }

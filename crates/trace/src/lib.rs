@@ -13,9 +13,8 @@
 //!   (`a;b;c <nanos>`, flamegraph-compatible) and as Chrome
 //!   `trace_event` JSON that opens directly in `chrome://tracing` or
 //!   Perfetto.
-//! * [`summary`] / [`diff`] — folds a journal (or a `BENCH_perf.json`
-//!   artifact) into a per-name summary and aligns two runs by span name
-//!   and metric key, flagging wall-time regressions with a noise-aware
+//! * [`summary`] / [`diff`] — folds a journal into a per-name summary
+//!   and aligns two runs by span name and metric key, flagging wall-time regressions with a noise-aware
 //!   threshold while holding deterministic counters (`exec.cache.*`,
 //!   `sim.evals`, span counts) to **exact** equality.
 //! * [`validate`] — structural invariants beyond line-level parsing:
@@ -25,8 +24,8 @@
 //! The crate is std-only (its one dependency is `dbtune-obs`, itself
 //! dependency-free): journals must be analyzable on any machine,
 //! including CI runners with nothing but the repo checkout. Artifact
-//! JSON parsing (driver outputs, `BENCH_perf.json`) lives in
-//! `dbtune-bench`, which feeds plain structs into [`diff`].
+//! JSON parsing (driver outputs, `BENCH_quality.json`) lives in
+//! `dbtune-bench`.
 
 pub mod diff;
 pub mod export;
@@ -34,7 +33,7 @@ pub mod summary;
 pub mod tree;
 pub mod validate;
 
-pub use diff::{diff_baselines, diff_summaries, DiffConfig, DiffEntry, DiffKind, PerfBaseline};
+pub use diff::{diff_summaries, DiffConfig, DiffEntry, DiffKind};
 pub use export::{chrome_trace, collapsed_stacks};
 pub use summary::{summarize, MemSummary, RunSummary, SpanSummary};
 pub use tree::{
