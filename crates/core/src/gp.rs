@@ -11,10 +11,13 @@
 //! `docs/gp-internals.md`): [`GaussianProcess::extend`] grows the Cholesky
 //! factor in O(n²) via [`Cholesky::rank1_append`] instead of refactorizing
 //! in O(n³), and [`GaussianProcess::predict_batch`] scores a whole
-//! candidate matrix against cached row-major kernel blocks without
-//! per-candidate allocation. Both are **bit-identical** to the from-scratch
-//! and pointwise paths — the `gp_equivalence` suite enforces it — so every
-//! committed experiment artifact is unchanged by the optimization.
+//! candidate matrix eight candidates at a time without per-candidate
+//! allocation. Kernel rows are evaluated eight training points at a time
+//! from dimension-major inputs, and the Cholesky factor is stored by column
+//! so its loops vectorize. All of it is **bit-identical** to the
+//! from-scratch, pointwise, row-by-row paths — the `gp_equivalence` suite
+//! and the linalg property tests enforce it — so every committed experiment
+//! artifact is unchanged by the optimization.
 
 use crate::telemetry;
 use dbtune_linalg::stats;
@@ -34,18 +37,65 @@ pub trait Kernel: Send + Sync {
     /// Returns a copy with a different lengthscale (for the grid search).
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel>;
 
-    /// Evaluates `k(xᵢ, q)` for every row of `xs` into `out`.
+    /// Evaluates `k(xⱼ, q)` into `out[j]` for the first `out.len()`
+    /// training points.
     ///
-    /// The provided implementation loops [`Kernel::eval`]; concrete
-    /// kernels override it with the same loop so the element math runs
-    /// monomorphized (one virtual call per row block instead of one per
-    /// training point). Values are identical either way.
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    /// `xt` holds the training inputs dimension-major: `xt.row(d)[j]` is
+    /// coordinate `d` of point `j`. The kernels here evaluate eight points
+    /// per step, one accumulator per point, summing over the
+    /// dimensions in [`Kernel::eval`]'s order, so `out[j]` is bit-identical
+    /// to `eval(xⱼ, q)`; only `exp` runs per element. No heap allocation.
+    fn eval_into(&self, xt: &Matrix, q: &[f64], out: &mut [f64]);
+}
+
+/// Training points per step of [`Kernel::eval_into`].
+const POINTS: usize = 8;
+
+/// Writes `Σ (xt[d][j] − q[d])²` over `dims`, in order, into `out[j]` for
+/// every point `j < out.len()`: [`POINTS`] independent accumulators per
+/// step, then the leftover points one by one.
+fn sq_dists_into(
+    xt: &Matrix,
+    q: &[f64],
+    dims: impl Iterator<Item = usize> + Clone,
+    out: &mut [f64],
+) {
+    let full = out.len() - out.len() % POINTS;
+    let mut blocks = out.chunks_exact_mut(POINTS);
+    for (b, block) in blocks.by_ref().enumerate() {
+        let base = b * POINTS;
+        let mut acc = [0.0; POINTS];
+        for d in dims.clone() {
+            let qd = q[d];
+            for (a, &x) in acc.iter_mut().zip(&xt.row(d)[base..base + POINTS]) {
+                let diff = x - qd;
+                *a += diff * diff;
+            }
         }
+        block.copy_from_slice(&acc);
     }
+    for (j, o) in (full..).zip(blocks.into_remainder()) {
+        let mut acc = 0.0;
+        for d in dims.clone() {
+            let diff = xt[(d, j)] - q[d];
+            acc += diff * diff;
+        }
+        *o = acc;
+    }
+}
+
+/// Squared-exponential kernel value at squared distance `d2`.
+#[inline]
+fn rbf(d2: f64, ls: f64) -> f64 {
+    (-0.5 * d2 / (ls * ls)).exp()
+}
+
+/// Matérn-5/2 kernel value at squared distance `d2`.
+#[inline]
+fn matern52(d2: f64, ls: f64) -> f64 {
+    let r = d2.sqrt() / ls;
+    let s5 = (5.0f64).sqrt() * r;
+    (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp()
 }
 
 /// Squared-exponential kernel on the unit cube (vanilla BO / OtterTune).
@@ -57,18 +107,17 @@ pub struct RbfKernel {
 
 impl Kernel for RbfKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = dbtune_linalg::matrix::sq_dist(a, b);
-        (-0.5 * d2 / (self.lengthscale * self.lengthscale)).exp()
+        rbf(dbtune_linalg::matrix::sq_dist(a, b), self.lengthscale)
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(RbfKernel { lengthscale: ls })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    fn eval_into(&self, xt: &Matrix, q: &[f64], out: &mut [f64]) {
+        sq_dists_into(xt, q, 0..q.len(), out);
+        for o in out.iter_mut() {
+            *o = rbf(*o, self.lengthscale);
         }
     }
 }
@@ -82,19 +131,17 @@ pub struct Matern52Kernel {
 
 impl Kernel for Matern52Kernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = dbtune_linalg::matrix::sq_dist(a, b).sqrt() / self.lengthscale;
-        let s5 = (5.0f64).sqrt() * r;
-        (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp()
+        matern52(dbtune_linalg::matrix::sq_dist(a, b), self.lengthscale)
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(Matern52Kernel { lengthscale: ls })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    fn eval_into(&self, xt: &Matrix, q: &[f64], out: &mut [f64]) {
+        sq_dists_into(xt, q, 0..q.len(), out);
+        for o in out.iter_mut() {
+            *o = matern52(*o, self.lengthscale);
         }
     }
 }
@@ -114,6 +161,35 @@ pub struct MixedKernel {
     pub hamming_weight: f64,
 }
 
+/// Hamming factors [`MixedKernel::eval_into`] tabulates on the stack per
+/// call; factors for more mismatches than this are computed per element.
+const HAMMING_TABLE: usize = 64;
+
+impl MixedKernel {
+    /// Hamming part: `exp(−w · mismatch-fraction)`, or 1.0 without
+    /// categorical dimensions.
+    fn hamming(&self, mismatches: usize) -> f64 {
+        if self.cat_dims.is_empty() {
+            1.0
+        } else {
+            (-self.hamming_weight * mismatches as f64 / self.cat_dims.len() as f64).exp()
+        }
+    }
+
+    /// Category mismatches between `q` and each of the `W` points
+    /// `base..base + W`, one counter per point.
+    fn mismatches<const W: usize>(&self, xt: &Matrix, q: &[f64], base: usize) -> [usize; W] {
+        let mut m = [0; W];
+        for &c in &self.cat_dims {
+            let qc = q[c];
+            for (mj, &x) in m.iter_mut().zip(&xt.row(c)[base..base + W]) {
+                *mj += usize::from((x - qc).abs() > 0.5);
+            }
+        }
+        m
+    }
+}
+
 impl Kernel for MixedKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         // Matérn-5/2 over continuous dims.
@@ -122,64 +198,79 @@ impl Kernel for MixedKernel {
             let d = a[i] - b[i];
             d2 += d * d;
         }
-        let r = d2.sqrt() / self.lengthscale;
-        let s5 = (5.0f64).sqrt() * r;
-        let cont = (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp();
-
-        // Hamming part: exp(−w · mismatch-fraction).
-        let cat = if self.cat_dims.is_empty() {
-            1.0
-        } else {
-            let mismatches =
-                self.cat_dims.iter().filter(|&&i| (a[i] - b[i]).abs() > 0.5).count() as f64;
-            (-self.hamming_weight * mismatches / self.cat_dims.len() as f64).exp()
-        };
-        cont * cat
+        let mismatches = self.cat_dims.iter().filter(|&&i| (a[i] - b[i]).abs() > 0.5).count();
+        matern52(d2, self.lengthscale) * self.hamming(mismatches)
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(MixedKernel { lengthscale: ls, ..self.clone() })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    fn eval_into(&self, xt: &Matrix, q: &[f64], out: &mut [f64]) {
+        sq_dists_into(xt, q, self.cont_dims.iter().copied(), out);
+        let mut table = [0.0; HAMMING_TABLE];
+        let known = (self.cat_dims.len() + 1).min(HAMMING_TABLE);
+        for (m, t) in table[..known].iter_mut().enumerate() {
+            *t = self.hamming(m);
+        }
+        let finish = |o: &mut f64, m: usize| {
+            let cat = if m < known { table[m] } else { self.hamming(m) };
+            *o = matern52(*o, self.lengthscale) * cat;
+        };
+        let full = out.len() - out.len() % POINTS;
+        let mut blocks = out.chunks_exact_mut(POINTS);
+        for (b, block) in blocks.by_ref().enumerate() {
+            let m = self.mismatches::<POINTS>(xt, q, b * POINTS);
+            block.iter_mut().zip(m).for_each(|(o, m)| finish(o, m));
+        }
+        for (j, o) in (full..).zip(blocks.into_remainder()) {
+            let [m] = self.mismatches::<1>(xt, q, j);
+            finish(o, m);
         }
     }
 }
 
-/// Builds the noisy covariance matrix `K + noise·I` over `x`.
+/// Builds the noisy covariance matrix `K + noise·I` over the points `x`,
+/// whose dimension-major copy is `xt`.
 ///
-/// Only the lower triangle is evaluated; the upper triangle is mirrored.
-/// Kernels are bitwise symmetric (see [`Kernel`]), so the result is
-/// bit-identical to evaluating every `(i, j)` pair — at half the kernel
+/// Row `i` is one [`Kernel::eval_into`] over points `0..=i` with query
+/// `xᵢ`, so entry `(i, j)` is `k(xⱼ, xᵢ)`; the upper triangle is
+/// mirrored. Kernels are bitwise symmetric (see [`Kernel`]), so the result
+/// is bit-identical to evaluating every `(i, j)` pair — at half the kernel
 /// calls.
-fn kernel_matrix(kernel: &dyn Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
+fn kernel_matrix(kernel: &dyn Kernel, x: &[Vec<f64>], xt: &Matrix, noise: f64) -> Matrix {
     let n = x.len();
     let mut k = Matrix::zeros(n, n);
+    for (i, xi) in x.iter().enumerate() {
+        kernel.eval_into(xt, xi, &mut k.row_mut(i)[..=i]);
+    }
     for i in 0..n {
-        for j in 0..=i {
-            let v = kernel.eval(&x[i], &x[j]);
-            k[(i, j)] = v;
-            k[(j, i)] = v;
+        for j in 0..i {
+            k[(j, i)] = k[(i, j)];
         }
     }
     k.add_diagonal(noise);
     k
 }
 
+/// The points `x` dimension-major: row `d` holds coordinate `d` of every
+/// point (the layout [`Kernel::eval_into`] reads).
+fn dimension_major(x: &[Vec<f64>]) -> Matrix {
+    Matrix::from_rows(x).transpose()
+}
+
 /// A fitted Gaussian process with standardized targets.
 ///
-/// Training inputs and the noisy covariance are cached in row-major
-/// [`Matrix`] blocks so [`GaussianProcess::extend`] can grow the model in
-/// O(n²) and [`GaussianProcess::predict_batch`] can stream kernel rows
+/// Training inputs (dimension-major) and the noisy covariance are cached
+/// in [`Matrix`] blocks so [`GaussianProcess::extend`] can grow the model
+/// in O(n²) and [`GaussianProcess::predict_batch`] can stream kernel rows
 /// without re-deriving anything.
 pub struct GaussianProcess {
     kernel: Box<dyn Kernel>,
-    /// Training inputs, one encoded configuration per row.
-    x: Matrix,
-    /// Cached `K + noise·I` — grown alongside `x`, and the input to the
+    /// Training inputs, dimension-major: `xt.row(d)[j]` is coordinate `d`
+    /// of point `j`. `extend` appends a column.
+    xt: Matrix,
+    /// Cached `K + noise·I` — grown alongside `xt`, and the input to the
     /// jitter-fallback refactorization.
     k: Matrix,
     /// Original-scale targets (standardization is recomputed on extend).
@@ -203,12 +294,13 @@ impl GaussianProcess {
     pub fn fit(kernel: Box<dyn Kernel>, x: &[Vec<f64>], y: &[f64], noise: f64) -> Self {
         assert_eq!(x.len(), y.len());
         assert!(!x.is_empty(), "GP fit on empty data");
-        let k = kernel_matrix(kernel.as_ref(), x, noise);
+        let xt = dimension_major(x);
+        let k = kernel_matrix(kernel.as_ref(), x, &xt, noise);
         let (chol, jitter) = Cholesky::decompose_with_jitter(&k, 1e-8, 12)
             .expect("GP covariance not PD even with jitter");
         let mut gp = Self {
             kernel,
-            x: Matrix::from_rows(x),
+            xt,
             k,
             y_raw: y.to_vec(),
             alpha: Vec::new(),
@@ -240,12 +332,13 @@ impl GaussianProcess {
 
     /// Absorbs one new observation in O(n²) instead of refitting in O(n³).
     ///
-    /// The new kernel row is appended to the cached covariance and the
-    /// factor is grown with [`Cholesky::rank1_append`]; the standardizer
-    /// and the `alpha` solve are refreshed against the full history. The
-    /// result is bit-identical to [`GaussianProcess::fit`] on the extended
-    /// data with the same kernel and noise (the `gp_equivalence` suite
-    /// proves this per kernel).
+    /// The new kernel row — one [`Kernel::eval_into`] over every point,
+    /// the new one included — is appended to the cached covariance and
+    /// the factor is grown with [`Cholesky::rank1_append`]; the
+    /// standardizer and the `alpha` solve are refreshed against the full
+    /// history. The result is bit-identical to [`GaussianProcess::fit`] on
+    /// the extended data with the same kernel and noise (the
+    /// `gp_equivalence` suite proves this per kernel).
     ///
     /// Fallback rule: if the current factor carries jitter, or the append
     /// loses positive-definiteness, the extended covariance is
@@ -253,12 +346,12 @@ impl GaussianProcess {
     /// what a from-scratch fit would do.
     pub fn extend(&mut self, x_new: Vec<f64>, y_new: f64) {
         let _span = telemetry::span("gp.extend");
-        let n = self.x.rows();
+        let n = self.n_train();
+        self.xt.push_col(&x_new);
         let mut row = vec![0.0; n + 1];
-        self.kernel.eval_into(&self.x, &x_new, &mut row[..n]);
-        row[n] = self.kernel.eval(&x_new, &x_new) + self.noise;
+        self.kernel.eval_into(&self.xt, &x_new, &mut row);
+        row[n] += self.noise;
         self.k.grow_square(&row, &row[..n]);
-        self.x.push_row(&x_new);
         self.y_raw.push(y_new);
 
         let appended = self.jitter == 0.0 && self.chol.rank1_append(&row).is_ok();
@@ -273,29 +366,27 @@ impl GaussianProcess {
 
     /// Posterior mean and variance at `q` (original target scale).
     pub fn predict(&self, q: &[f64]) -> (f64, f64) {
-        let n = self.x.rows();
+        let n = self.n_train();
         let mut kstar = vec![0.0; n];
         let mut v = vec![0.0; n];
         self.predict_into(q, &mut kstar, &mut v)
     }
 
     /// Lane width of the interleaved batch path: eight independent
-    /// triangular solves run together — enough in-flight dependency
-    /// chains to hide the FMA latency of the solve's loop-carried
-    /// recurrence even on 2-wide SIMD, without spilling the per-lane
-    /// accumulators out of registers.
+    /// right-hand sides share every step of the triangular solve.
     const LANES: usize = 8;
 
     /// Posterior mean and variance for every query row, in one pass.
     ///
     /// Queries are processed in blocks of [`Self::LANES`]. The kernel
     /// row and the mean dot-product run per lane with the exact scalar
-    /// routines; the triangular solve — the latency-bound dependency
-    /// chain that dominates batched acquisition — runs through
-    /// [`Cholesky::solve_lower_interleaved`], which executes each lane's
-    /// scalar operation sequence on four independent chains at once.
-    /// Leftover queries (and single-query calls, e.g. polish probes)
-    /// take the plain pointwise path. Every element is bit-identical to
+    /// routines; the triangular solve runs through
+    /// [`Cholesky::solve_lower_interleaved`], which gives each of the
+    /// eight lanes the scalar solve's operation sequence while every step
+    /// works on all of them at once. Leftover queries (and calls with
+    /// fewer than eight queries, e.g. polish probes) take the plain
+    /// pointwise path, and only batches of eight or more allocate the
+    /// lane buffers. Every element is bit-identical to
     /// [`GaussianProcess::predict`] on the same query — the
     /// `gp_equivalence` suite enforces this.
     ///
@@ -305,42 +396,47 @@ impl GaussianProcess {
     pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         let _span = (qs.len() > 1).then(|| telemetry::span("gp.predict_batch"));
         const LANES: usize = GaussianProcess::LANES;
-        let n = self.x.rows();
+        let n = self.n_train();
         let mut out = Vec::with_capacity(qs.len());
-        // Per-lane contiguous kernel rows plus lane-major solve buffers,
-        // shared across all blocks — no per-candidate allocation.
-        let mut kstar = vec![0.0; n * LANES];
-        let mut b_il = vec![0.0; n * LANES];
-        let mut v_il = vec![0.0; n * LANES];
         let mut blocks = qs.chunks_exact(LANES);
-        for block in blocks.by_ref() {
-            let mut mean_n = [0.0; LANES];
-            for (l, q) in block.iter().enumerate() {
-                let row = &mut kstar[l * n..(l + 1) * n];
-                self.kernel.eval_into(&self.x, q, row);
-                mean_n[l] = dbtune_linalg::matrix::dot(row, &self.alpha);
-            }
-            for k in 0..n {
-                for l in 0..LANES {
-                    b_il[k * LANES + l] = kstar[l * n + k];
+        if qs.len() >= LANES {
+            // Per-lane contiguous kernel rows plus lane-major solve
+            // buffers, shared across all blocks.
+            let mut kstar = vec![0.0; n * LANES];
+            let mut b_il = vec![0.0; n * LANES];
+            let mut v_il = vec![0.0; n * LANES];
+            for block in blocks.by_ref() {
+                let mut mean_n = [0.0; LANES];
+                for (l, q) in block.iter().enumerate() {
+                    let row = &mut kstar[l * n..(l + 1) * n];
+                    self.kernel.eval_into(&self.xt, q, row);
+                    mean_n[l] = dbtune_linalg::matrix::dot(row, &self.alpha);
                 }
-            }
-            self.chol.solve_lower_interleaved::<LANES>(&b_il, &mut v_il);
-            for (l, q) in block.iter().enumerate() {
-                let kss = self.kernel.eval(q, q) + self.noise;
-                // Same fold as the scalar path: Σ vᵢ² in ascending k,
-                // with the exact-zero skip of `sum_of_squares`.
-                let mut s2 = 0.0;
-                for vk in v_il.chunks_exact(LANES) {
-                    let vi = vk[l];
-                    // `!(… < …)`, not `… >= …`: NaN must stay computed.
-                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                    if !(vi.abs() < SOS_SKIP_BELOW) {
-                        s2 += vi * vi;
+                for k in 0..n {
+                    for l in 0..LANES {
+                        b_il[k * LANES + l] = kstar[l * n + k];
                     }
                 }
-                let var_n = (kss - s2).max(1e-12);
-                out.push((mean_n[l] * self.y_std + self.y_mean, var_n * self.y_std * self.y_std));
+                self.chol.solve_lower_interleaved::<LANES>(&b_il, &mut v_il);
+                for (l, q) in block.iter().enumerate() {
+                    let kss = self.kernel.eval(q, q) + self.noise;
+                    // Same fold as the scalar path: Σ vᵢ² in ascending k,
+                    // with the exact-zero skip of `sum_of_squares`.
+                    let mut s2 = 0.0;
+                    for vk in v_il.chunks_exact(LANES) {
+                        let vi = vk[l];
+                        // `!(… < …)`, not `… >= …`: NaN must stay computed.
+                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                        if !(vi.abs() < SOS_SKIP_BELOW) {
+                            s2 += vi * vi;
+                        }
+                    }
+                    let var_n = (kss - s2).max(1e-12);
+                    out.push((
+                        mean_n[l] * self.y_std + self.y_mean,
+                        var_n * self.y_std * self.y_std,
+                    ));
+                }
             }
         }
         let mut ks = vec![0.0; n];
@@ -353,7 +449,7 @@ impl GaussianProcess {
 
     /// One posterior evaluation against caller-provided scratch buffers.
     fn predict_into(&self, q: &[f64], kstar: &mut [f64], v: &mut [f64]) -> (f64, f64) {
-        self.kernel.eval_into(&self.x, q, kstar);
+        self.kernel.eval_into(&self.xt, q, kstar);
         let mean_n = dbtune_linalg::matrix::dot(kstar, &self.alpha);
         self.chol.solve_lower_into(kstar, v);
         let kss = self.kernel.eval(q, q) + self.noise;
@@ -363,7 +459,7 @@ impl GaussianProcess {
 
     /// Number of training points.
     pub fn n_train(&self) -> usize {
-        self.x.rows()
+        self.y_raw.len()
     }
 
     /// Diagonal jitter the current factor carries (0.0 on the fast path;
@@ -410,8 +506,9 @@ fn sum_of_squares(v: &[f64]) -> f64 {
 ///
 /// The covariance is built once per lengthscale and cloned per noise
 /// level (the noise only touches the diagonal), and the standardized
-/// targets are computed once — same values as rebuilding everything per
-/// grid point, at a third of the kernel evaluations.
+/// targets and the dimension-major inputs are computed once — same values
+/// as rebuilding everything per grid point, at a third of the kernel
+/// evaluations.
 pub fn select_hyperparams(kernel: &dyn Kernel, x: &[Vec<f64>], y: &[f64]) -> (f64, f64) {
     const LENGTHSCALES: [f64; 6] = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6];
     const NOISES: [f64; 3] = [1e-6, 1e-4, 1e-2];
@@ -419,10 +516,11 @@ pub fn select_hyperparams(kernel: &dyn Kernel, x: &[Vec<f64>], y: &[f64]) -> (f6
     let y_mean = stats::mean(y);
     let y_std = stats::std_dev(y).max(1e-12);
     let yn: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
+    let xt = dimension_major(x);
     let mut best: Option<(f64, f64, f64)> = None; // (lml, ls, noise)
     for &ls in &LENGTHSCALES {
         let k = kernel.with_lengthscale(ls);
-        let base = kernel_matrix(k.as_ref(), x, 0.0);
+        let base = kernel_matrix(k.as_ref(), x, &xt, 0.0);
         for &noise in &NOISES {
             let mut kn = base.clone();
             kn.add_diagonal(noise);
@@ -453,6 +551,7 @@ fn log_marginal_likelihood(kn: &Matrix, yn: &[f64], n: usize) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn toy_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
@@ -538,24 +637,35 @@ mod tests {
         assert!((m - 1000.0).abs() < 2.0);
     }
 
-    #[test]
-    fn kernels_are_bitwise_symmetric() {
-        // The cached covariance mirrors its lower triangle, which is only
-        // sound if eval(a, b) and eval(b, a) agree to the bit.
-        let kernels: Vec<Box<dyn Kernel>> = vec![
-            Box::new(RbfKernel { lengthscale: 0.3 }),
-            Box::new(Matern52Kernel { lengthscale: 0.3 }),
-            Box::new(MixedKernel {
-                cont_dims: vec![0, 2],
-                cat_dims: vec![1],
-                lengthscale: 0.3,
-                hamming_weight: 2.0,
-            }),
-        ];
-        let a = [0.137, 2.0, 0.911];
-        let b = [0.552, 3.0, 0.004];
-        for k in &kernels {
-            assert_eq!(k.eval(&a, &b).to_bits(), k.eval(&b, &a).to_bits());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cached covariance mirrors its lower triangle, and
+        /// `kernel_matrix` fills every entry from `k(xⱼ, xᵢ)`: both are
+        /// only sound if `eval(a, b)` and `eval(b, a)` agree to the bit.
+        #[test]
+        fn kernels_are_bitwise_symmetric(
+            a in proptest::collection::vec(-2.0f64..2.0, 3),
+            b in proptest::collection::vec(-2.0f64..2.0, 3),
+            cats in (0u32..4, 0u32..4),
+            ls in 0.01f64..2.0,
+        ) {
+            let kernels: Vec<Box<dyn Kernel>> = vec![
+                Box::new(RbfKernel { lengthscale: ls }),
+                Box::new(Matern52Kernel { lengthscale: ls }),
+                Box::new(MixedKernel {
+                    cont_dims: vec![0, 2],
+                    cat_dims: vec![1],
+                    lengthscale: ls,
+                    hamming_weight: 2.0,
+                }),
+            ];
+            let (mut a, mut b) = (a, b);
+            a[1] = f64::from(cats.0);
+            b[1] = f64::from(cats.1);
+            for k in &kernels {
+                prop_assert_eq!(k.eval(&a, &b).to_bits(), k.eval(&b, &a).to_bits());
+            }
         }
     }
 

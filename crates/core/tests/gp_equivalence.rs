@@ -6,8 +6,9 @@
 //! from-scratch / pointwise implementations. This suite pins that down at
 //! three levels:
 //!
-//! 1. model level — `GaussianProcess::extend` vs `fit`, `predict_batch`
-//!    vs looped `predict`, over all three kernels;
+//! 1. model level — `Kernel::eval_into` vs `eval`, `GaussianProcess::
+//!    extend` vs `fit`, `predict_batch` vs looped `predict`, over all
+//!    three kernels;
 //! 2. search level — `maximize_batched` vs `maximize` under GP- and
 //!    forest-backed scoring closures;
 //! 3. optimizer level — `BoOptimizer::suggest` (incremental + batched)
@@ -21,6 +22,7 @@ use dbtune_core::gp::{
 use dbtune_core::optimizer::{BoKind, BoOptimizer, ObsStore, Optimizer};
 use dbtune_core::space::ConfigSpace;
 use dbtune_dbsim::knob::KnobSpec;
+use dbtune_linalg::Matrix;
 use dbtune_ml::{RandomForest, RandomForestParams, Regressor, UncertainRegressor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,6 +58,89 @@ fn sample_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 fn assert_bits_eq(a: (f64, f64), b: (f64, f64), context: &str) {
     assert_eq!(a.0.to_bits(), b.0.to_bits(), "mean bits differ: {context}");
     assert_eq!(a.1.to_bits(), b.1.to_bits(), "variance bits differ: {context}");
+}
+
+/// Every kernel shape `eval_into` must handle over 3-dim inputs: the
+/// three families, a mixed kernel without categorical dims (whose Hamming
+/// factor is 1.0, not `exp(0/0)`), one without continuous dims, and one
+/// whose mismatch count outgrows the Hamming table (a repeated dim).
+fn row_kernels() -> Vec<(&'static str, Box<dyn Kernel>)> {
+    let mixed = |cont_dims: Vec<usize>, cat_dims: Vec<usize>| -> Box<dyn Kernel> {
+        Box::new(MixedKernel { cont_dims, cat_dims, lengthscale: 0.25, hamming_weight: 2.0 })
+    };
+    let mut all = kernels();
+    all.push(("mixed, no categorical dims", mixed(vec![0, 1, 2], vec![])));
+    all.push(("mixed, no continuous dims", mixed(vec![], vec![0, 1, 2])));
+    all.push(("mixed, 70 categorical dims", mixed(vec![1, 0], vec![2; 70])));
+    all
+}
+
+/// Same bits, or both NaN: Rust leaves the sign and payload of a NaN
+/// result unspecified.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `eval_into` over the first `m` training points equals `eval` on
+    /// each of them, for every `m` up to `n` — full eight-point blocks,
+    /// partial blocks and none — with NaN in a training input, in the
+    /// query, or nowhere.
+    #[test]
+    fn eval_into_matches_eval_bitwise(
+        n in 0usize..20, seed in 0u64..1_000_000, nan in 0u32..3, ls in 0.05f64..2.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let point =
+            |rng: &mut StdRng| vec![rng.gen(), rng.gen(), rng.gen_range(0..4) as f64];
+        let mut x: Vec<Vec<f64>> = (0..n).map(|_| point(&mut rng)).collect();
+        let mut q = point(&mut rng);
+        if nan == 1 && n > 0 {
+            x[rng.gen_range(0..n)][rng.gen_range(0..3usize)] = f64::NAN;
+        } else if nan == 2 {
+            q[rng.gen_range(0..3usize)] = f64::NAN;
+        }
+        let xt = Matrix::from_rows(&x).transpose();
+        for (name, kernel) in row_kernels() {
+            let kernel = kernel.with_lengthscale(ls);
+            for m in 0..=n {
+                let mut out = vec![f64::NAN; m];
+                kernel.eval_into(&xt, &q, &mut out);
+                for (j, o) in out.iter().enumerate() {
+                    let e = kernel.eval(&x[j], &q);
+                    prop_assert!(same(*o, e), "{}: point {} of {}: {:e} vs eval {:e}", name, j, m, o, e);
+                }
+            }
+        }
+    }
+}
+
+/// Points with no coordinates at all: every kernel is 1.0 on them, from
+/// `eval` and `eval_into` alike.
+#[test]
+fn eval_into_matches_eval_on_zero_dimensional_points() {
+    let kernels: Vec<Box<dyn Kernel>> = vec![
+        Box::new(RbfKernel { lengthscale: 0.3 }),
+        Box::new(Matern52Kernel { lengthscale: 0.3 }),
+        Box::new(MixedKernel {
+            cont_dims: vec![],
+            cat_dims: vec![],
+            lengthscale: 0.3,
+            hamming_weight: 2.0,
+        }),
+    ];
+    let x = vec![vec![]; 11];
+    let xt = Matrix::zeros(0, x.len());
+    for kernel in &kernels {
+        let mut out = vec![f64::NAN; x.len()];
+        kernel.eval_into(&xt, &[], &mut out);
+        for (o, xj) in out.iter().zip(&x) {
+            assert_eq!(o.to_bits(), kernel.eval(xj, &[]).to_bits());
+            assert_eq!(*o, 1.0);
+        }
+    }
 }
 
 #[test]

@@ -5,13 +5,23 @@
 //! nearly identical configurations produce nearly identical kernel rows), so
 //! [`Cholesky::decompose_with_jitter`] retries with geometrically increasing
 //! diagonal jitter — the standard trick used by every production GP library.
+//!
+//! The factor is stored as `U = Lᵀ`, row-major, so column `k` of `L` is one
+//! contiguous row. Every loop below advances many independent elements at
+//! once (an axpy along a row of `U`, or eight lane-interleaved right-hand
+//! sides), yet each element still receives the operations of the textbook
+//! row-by-row recurrence on the same operands in the same order: its
+//! products subtracted in ascending `k`, then one division or square root.
+//! The results are therefore bit-identical to that recurrence, which
+//! `tests/props.rs` keeps as the reference.
 
 use crate::matrix::Matrix;
 
-/// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
+/// Cholesky factor of `A = L Lᵀ`, stored as the upper-triangular `U = Lᵀ`.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
-    l: Matrix,
+    /// Row `k` holds column `k` of `L`: `u[(k, i)] = L[i][k]` for `i ≥ k`.
+    u: Matrix,
 }
 
 /// Error returned when a matrix is not positive definite (even after
@@ -27,29 +37,79 @@ impl std::fmt::Display for NotPositiveDefinite {
 
 impl std::error::Error for NotPositiveDefinite {}
 
+/// Pivots (rows of `U`) the factorization and the forward solves apply
+/// together, so each later element is loaded and stored once per block
+/// instead of once per pivot.
+const BLOCK: usize = 8;
+
 impl Cholesky {
-    /// Factorizes a symmetric positive-definite matrix.
+    /// Factorizes a symmetric positive-definite matrix, reading only its
+    /// lower triangle.
+    ///
+    /// Right-looking on `U`: step `k` tests pivot `k`, takes its square
+    /// root, divides the rest of row `k` by it, and subtracts
+    /// `U[k][i]·U[k][i..]` from every later row `i`. Element `U[i][j]`
+    /// thus starts as `a[(j, i)]`, loses the products `L[i][k]·L[j][k]` in
+    /// ascending `k`, and is divided by `L[i][i]` last — the row-by-row
+    /// recurrence's operations, so the factor and the verdict match it to
+    /// the bit. Pivots go in panels of [`BLOCK`]: a panel's rows are
+    /// finished pivot by pivot, then every later row subtracts the panel's
+    /// products from each element in one load–store pass, still in
+    /// ascending `k`.
     pub fn decompose(a: &Matrix) -> Result<Self, NotPositiveDefinite> {
         assert_eq!(a.rows(), a.cols(), "Cholesky requires a square matrix");
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+        let mut u = vec![0.0; n * n];
+        for k in 0..n {
+            for j in k..n {
+                u[k * n + j] = a[(j, k)];
             }
         }
-        Ok(Self { l })
+        let mut k0 = 0;
+        while k0 < n {
+            let k1 = (k0 + BLOCK).min(n);
+            // The panel: pivots `k0..k1` one by one, updating the panel's
+            // own later rows.
+            for k in k0..k1 {
+                let (done, later) = u.split_at_mut((k + 1) * n);
+                let row_k = &mut done[k * n..];
+                let pivot = row_k[k];
+                if pivot <= 0.0 || !pivot.is_finite() {
+                    return Err(NotPositiveDefinite);
+                }
+                let d = pivot.sqrt();
+                row_k[k] = d;
+                for v in &mut row_k[k + 1..] {
+                    *v /= d;
+                }
+                for (i, row_i) in (k + 1..k1).zip(later.chunks_exact_mut(n)) {
+                    let f = row_k[i];
+                    for (v, &ukj) in row_i[i..].iter_mut().zip(&row_k[i..]) {
+                        *v -= f * ukj;
+                    }
+                }
+            }
+            if k1 == n {
+                break;
+            }
+            // Every later row subtracts the panel's `BLOCK` products per
+            // element in one load–store pass, in ascending `k`.
+            let (panel, trailing) = u.split_at_mut(k1 * n);
+            for (i, row_i) in (k1..n).zip(trailing.chunks_exact_mut(n)) {
+                let rows: [&[f64]; BLOCK] =
+                    std::array::from_fn(|b| &panel[(k0 + b) * n + i..(k0 + b + 1) * n]);
+                let f: [f64; BLOCK] = std::array::from_fn(|b| rows[b][0]);
+                for (j, v) in row_i[i..].iter_mut().enumerate() {
+                    let mut acc = *v;
+                    for (fb, row) in f.iter().zip(&rows) {
+                        acc -= fb * row[j];
+                    }
+                    *v = acc;
+                }
+            }
+            k0 = k1;
+        }
+        Ok(Self { u: Matrix::from_vec(n, n, u) })
     }
 
     /// Factorizes `a`, adding increasing diagonal jitter on failure.
@@ -77,24 +137,22 @@ impl Cholesky {
         Err(NotPositiveDefinite)
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
+    /// The stored factor `U = Lᵀ` (upper triangular, row-major).
+    pub fn upper(&self) -> &Matrix {
+        &self.u
     }
 
-    /// Grows the factor by one row for the bordered matrix
-    /// `[[A, k], [kᵀ, d]]`, where `row = [k₀ … kₙ₋₁, d]` is the new last
-    /// row of the extended matrix.
+    /// Grows the factor for the bordered matrix `[[A, k], [kᵀ, d]]`, where
+    /// `row = [k₀ … kₙ₋₁, d]` is the new last row of the extended matrix.
     ///
     /// This is the O(n²) incremental update behind the GP hot path: the
     /// leading `n × n` block of the extended factor *is* the current
-    /// factor (Cholesky processes rows top-down, so earlier rows never
-    /// see later ones), and the new row is one forward substitution plus
-    /// a square root. The arithmetic below replays
-    /// [`Cholesky::decompose`]'s last-row recurrence operation for
-    /// operation, so the updated factor is **bit-identical** to
-    /// refactorizing the extended matrix from scratch — the invariant the
-    /// `gp_equivalence` suite pins down.
+    /// factor (no element of it reads a later row or column of `A`), and
+    /// the new column of `U` is the forward solve `L c = k` plus the pivot
+    /// `sqrt(d − Σ cᵢ²)`. Both replay [`Cholesky::decompose`]'s arithmetic
+    /// for the last column operation for operation, so the updated factor
+    /// is **bit-identical** to refactorizing the extended matrix from
+    /// scratch — the invariant the `gp_equivalence` suite pins down.
     ///
     /// On loss of positive-definiteness (the new pivot is non-positive or
     /// non-finite) the factor is left untouched and an error is returned;
@@ -102,101 +160,121 @@ impl Cholesky {
     /// full extended matrix, which matches what a from-scratch fit would
     /// have done.
     pub fn rank1_append(&mut self, row: &[f64]) -> Result<(), NotPositiveDefinite> {
-        let n = self.l.rows();
+        let n = self.u.rows();
         assert_eq!(row.len(), n + 1, "rank1_append row must have length n + 1");
-        let mut new_row = vec![0.0; n + 1];
-        for j in 0..n {
-            let mut sum = row[j];
-            let lrow = self.l.row(j);
-            for (k, nv) in new_row.iter().enumerate().take(j) {
-                sum -= nv * lrow[k];
-            }
-            new_row[j] = sum / lrow[j];
+        let mut col = vec![0.0; n];
+        self.solve_lower_into(&row[..n], &mut col);
+        let mut pivot = row[n];
+        for c in &col {
+            pivot -= c * c;
         }
-        let mut sum = row[n];
-        for nv in new_row.iter().take(n) {
-            sum -= nv * nv;
-        }
-        if sum <= 0.0 || !sum.is_finite() {
+        if pivot <= 0.0 || !pivot.is_finite() {
             return Err(NotPositiveDefinite);
         }
-        new_row[n] = sum.sqrt();
-        let zeros = vec![0.0; n];
-        self.l.grow_square(&new_row, &zeros);
+        let mut last = vec![0.0; n + 1];
+        last[n] = pivot.sqrt();
+        self.u.grow_square(&last, &col);
         Ok(())
     }
 
     /// Solves `L x = b` (forward substitution).
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.l.rows()];
+        let mut x = vec![0.0; self.u.rows()];
         self.solve_lower_into(b, &mut x);
         x
     }
 
     /// [`Cholesky::solve_lower`] into a caller-provided buffer — the
-    /// allocation-free variant batched GP prediction calls once per
-    /// candidate. Identical arithmetic, identical results.
+    /// allocation-free variant GP prediction calls once per candidate.
+    /// Identical arithmetic, identical results.
     pub fn solve_lower_into(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.l.rows();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        for i in 0..n {
-            let mut sum = b[i];
-            let row = self.l.row(i);
-            for (k, xv) in x.iter().enumerate().take(i) {
-                sum -= row[k] * xv;
-            }
-            x[i] = sum / row[i];
-        }
+        assert_eq!(b.len(), self.u.rows());
+        assert_eq!(x.len(), self.u.rows());
+        x.copy_from_slice(b);
+        self.forward_in_place::<1>(x);
     }
 
     /// Forward substitution for `L` lane-interleaved right-hand sides at
     /// once: `b` and `x` hold lane-major data (`b[i * L + lane]` is row
     /// `i` of right-hand side `lane`).
     ///
-    /// Each lane performs **exactly** the operation sequence of
-    /// [`Cholesky::solve_lower_into`] — `sum = b[i]`, then
-    /// `sum -= row[k] * x[k]` in ascending `k`, then `sum / row[i]` — so
-    /// per-lane results are bit-identical to the scalar solve. The point
-    /// of interleaving is instruction-level parallelism: the scalar
-    /// solve is one loop-carried FMA chain (each `sum` update waits on
-    /// the previous one), while `L` independent chains keep the FP units
-    /// busy. This is what makes batched GP prediction faster than the
-    /// pointwise loop without changing a single output bit.
+    /// Each lane receives **exactly** the operations of
+    /// [`Cholesky::solve_lower_into`], so per-lane results are
+    /// bit-identical to the scalar solve; the lanes only add independent
+    /// work to every step.
     pub fn solve_lower_interleaved<const L: usize>(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.l.rows();
-        assert_eq!(b.len(), n * L);
-        assert_eq!(x.len(), n * L);
-        for i in 0..n {
-            let row = self.l.row(i);
-            let mut sum = [0.0f64; L];
-            sum.copy_from_slice(&b[i * L..(i + 1) * L]);
-            for (k, xk) in x.chunks_exact(L).enumerate().take(i) {
-                let lk = row[k];
-                for l in 0..L {
-                    sum[l] -= lk * xk[l];
+        assert_eq!(b.len(), self.u.rows() * L);
+        assert_eq!(x.len(), self.u.rows() * L);
+        x.copy_from_slice(b);
+        self.forward_in_place::<L>(x);
+    }
+
+    /// Column-oriented forward substitution on `L` lane-interleaved
+    /// right-hand sides, in place.
+    ///
+    /// Unknown `i` starts as `b[i]`, has `L[i][k]·x[k]` subtracted for
+    /// every `k < i` in ascending order, and is divided by `L[i][i]` last:
+    /// the row-by-row recurrence, reordered only *across* unknowns. Columns
+    /// go in blocks of [`BLOCK`]: the block's own unknowns are finished
+    /// column by column, then every later unknown subtracts the block's
+    /// `BLOCK` products in one load–store pass, independent of its
+    /// neighbours — which is what lets the loop vectorize.
+    fn forward_in_place<const L: usize>(&self, x: &mut [f64]) {
+        let n = self.u.rows();
+        let mut k0 = 0;
+        while k0 < n {
+            let k1 = (k0 + BLOCK).min(n);
+            for k in k0..k1 {
+                let uk = self.u.row(k);
+                let (head, tail) = x.split_at_mut((k + 1) * L);
+                let xk = &mut head[k * L..];
+                for v in xk.iter_mut() {
+                    *v /= uk[k];
+                }
+                for (i, xi) in (k + 1..k1).zip(tail.chunks_exact_mut(L)) {
+                    for (v, &xkl) in xi.iter_mut().zip(xk.iter()) {
+                        *v -= uk[i] * xkl;
+                    }
                 }
             }
-            let di = row[i];
-            for (l, s) in sum.iter().enumerate() {
-                x[i * L + l] = s / di;
+            if k1 == n {
+                break;
             }
+            // Only a full block leaves unknowns behind it.
+            let (head, tail) = x.split_at_mut(k1 * L);
+            let mut xb = [[0.0; L]; BLOCK];
+            for (b, xk) in xb.iter_mut().enumerate() {
+                xk.copy_from_slice(&head[(k0 + b) * L..(k0 + b + 1) * L]);
+            }
+            let rows: [&[f64]; BLOCK] = std::array::from_fn(|b| &self.u.row(k0 + b)[k1..]);
+            for (i, xi) in tail.chunks_exact_mut(L).enumerate() {
+                let mut acc = [0.0; L];
+                acc.copy_from_slice(xi);
+                for (row, xk) in rows.iter().zip(&xb) {
+                    let f = row[i];
+                    for (a, &xkl) in acc.iter_mut().zip(xk) {
+                        *a -= f * xkl;
+                    }
+                }
+                xi.copy_from_slice(&acc);
+            }
+            k0 = k1;
         }
     }
 
-    /// Solves `Lᵀ x = b` (backward substitution).
-    // Index loops keep the triangular-solve recurrence readable.
-    #[allow(clippy::needless_range_loop)]
+    /// Solves `Lᵀ x = b` (backward substitution), reading each row of `U`
+    /// contiguously.
     pub fn solve_upper(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.rows();
+        let n = self.u.rows();
         assert_eq!(b.len(), n);
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let row = self.u.row(i);
             let mut sum = b[i];
-            for k in i + 1..n {
-                sum -= self.l[(k, i)] * x[k];
+            for (uik, xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                sum -= uik * xk;
             }
-            x[i] = sum / self.l[(i, i)];
+            x[i] = sum / row[i];
         }
         x
     }
@@ -208,7 +286,7 @@ impl Cholesky {
 
     /// `log |A| = 2 Σ log L_ii` — needed by GP marginal likelihood.
     pub fn log_determinant(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.u.rows()).map(|i| self.u[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -233,8 +311,8 @@ mod tests {
     fn decompose_reconstructs_input() {
         let a = spd3();
         let c = Cholesky::decompose(&a).expect("SPD decomposition succeeds");
-        let l = c.factor();
-        let recon = l.matmul(&l.transpose());
+        let u = c.upper();
+        let recon = u.transpose().matmul(u);
         assert!(recon.max_abs_diff(&a) < 1e-9, "got {recon:?}");
     }
 
@@ -263,7 +341,7 @@ mod tests {
         let (c, jitter) =
             Cholesky::decompose_with_jitter(&a, 1e-10, 12).expect("SPD decomposition succeeds");
         assert!(jitter > 0.0);
-        assert_eq!(c.factor().rows(), 2);
+        assert_eq!(c.upper().rows(), 2);
     }
 
     #[test]
@@ -318,8 +396,7 @@ mod tests {
         let b = vec![1.0, 2.0, 3.0];
         let y = c.solve_lower(&b);
         // L y should reproduce b.
-        let l = c.factor();
-        let back = l.matvec(&y);
+        let back = c.upper().transpose().matvec(&y);
         for (bi, vi) in b.iter().zip(back) {
             assert!((bi - vi).abs() < 1e-10);
         }

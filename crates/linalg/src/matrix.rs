@@ -181,26 +181,32 @@ impl Matrix {
         out
     }
 
-    /// Appends a row to the matrix, keeping the column count.
+    /// Appends a column, keeping the row count.
     ///
     /// # Panics
-    /// Panics if `row.len() != self.cols()` (unless the matrix is empty,
-    /// in which case the row defines the column count).
-    pub fn push_row(&mut self, row: &[f64]) {
+    /// Panics if `col.len() != self.rows()` (unless the matrix is empty,
+    /// in which case the column defines the row count).
+    pub fn push_col(&mut self, col: &[f64]) {
         if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
+            self.rows = col.len();
         }
-        assert_eq!(row.len(), self.cols, "push_row length mismatch");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
+        assert_eq!(col.len(), self.rows, "push_col length mismatch");
+        let mut data = Vec::with_capacity(self.rows * (self.cols + 1));
+        for (r, &v) in col.iter().enumerate() {
+            data.extend_from_slice(self.row(r));
+            data.push(v);
+        }
+        self.cols += 1;
+        self.data = data;
     }
 
     /// Grows a square `n × n` matrix to `(n+1) × (n+1)`.
     ///
     /// `row` (length `n + 1`) becomes the new last row; the new last
     /// column is filled with `col` (length `n`, rows `0..n`). The two
-    /// callers are the incremental Cholesky (zero upper column) and the
-    /// cached GP covariance (symmetric column = row prefix).
+    /// callers are the incremental Cholesky (the new column of `U = Lᵀ`,
+    /// and a last row that is zero but for the pivot) and the cached GP
+    /// covariance (symmetric column = row prefix).
     pub fn grow_square(&mut self, row: &[f64], col: &[f64]) {
         assert_eq!(self.rows, self.cols, "grow_square requires a square matrix");
         let n = self.rows;
