@@ -215,12 +215,12 @@ impl Ddpg {
             self.critic.train_step(&cur_in, &[target]);
 
             // Actor: ascend Q(s, π(s)).
-            let a_pred = self.actor.forward(&t.state);
-            let mut q_in = t.state.clone();
-            q_in.extend_from_slice(&a_pred);
-            let grad = self.critic.input_gradient(&q_in, &[1.0]);
-            let grad_action: Vec<f64> = grad[self.state_dim..].iter().map(|g| -g).collect();
-            self.actor.step_with_output_gradient(&t.state, &grad_action);
+            self.actor.step_with(&t.state, |a_pred| {
+                let mut q_in = t.state.clone();
+                q_in.extend_from_slice(a_pred);
+                let grad = self.critic.input_gradient(&q_in, &[1.0]);
+                grad[self.state_dim..].iter().map(|g| -g).collect()
+            });
         }
         self.target_actor.soft_update_from(&self.actor, self.params.tau);
         self.target_critic.soft_update_from(&self.critic, self.params.tau);
@@ -368,6 +368,24 @@ mod tests {
         let w = a.export_weights();
         let mut b = Ddpg::new(space2(), 8, DdpgParams::default(), 7);
         b.import_weights(&w);
+    }
+
+    fn hidden(widths: &[usize]) -> DdpgParams {
+        DdpgParams { hidden: widths.to_vec(), ..Default::default() }
+    }
+
+    #[test]
+    #[should_panic(expected = "flat weight vector length mismatch")]
+    fn import_rejects_smaller_hidden_layers() {
+        let w = Ddpg::new(space2(), 4, hidden(&[32, 32]), 7).export_weights();
+        Ddpg::new(space2(), 4, hidden(&[64, 64]), 7).import_weights(&w);
+    }
+
+    #[test]
+    #[should_panic(expected = "flat weight vector length mismatch")]
+    fn import_rejects_larger_hidden_layers() {
+        let w = Ddpg::new(space2(), 4, hidden(&[64, 64]), 7).export_weights();
+        Ddpg::new(space2(), 4, hidden(&[32, 32]), 7).import_weights(&w);
     }
 
     #[test]

@@ -122,11 +122,7 @@ impl CallGraph {
                 break; // defensive: parent maps from `reach` are acyclic
             }
         }
-        rev.iter()
-            .rev()
-            .map(|&i| self.nodes[i].item.name.as_str())
-            .collect::<Vec<_>>()
-            .join(" -> ")
+        rev.iter().rev().map(|&i| self.nodes[i].item.name.as_str()).collect::<Vec<_>>().join(" -> ")
     }
 
     /// Transitive closure of lock names acquired by `node` or anything

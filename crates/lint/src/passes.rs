@@ -223,8 +223,7 @@ fn lock_order_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
     let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
     for ((a, b), locs) in &sites {
         let Some(rev) = sites.get(&(b.clone(), a.clone())) else { continue };
-        let key =
-            if a < b { (a.clone(), b.clone()) } else { (b.clone(), a.clone()) };
+        let key = if a < b { (a.clone(), b.clone()) } else { (b.clone(), a.clone()) };
         if !reported.insert(key) {
             continue;
         }
@@ -278,9 +277,7 @@ fn schema_pass(root: &Path, files: &[(String, FileSymbols)], out: &mut Vec<Findi
     }
 
     // S1 — emitted but undocumented.
-    for (book, doc, what) in
-        [(&metrics, &doc_metrics, "metric"), (&spans, &doc_spans, "span")]
-    {
+    for (book, doc, what) in [(&metrics, &doc_metrics, "metric"), (&spans, &doc_spans, "span")] {
         for (name, sites) in book {
             if doc.contains_key(name) {
                 continue;
@@ -302,9 +299,7 @@ fn schema_pass(root: &Path, files: &[(String, FileSymbols)], out: &mut Vec<Findi
     }
 
     // S2 — documented but dead.
-    for (doc, book, what) in
-        [(&doc_metrics, &metrics, "metric"), (&doc_spans, &spans, "span")]
-    {
+    for (doc, book, what) in [(&doc_metrics, &metrics, "metric"), (&doc_spans, &spans, "span")] {
         for (name, &line) in doc {
             if !book.contains_key(name) {
                 out.push(Finding {

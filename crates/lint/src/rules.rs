@@ -56,8 +56,8 @@ use crate::scanner::{self, is_ident_char};
 
 /// Every rule id the engine can emit (and `allow(..)` can name).
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "F1", "E1", "E2", "E3", "M1", "R1", "R2", "R3", "R4", "R5", "C1", "C2",
-    "S1", "S2", "S3", "P1", "P2", "P3",
+    "D1", "D2", "D3", "F1", "E1", "E2", "E3", "M1", "R1", "R2", "R3", "R4", "R5", "C1", "C2", "S1",
+    "S2", "S3", "P1", "P2", "P3",
 ];
 
 /// Where a file sits in the workspace, which decides rule applicability.
@@ -939,7 +939,8 @@ mod tests {
         assert_eq!(findings("crates/core/src/x.rs", src), vec![(2, "P3".into())]);
         // Mixed list: the known id still suppresses, the unknown still
         // surfaces — no P2 piggybacks on the same pragma.
-        let mixed = "fn f(x: Option<u32>) {\n    x.unwrap(); // lint: allow(E1, Z9) demo mixed\n}\n";
+        let mixed =
+            "fn f(x: Option<u32>) {\n    x.unwrap(); // lint: allow(E1, Z9) demo mixed\n}\n";
         assert_eq!(findings("crates/core/src/x.rs", mixed), vec![(2, "P3".into())]);
     }
 

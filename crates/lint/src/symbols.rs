@@ -115,8 +115,8 @@ impl FnItem {
     /// read escapes through (rules R1/R2).
     pub fn returns_numeric(&self) -> bool {
         const NUMERIC: &[&str] = &[
-            "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",
-            "isize", "f32", "f64", "Duration",
+            "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
+            "f32", "f64", "Duration",
         ];
         NUMERIC.iter().any(|t| contains_token(&self.ret, t))
     }
@@ -216,21 +216,22 @@ pub fn extract(source: &str) -> FileSymbols {
                     let cfg_test = head.contains("#[cfg(test)]")
                         || head.contains("#[cfg(all(test")
                         || blocks.iter().any(|b| b.cfg_test);
-                    let fn_idx = parse_fn_head(&head, &head_lines, lineno).map(|(name, fl, ret)| {
-                        out.fns.push(FnItem {
-                            name,
-                            line: fl,
-                            body: (lineno, lineno),
-                            in_test: cfg_test,
-                            ret,
-                            calls: Vec::new(),
-                            taints: Vec::new(),
-                            iter_calls: Vec::new(),
-                            locks: Vec::new(),
-                            lock_pairs: Vec::new(),
+                    let fn_idx =
+                        parse_fn_head(&head, &head_lines, lineno).map(|(name, fl, ret)| {
+                            out.fns.push(FnItem {
+                                name,
+                                line: fl,
+                                body: (lineno, lineno),
+                                in_test: cfg_test,
+                                ret,
+                                calls: Vec::new(),
+                                taints: Vec::new(),
+                                iter_calls: Vec::new(),
+                                locks: Vec::new(),
+                                lock_pairs: Vec::new(),
+                            });
+                            out.fns.len() - 1
                         });
-                        out.fns.len() - 1
-                    });
                     if let Some(i) = fn_idx {
                         fn_stack.push(i);
                         line_fn = Some(i);
@@ -370,7 +371,11 @@ pub fn extract(source: &str) -> FileSymbols {
 /// Parses a statement head that opens a `{` as a function item:
 /// `[attrs] [pub…] fn name[<…>](…) [-> Ret] [where …]`. Returns
 /// `(name, line_of_fn_token, return_type_text)`.
-fn parse_fn_head(head: &str, head_lines: &[usize], fallback: usize) -> Option<(String, usize, String)> {
+fn parse_fn_head(
+    head: &str,
+    head_lines: &[usize],
+    fallback: usize,
+) -> Option<(String, usize, String)> {
     let pos = token_positions(head, "fn").last()?;
     let fn_line = head_lines.get(pos).copied().unwrap_or(fallback);
     let rest = head[pos + 2..].trim_start();
@@ -463,10 +468,15 @@ fn call_before_paren(before: &str) -> Option<String> {
     if depth != 0 {
         return None;
     }
-    let name: String =
-        chars[..i].iter().rev().take_while(|&&c| is_ident_char(c)).collect::<Vec<_>>().into_iter().rev().collect();
-    (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit()))
-        .then_some(name)
+    let name: String = chars[..i]
+        .iter()
+        .rev()
+        .take_while(|&&c| is_ident_char(c))
+        .collect::<Vec<_>>()
+        .into_iter()
+        .rev()
+        .collect();
+    (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit())).then_some(name)
 }
 
 /// `for x in helper(…)` / `for x in mod::helper(…) {` — returns the
@@ -571,7 +581,8 @@ mod tests {
 
     #[test]
     fn extracts_fn_items_with_ranges_and_returns() {
-        let src = "pub fn alpha(x: u64) -> u64 {\n    beta(x)\n}\n\nfn beta(x: u64) -> u64 {\n    x\n}\n";
+        let src =
+            "pub fn alpha(x: u64) -> u64 {\n    beta(x)\n}\n\nfn beta(x: u64) -> u64 {\n    x\n}\n";
         let syms = extract(src);
         assert_eq!(syms.fns.len(), 2);
         assert_eq!(syms.fns[0].name, "alpha");
@@ -607,8 +618,7 @@ mod tests {
     fn iterated_call_results_are_recorded() {
         let src = "fn f() {\n    for k in tables::snapshot() {}\n    helper().keys().count();\n}\n";
         let syms = extract(src);
-        let callees: Vec<&str> =
-            syms.fns[0].iter_calls.iter().map(|c| c.callee.as_str()).collect();
+        let callees: Vec<&str> = syms.fns[0].iter_calls.iter().map(|c| c.callee.as_str()).collect();
         assert_eq!(callees, vec!["snapshot", "helper"]);
     }
 
@@ -619,7 +629,10 @@ mod tests {
         let f = &syms.fns[0];
         assert_eq!(f.locks, vec!["q.a".to_string(), "q.b".to_string()]);
         assert_eq!(f.lock_pairs.len(), 1);
-        assert_eq!((f.lock_pairs[0].held.as_str(), f.lock_pairs[0].acquired.as_str()), ("q.a", "q.b"));
+        assert_eq!(
+            (f.lock_pairs[0].held.as_str(), f.lock_pairs[0].acquired.as_str()),
+            ("q.a", "q.b")
+        );
         let publish = f.calls.iter().find(|c| c.callee == "publish").expect("publish call");
         assert_eq!(publish.held, vec!["q.a".to_string(), "q.b".to_string()]);
     }

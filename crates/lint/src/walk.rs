@@ -194,8 +194,7 @@ mod tests {
             .iter()
             .map(|rel| {
                 let source = fs::read_to_string(root.join(rel)).expect("read");
-                let (findings, pragmas) =
-                    rules::scan_file_raw(rel, rules::classify(rel), &source);
+                let (findings, pragmas) = rules::scan_file_raw(rel, rules::classify(rel), &source);
                 FileScan { rel: rel.clone(), findings, pragmas, syms: symbols::extract(&source) }
             })
             .collect();

@@ -18,8 +18,7 @@ const SENTINEL: &str = "ZqZleak";
 fn text(
     alphabet: &'static str,
     size: std::ops::Range<usize>,
-) -> Map<proptest::collection::VecStrategy<std::ops::Range<usize>>, impl Fn(Vec<usize>) -> String>
-{
+) -> Map<proptest::collection::VecStrategy<std::ops::Range<usize>>, impl Fn(Vec<usize>) -> String> {
     let chars: Vec<char> = alphabet.chars().collect();
     let n = chars.len();
     proptest::collection::vec(0usize..n, size)

@@ -4,9 +4,10 @@
 //! Beyond standard fit/predict, the network exposes what DDPG needs:
 //! gradients with respect to the *inputs* (the deterministic policy
 //! gradient flows from the critic's Q-value back through the action
-//! inputs), single-sample gradient steps with externally supplied output
-//! gradients, Polyak soft updates between online and target networks, and
-//! flat weight export/import for the fine-tune transfer framework.
+//! inputs), single-sample Adam steps whose output gradient a closure
+//! computes from the step's own forward pass, Polyak soft updates between
+//! online and target networks, and flat weight export/import for the
+//! fine-tune transfer framework.
 
 use crate::Regressor;
 use rand::rngs::StdRng;
@@ -133,6 +134,39 @@ impl Layer {
         }
         out
     }
+
+    /// Gradient with respect to the layer input, `Wᵀ·dz`. Rows whose `dz`
+    /// is zero add nothing and are skipped.
+    fn input_delta(&self, dz: &[f64]) -> Vec<f64> {
+        let n = self.in_dim;
+        let mut prev = vec![0.0; n];
+        for (o, &d) in dz.iter().enumerate() {
+            if d == 0.0 {
+                continue;
+            }
+            for (p, w) in prev.iter_mut().zip(&self.w[o * n..(o + 1) * n]) {
+                *p += d * w;
+            }
+        }
+        prev
+    }
+
+    /// Adam update of every weight and bias from `dz = dL/dz` and the
+    /// layer input `a_in`. The weight gradient is `dz[o]·a_in[i]`.
+    fn adam_step(&mut self, adam: &Adam, dz: &[f64], a_in: &[f64]) {
+        let n = self.in_dim;
+        for (o, &d) in dz.iter().enumerate() {
+            let row = o * n..(o + 1) * n;
+            let weights = self.w[row.clone()]
+                .iter_mut()
+                .zip(&mut self.mw[row.clone()])
+                .zip(&mut self.vw[row]);
+            for (((w, m), v), a) in weights.zip(a_in) {
+                adam.update(w, m, v, d * a);
+            }
+            adam.update(&mut self.b[o], &mut self.mb[o], &mut self.vb[o], d);
+        }
+    }
 }
 
 /// A feed-forward network trained with Adam.
@@ -146,6 +180,28 @@ pub struct Mlp {
 const ADAM_B1: f64 = 0.9;
 const ADAM_B2: f64 = 0.999;
 const ADAM_EPS: f64 = 1e-8;
+
+/// One Adam step's learning rate and bias corrections.
+struct Adam {
+    lr: f64,
+    bc1: f64,
+    bc2: f64,
+}
+
+impl Adam {
+    /// Updates one parameter `w` and its moments from its gradient `g`.
+    /// Every parameter's operations read only its own operands, so a row
+    /// of these vectorizes to the same bits as one parameter at a time; an
+    /// FMA, a reciprocal multiply or any reordering would change them.
+    #[inline(always)]
+    fn update(&self, w: &mut f64, m: &mut f64, v: &mut f64, g: f64) {
+        *m = ADAM_B1 * *m + (1.0 - ADAM_B1) * g;
+        *v = ADAM_B2 * *v + (1.0 - ADAM_B2) * g * g;
+        let mhat = *m / self.bc1;
+        let vhat = *v / self.bc2;
+        *w -= self.lr * mhat / (vhat.sqrt() + ADAM_EPS);
+    }
+}
 
 impl Mlp {
     /// Builds a network with randomly initialized weights.
@@ -186,98 +242,55 @@ impl Mlp {
         acts
     }
 
-    /// One Adam step from an externally supplied gradient of the loss with
-    /// respect to the network *output*. Returns the gradient of the loss
-    /// with respect to the *input* (needed by the DDPG actor update).
-    // Index loops mirror the per-unit backprop equations.
-    #[allow(clippy::needless_range_loop)]
-    pub fn step_with_output_gradient(&mut self, input: &[f64], grad_out: &[f64]) -> Vec<f64> {
+    /// One Adam step on a single input. `grad_of_output` receives the
+    /// network's output for `input` and returns the gradient of the loss
+    /// with respect to it; backprop and the update then reuse that same
+    /// forward pass.
+    pub fn step_with(&mut self, input: &[f64], grad_of_output: impl FnOnce(&[f64]) -> Vec<f64>) {
         let acts = self.forward_cached(input);
+        let mut delta = grad_of_output(acts.last().expect("nonempty"));
+        debug_assert_eq!(delta.len(), self.params.output_dim);
         self.adam_t += 1;
-        let lr = self.params.learning_rate;
-        let bc1 = 1.0 - ADAM_B1.powi(self.adam_t as i32);
-        let bc2 = 1.0 - ADAM_B2.powi(self.adam_t as i32);
-
-        let mut delta = grad_out.to_vec(); // dL/d(output activations)
+        let adam = Adam {
+            lr: self.params.learning_rate,
+            bc1: 1.0 - ADAM_B1.powi(self.adam_t as i32),
+            bc2: 1.0 - ADAM_B2.powi(self.adam_t as i32),
+        };
         for (li, layer) in self.layers.iter_mut().enumerate().rev() {
-            let a_out = &acts[li + 1];
-            let a_in = &acts[li];
-            // dL/dz through the activation.
-            for (d, a) in delta.iter_mut().zip(a_out) {
+            for (d, a) in delta.iter_mut().zip(&acts[li + 1]) {
                 *d *= layer.act.derivative_from_output(*a);
             }
-            // Gradient wrt previous activations before weights change.
-            let mut prev_delta = vec![0.0; layer.in_dim];
-            for o in 0..layer.out_dim {
-                let dz = delta[o];
-                if dz == 0.0 {
-                    continue;
-                }
-                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                for (p, w) in prev_delta.iter_mut().zip(row) {
-                    *p += dz * w;
-                }
-            }
-            // Adam update of weights and biases.
-            for o in 0..layer.out_dim {
-                let dz = delta[o];
-                let base = o * layer.in_dim;
-                for i in 0..layer.in_dim {
-                    let g = dz * a_in[i];
-                    let k = base + i;
-                    layer.mw[k] = ADAM_B1 * layer.mw[k] + (1.0 - ADAM_B1) * g;
-                    layer.vw[k] = ADAM_B2 * layer.vw[k] + (1.0 - ADAM_B2) * g * g;
-                    let mhat = layer.mw[k] / bc1;
-                    let vhat = layer.vw[k] / bc2;
-                    layer.w[k] -= lr * mhat / (vhat.sqrt() + ADAM_EPS);
-                }
-                layer.mb[o] = ADAM_B1 * layer.mb[o] + (1.0 - ADAM_B1) * dz;
-                layer.vb[o] = ADAM_B2 * layer.vb[o] + (1.0 - ADAM_B2) * dz * dz;
-                let mhat = layer.mb[o] / bc1;
-                let vhat = layer.vb[o] / bc2;
-                layer.b[o] -= lr * mhat / (vhat.sqrt() + ADAM_EPS);
-            }
+            // Taken before the weights change; nothing reads layer 0's.
+            let prev_delta = if li > 0 { layer.input_delta(&delta) } else { Vec::new() };
+            layer.adam_step(&adam, &delta, &acts[li]);
             delta = prev_delta;
         }
-        delta
     }
 
     /// Gradient of a scalar projection `wᵀ output` with respect to the input,
     /// without updating any weights (critic → actor gradient flow).
-    #[allow(clippy::needless_range_loop)]
     pub fn input_gradient(&self, input: &[f64], grad_out: &[f64]) -> Vec<f64> {
         let acts = self.forward_cached(input);
         let mut delta = grad_out.to_vec();
         for (li, layer) in self.layers.iter().enumerate().rev() {
-            let a_out = &acts[li + 1];
-            for (d, a) in delta.iter_mut().zip(a_out) {
+            for (d, a) in delta.iter_mut().zip(&acts[li + 1]) {
                 *d *= layer.act.derivative_from_output(*a);
             }
-            let mut prev = vec![0.0; layer.in_dim];
-            for o in 0..layer.out_dim {
-                let dz = delta[o];
-                if dz == 0.0 {
-                    continue;
-                }
-                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                for (p, w) in prev.iter_mut().zip(row) {
-                    *p += dz * w;
-                }
-            }
-            delta = prev;
+            delta = layer.input_delta(&delta);
         }
         delta
     }
 
-    /// One squared-loss SGD/Adam step on a single `(input, target)` pair.
+    /// One squared-loss Adam step on a single `(input, target)` pair.
     /// Returns the pre-update squared error.
     pub fn train_step(&mut self, input: &[f64], target: &[f64]) -> f64 {
-        let out = self.forward(input);
-        debug_assert_eq!(out.len(), target.len());
-        let n = out.len() as f64;
-        let grad: Vec<f64> = out.iter().zip(target).map(|(o, t)| 2.0 * (o - t) / n).collect();
-        let err: f64 = out.iter().zip(target).map(|(o, t)| (o - t) * (o - t)).sum::<f64>() / n;
-        self.step_with_output_gradient(input, &grad);
+        let mut err = 0.0;
+        self.step_with(input, |out| {
+            debug_assert_eq!(out.len(), target.len());
+            let n = out.len() as f64;
+            err = out.iter().zip(target).map(|(o, t)| (o - t) * (o - t)).sum::<f64>() / n;
+            out.iter().zip(target).map(|(o, t)| 2.0 * (o - t) / n).collect()
+        });
         err
     }
 
@@ -306,7 +319,12 @@ impl Mlp {
 
     /// Restores weights from a flat vector produced by
     /// [`Mlp::weights_flat`] on an identical architecture.
+    ///
+    /// # Panics
+    /// Panics, before writing anything, if `flat` has a different length.
     pub fn set_weights_flat(&mut self, flat: &[f64]) {
+        let len: usize = self.layers.iter().map(|l| l.w.len() + l.b.len()).sum();
+        assert_eq!(len, flat.len(), "flat weight vector length mismatch");
         let mut off = 0;
         for l in &mut self.layers {
             let nw = l.w.len();
@@ -316,7 +334,6 @@ impl Mlp {
             l.b.copy_from_slice(&flat[off..off + nb]);
             off += nb;
         }
-        assert_eq!(off, flat.len(), "flat weight vector length mismatch");
     }
 
     /// The architecture parameters.
@@ -413,6 +430,20 @@ mod tests {
         dst.set_weights_flat(&src.weights_flat());
         let x = [0.1, 0.2, 0.3, 0.4];
         assert_eq!(src.forward(&x), dst.forward(&x));
+    }
+
+    #[test]
+    fn set_weights_flat_rejects_a_wrong_length_before_writing() {
+        let mut net = Mlp::new(MlpParams::regression(4, 9));
+        let before = net.weights_flat();
+        for wrong in [before.len() - 1, before.len() + 1] {
+            let flat = vec![1.0; wrong];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.set_weights_flat(&flat);
+            }));
+            assert!(result.is_err(), "length {wrong} accepted");
+            assert_eq!(net.weights_flat(), before, "length {wrong} wrote weights");
+        }
     }
 
     #[test]

@@ -131,7 +131,8 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
-        if !ptr.is_null() && LATCHED.load(Ordering::Relaxed) { // lint: allow(C1) monotonic one-way latch guarding telemetry accounting only; a stale read merely skips counting an early allocation, never publication
+        // lint: allow(C1) monotonic one-way latch guarding telemetry accounting only; a stale read merely skips counting an early allocation, never publication
+        if !ptr.is_null() && LATCHED.load(Ordering::Relaxed) {
             record_alloc(layout.size() as u64);
         }
         ptr
@@ -139,7 +140,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() && LATCHED.load(Ordering::Relaxed) { // lint: allow(C1) monotonic one-way latch; see alloc()
+        // lint: allow(C1) monotonic one-way latch; see alloc()
+        if !ptr.is_null() && LATCHED.load(Ordering::Relaxed) {
             record_alloc(layout.size() as u64);
         }
         ptr
@@ -147,14 +149,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if LATCHED.load(Ordering::Relaxed) { // lint: allow(C1) monotonic one-way latch; see alloc()
+        // lint: allow(C1) monotonic one-way latch; see alloc()
+        if LATCHED.load(Ordering::Relaxed) {
             record_dealloc(layout.size() as u64);
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() && LATCHED.load(Ordering::Relaxed) { // lint: allow(C1) monotonic one-way latch; see alloc()
+        // lint: allow(C1) monotonic one-way latch; see alloc()
+        if !new_ptr.is_null() && LATCHED.load(Ordering::Relaxed) {
             // One grow/shrink = one alloc of the new size plus one
             // dealloc of the old, so counts stay in closed form
             // (`Vec` growth via realloc matches alloc+copy+free).

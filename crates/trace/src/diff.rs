@@ -302,8 +302,11 @@ mod tests {
         for (key, policy) in METRIC_POLICY {
             let counter_noise = key.ends_with("_nanos") || key.ends_with("_secs");
             let gauge_noise = key.starts_with("mem.") && !key.contains("alloc_");
-            let expect =
-                if counter_noise || gauge_noise { MetricPolicy::Noise } else { MetricPolicy::Exact };
+            let expect = if counter_noise || gauge_noise {
+                MetricPolicy::Noise
+            } else {
+                MetricPolicy::Exact
+            };
             assert_eq!(*policy, expect, "policy for {key} contradicts its naming convention");
         }
         assert_eq!(policy_for("sim.evals"), Some(MetricPolicy::Exact));
