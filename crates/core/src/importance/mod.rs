@@ -127,4 +127,20 @@ mod tests {
             assert_eq!(m.name(), k.label());
         }
     }
+
+    #[test]
+    fn every_measure_scores_a_single_observation_as_all_zeros() {
+        let specs = vec![
+            KnobSpec::real("a", 0.0, 1.0, false, 0.5),
+            KnobSpec::real("b", 1.0, 100.0, true, 10.0),
+            KnobSpec::cat("c", vec!["x", "y", "z"], 0),
+        ];
+        let default = vec![0.5, 10.0, 0.0];
+        let x = vec![vec![0.9, 50.0, 2.0]];
+        let y = vec![3.5];
+        let input = ImportanceInput { specs: &specs, default: &default, x: &x, y: &y, seed: 11 };
+        for k in MeasureKind::ALL {
+            assert_eq!(k.build().scores(&input), vec![0.0; specs.len()], "{}", k.label());
+        }
+    }
 }

@@ -30,14 +30,11 @@ pub struct ShapImportance {
     pub n_trees: usize,
     /// Number of best held-out observations to explain.
     pub n_explained: usize,
-    /// Permutations for the Monte-Carlo *reference* estimator
-    /// ([`shap_values`]); the measurement itself uses exact TreeSHAP.
-    pub n_permutations: usize,
 }
 
 impl Default for ShapImportance {
     fn default() -> Self {
-        Self { n_trees: 40, n_explained: 48, n_permutations: 8 }
+        Self { n_trees: 40, n_explained: 48 }
     }
 }
 
@@ -193,6 +190,11 @@ impl ImportanceMeasure for ShapImportance {
     fn scores(&self, input: &ImportanceInput<'_>) -> Vec<f64> {
         let d = input.specs.len();
         let n = input.x.len();
+        if n < 2 {
+            // No observation left to hold out and explain: nothing to
+            // attribute, as the other measures report.
+            return vec![0.0; d];
+        }
         let mut rng = StdRng::seed_from_u64(input.seed.wrapping_add(0x5aa9));
 
         // Fit the surrogate on ~75% of the observations and explain
@@ -253,7 +255,6 @@ impl ImportanceMeasure for ShapImportance {
         let mut order: Vec<usize> = holdout.to_vec();
         order.sort_by(|&a, &b| crate::ord::cmp_score_desc(&input.y[a], &input.y[b]));
         let explained: Vec<usize> = order[..self.n_explained.min(order.len())].to_vec();
-        let _ = &mut rng;
 
         // Tunability = average **positive** SHAP value per knob (the
         // paper's definition): a knob whose good settings push performance
@@ -416,7 +417,7 @@ mod tests {
         let x: Vec<Vec<f64>> =
             (0..150).map(|_| vec![rng.gen::<f64>(), rng.gen_range(0..2) as f64]).collect();
         let y: Vec<f64> = x.iter().map(|r| r[0] + r[1]).collect();
-        let m = ShapImportance { n_explained: 16, n_permutations: 4, ..Default::default() };
+        let m = ShapImportance { n_explained: 16, ..Default::default() };
         let scores =
             m.scores(&ImportanceInput { specs: &specs, default: &default, x: &x, y: &y, seed: 0 });
         assert!(scores.iter().all(|&s| s >= 0.0));

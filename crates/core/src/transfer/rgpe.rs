@@ -15,6 +15,7 @@ use crate::acquisition::{expected_improvement, maximize};
 use crate::gp::{GaussianProcess, MixedKernel};
 use crate::optimizer::{ObsStore, Optimizer, SurrogateIntrospect};
 use crate::space::ConfigSpace;
+use crate::telemetry;
 use dbtune_ml::{RandomForest, RandomForestParams, Regressor, UncertainRegressor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -195,16 +196,19 @@ impl Optimizer for RgpeOptimizer {
         let y_mean = dbtune_linalg::stats::mean(&self.obs.y);
         let y_std = dbtune_linalg::stats::std_dev(&self.obs.y).max(1e-12);
         let yz: Vec<f64> = self.obs.y.iter().map(|v| (v - y_mean) / y_std).collect();
-        let target_model = self.fit_surrogate(&self.obs.x, &yz, self.seed ^ 0xbeef);
-
-        // Cache every model's predictions at the target observations.
-        let mut preds: Vec<Vec<f64>> = Vec::with_capacity(self.base_models.len() + 1);
-        for m in &self.base_models {
-            preds.push(self.obs.x.iter().map(|c| self.predict_model(m, c).0).collect());
-        }
-        preds.push(self.obs.x.iter().map(|c| self.predict_model(&target_model, c).0).collect());
-
-        let weights = self.rank_weights(&preds, rng);
+        // Fitting the ensemble: the target surrogate, every model's
+        // predictions at the target observations, and the weights.
+        let (target_model, weights) = {
+            let _fit = telemetry::span("surrogate_fit");
+            let target_model = self.fit_surrogate(&self.obs.x, &yz, self.seed ^ 0xbeef);
+            let mut preds: Vec<Vec<f64>> = Vec::with_capacity(self.base_models.len() + 1);
+            for m in &self.base_models {
+                preds.push(self.obs.x.iter().map(|c| self.predict_model(m, c).0).collect());
+            }
+            preds.push(self.obs.x.iter().map(|c| self.predict_model(&target_model, c).0).collect());
+            let weights = self.rank_weights(&preds, rng);
+            (target_model, weights)
+        };
         self.last_weights = weights.clone();
 
         let best_z = yz.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -214,6 +218,7 @@ impl Optimizer for RgpeOptimizer {
             self.base_models.iter().chain(std::iter::once(&target_model)).collect();
         let incumbents: Vec<Vec<f64>> =
             self.obs.top_k(3).into_iter().map(|i| self.obs.x[i].clone()).collect();
+        let _acq_span = telemetry::span("acquisition");
         maximize(
             &self.space,
             |raw| {

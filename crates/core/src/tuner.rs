@@ -897,20 +897,11 @@ mod tests {
         assert!(result.simulated_secs > 0.0);
     }
 
-    #[test]
-    fn phase_attribution_partitions_the_overhead() {
-        let mut sim = DbSimulator::new(Workload::Twitter, Hardware::B, 8);
-        let space = small_space(&sim);
-        // SMAC opens surrogate_fit/acquisition spans once past LHS init.
-        let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, 2);
-        let result = run_session(
-            &mut sim,
-            &space,
-            &mut opt,
-            &SessionConfig { iterations: 20, lhs_init: 5, seed: 6, ..Default::default() },
-        );
-        assert_eq!(result.phases.len(), 20);
-        for i in 0..20 {
+    /// Asserts the per-iteration phases add up to the measured overhead
+    /// and that the model-based phases recorded time.
+    fn assert_phases_partition_the_overhead(result: &SessionResult, iterations: usize) {
+        assert_eq!(result.phases.len(), iterations);
+        for i in 0..iterations {
             let sum = result.phases.surrogate_fit_secs[i]
                 + result.phases.acquisition_secs[i]
                 + result.phases.bookkeeping_secs[i];
@@ -926,6 +917,43 @@ mod tests {
         let (fit, acq, _) = result.phases.overhead_totals();
         assert!(fit > 0.0, "model-based sessions must record fitting time");
         assert!(acq > 0.0, "model-based sessions must record acquisition time");
+    }
+
+    #[test]
+    fn phase_attribution_partitions_the_overhead() {
+        let mut sim = DbSimulator::new(Workload::Twitter, Hardware::B, 8);
+        let space = small_space(&sim);
+        // SMAC opens surrogate_fit/acquisition spans once past LHS init.
+        let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, 2);
+        let result = run_session(
+            &mut sim,
+            &space,
+            &mut opt,
+            &SessionConfig { iterations: 20, lhs_init: 5, seed: 6, ..Default::default() },
+        );
+        assert_phases_partition_the_overhead(&result, 20);
+    }
+
+    #[test]
+    fn rgpe_phase_attribution_partitions_the_overhead() {
+        use crate::transfer::{RgpeOptimizer, SourceTask, SurrogateKind};
+        let mut sim = DbSimulator::new(Workload::Twitter, Hardware::B, 8);
+        let space = small_space(&sim);
+        let mut rng = StdRng::seed_from_u64(3);
+        let x: Vec<Vec<f64>> = (0..12).map(|_| space.space().sample(&mut rng)).collect();
+        let y: Vec<f64> = x.iter().map(|c| c[0] - c[1]).collect();
+        let source = SourceTask { name: "source".into(), x, y, metrics: vec![] };
+        // RGPE(SMAC) fits its forests in surrogate_fit and maximizes the
+        // ensemble EI in acquisition, like every model-based optimizer.
+        let mut opt =
+            RgpeOptimizer::new(space.space().clone(), SurrogateKind::RandomForest, &[source], 2);
+        let result = run_session(
+            &mut sim,
+            &space,
+            &mut opt,
+            &SessionConfig { iterations: 20, lhs_init: 5, seed: 6, ..Default::default() },
+        );
+        assert_phases_partition_the_overhead(&result, 20);
     }
 
     #[test]

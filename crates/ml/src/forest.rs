@@ -143,7 +143,7 @@ impl Regressor for RandomForest {
         // being reallocated per tree (same splits to the bit — see
         // `FitScratch`). This was the worst allocation-churn site in a
         // SMAC session by an order of magnitude.
-        let mut scratch = crate::tree::FitScratch::for_design(x, self.feature_kinds.len());
+        let mut scratch = crate::tree::FitScratch::for_design(x, &self.feature_kinds);
         let mut indices: Vec<usize> = Vec::with_capacity(n_boot);
         for _ in 0..self.params.n_trees {
             indices.clear();

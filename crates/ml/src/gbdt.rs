@@ -113,7 +113,7 @@ impl GradientBoosting {
         let mut best_stages = 0usize;
         // Shared across stages: the design matrix never changes, only
         // the residual target does (see `FitScratch`).
-        let mut scratch = crate::tree::FitScratch::for_design(x, self.feature_kinds.len());
+        let mut scratch = crate::tree::FitScratch::for_design(x, &self.feature_kinds);
         for stage in 0..self.params.n_stages {
             let stage_idx = self.stage_rows(&idx, &mut rng);
             let mut tree = DecisionTree::new(tree_params.clone(), self.feature_kinds.clone());
@@ -174,7 +174,7 @@ impl Regressor for GradientBoosting {
             min_samples_split: self.params.min_samples_leaf * 2,
             max_features: None,
         };
-        let mut scratch = crate::tree::FitScratch::for_design(x, self.feature_kinds.len());
+        let mut scratch = crate::tree::FitScratch::for_design(x, &self.feature_kinds);
         for _ in 0..self.params.n_stages {
             let stage_idx = self.stage_rows(&idx, &mut rng);
             let mut tree = DecisionTree::new(tree_params.clone(), self.feature_kinds.clone());

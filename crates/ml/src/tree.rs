@@ -11,6 +11,7 @@
 
 use crate::dataset::FeatureKind;
 use crate::Regressor;
+use dbtune_linalg::ord::cmp_f64;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -141,10 +142,11 @@ impl DecisionTree {
     /// Fits using an explicit RNG (used by forests for reproducible feature
     /// subsampling). `sample_indices` selects the training rows.
     ///
-    /// Builds a fresh [`FitScratch`] per call; ensemble fitters that
-    /// refit many trees over the same design matrix should build one
-    /// scratch and call [`DecisionTree::fit_indices_with`] instead —
-    /// identical splits, none of the per-tree buffer churn.
+    /// Builds a fresh [`FitScratch`] per call, which ranks every numeric
+    /// column of `x`; ensemble fitters that refit many trees over the same
+    /// design matrix should build one scratch and call
+    /// [`DecisionTree::fit_indices_with`] instead — identical splits, and
+    /// the ranks and buffers are built once per matrix instead of per tree.
     pub fn fit_indices(
         &mut self,
         x: &[Vec<f64>],
@@ -152,17 +154,26 @@ impl DecisionTree {
         sample_indices: &[usize],
         rng: &mut impl Rng,
     ) {
-        let mut scratch = FitScratch::for_design(x, self.feature_kinds.len());
+        let mut scratch = FitScratch::for_design(x, &self.feature_kinds);
         self.fit_indices_with(&mut scratch, x, y, sample_indices, rng);
     }
 
     /// [`DecisionTree::fit_indices`] with caller-owned buffers. The
     /// scratch must have been built by [`FitScratch::for_design`] over
-    /// this `x` (its column-major copy is reused verbatim — the check
-    /// below catches shape drift; keeping the *values* in sync is the
-    /// caller's contract). Bit-identical to `fit_indices`: every buffer
-    /// is cleared and rebuilt to exactly the state a fresh fit produces,
-    /// only the allocations are reused.
+    /// this `x` and this tree's feature kinds (its column-major copy and
+    /// value ranks are reused verbatim — the checks below catch shape and
+    /// kind drift; keeping the *values* in sync is the caller's contract).
+    /// Bit-identical to `fit_indices`: every list a node reads is rebuilt
+    /// to exactly the state a fresh fit produces, only the allocations and
+    /// the ranks are reused.
+    ///
+    /// Each numeric feature's sorted list is a stable counting sort of
+    /// `sample_indices` by value rank. A stable sort's output depends only
+    /// on the order it sorts by and on its input order, and ranks order
+    /// rows exactly as `cmp_f64` orders their values (see [`FitScratch`]),
+    /// so the list is the permutation `sort_by(cmp_f64)` of the sample
+    /// gives, ties included: tied rows stay in sample order, which is
+    /// shuffled for boosting and holds bootstrap duplicates for forests.
     pub fn fit_indices_with(
         &mut self,
         scratch: &mut FitScratch,
@@ -173,35 +184,31 @@ impl DecisionTree {
     ) {
         assert_eq!(x.len(), y.len());
         assert!(!sample_indices.is_empty(), "cannot fit tree on empty sample");
-        let d = self.feature_kinds.len();
-        assert_eq!(scratch.cols.len(), d, "scratch built for a different feature count");
+        assert_eq!(scratch.kinds, self.feature_kinds, "scratch built for different feature kinds");
         assert_eq!(scratch.n_rows, x.len(), "scratch built for a different row count");
         self.nodes.clear();
         self.split_counts.iter_mut().for_each(|c| *c = 0);
-        // Presort the sample once per numeric feature; nodes then maintain
+        // Sort the sample once per numeric feature; nodes then maintain
         // these lists through order-preserving in-place partitions of
         // their [lo, hi) segment, so split search never sorts again
         // (O(n) scan instead of O(n log n) per node — same splits to the
         // bit, see `best_numeric_split`) and node construction never
         // allocates (all buffers live in the scratch).
-        scratch.sorted.resize_with(d, Vec::new);
+        let FitScratch { ranks, n_ranks, buckets, idx, sorted, spill, n_rows, .. } = scratch;
+        idx.clear();
+        idx.extend(sample_indices.iter().map(|&i| {
+            assert!(i < *n_rows, "sample row {i} out of range for {n_rows} rows");
+            i as u32
+        }));
         for (f, kind) in self.feature_kinds.iter().enumerate() {
-            let s = &mut scratch.sorted[f];
-            s.clear();
-            match kind {
-                FeatureKind::Continuous => {
-                    s.extend_from_slice(sample_indices);
-                    let col = &scratch.cols[f];
-                    s.sort_by(|&a, &b| dbtune_linalg::ord::cmp_f64(&col[a], &col[b]));
-                }
-                FeatureKind::Categorical { .. } => {}
+            if *kind == FeatureKind::Continuous {
+                counting_sort_by_rank(idx, &ranks[f], n_ranks[f], buckets, &mut sorted[f]);
             }
         }
-        scratch.idx.clear();
-        scratch.idx.extend_from_slice(sample_indices);
-        scratch.goes_left.clear();
-        scratch.goes_left.resize(x.len(), false);
-        let hi = scratch.idx.len();
+        if spill.len() < idx.len() {
+            spill.resize(idx.len(), 0);
+        }
+        let hi = idx.len();
         self.root = self.build(y, scratch, 0, hi, 0, rng);
     }
 
@@ -235,8 +242,11 @@ impl DecisionTree {
         rng: &mut impl Rng,
     ) -> usize {
         let n = hi - lo;
-        let mean = arena.idx[lo..hi].iter().map(|&i| y[i]).sum::<f64>() / n as f64;
-        let sse: f64 = arena.idx[lo..hi].iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
+        let mean = arena.idx[lo..hi].iter().map(|&i| y[i as usize]).sum::<f64>() / n as f64;
+        let sse: f64 = arena.idx[lo..hi]
+            .iter()
+            .map(|&i| (y[i as usize] - mean) * (y[i as usize] - mean))
+            .sum();
 
         let stop =
             depth >= self.params.max_depth || n < self.params.min_samples_split || sse <= 1e-12;
@@ -247,23 +257,27 @@ impl DecisionTree {
                     // cached verdicts then drive every partition below.
                     let mut nl = 0usize;
                     for &i in &arena.idx[lo..hi] {
-                        let goes_left = rule.goes_left_col(&arena.cols, i);
-                        arena.goes_left[i] = goes_left;
+                        let goes_left = rule.goes_left_col(&arena.cols, i as usize);
+                        arena.goes_left[i as usize] = goes_left;
                         nl += usize::from(goes_left);
                     }
                     if nl >= self.params.min_samples_leaf
                         && (n - nl) >= self.params.min_samples_leaf
                     {
                         self.split_counts[rule.feature()] += 1;
-                        // Partition this node's segment of every row
-                        // list in place, preserving order: an
-                        // order-preserving partition of a sorted list
-                        // stays sorted (and keeps tie order).
-                        let FitScratch { idx, sorted, goes_left, part_scratch, .. } = arena;
-                        stable_partition(&mut idx[lo..hi], goes_left, part_scratch);
-                        for s in sorted.iter_mut() {
-                            if !s.is_empty() {
-                                stable_partition(&mut s[lo..hi], goes_left, part_scratch);
+                        // Partition this node's segment of the row lists
+                        // in place, preserving order: an order-preserving
+                        // partition of a sorted list stays sorted (and
+                        // keeps tie order). `idx` always: leaves read it.
+                        // The sorted lists only when a child can still
+                        // split, since only split search reads them.
+                        let FitScratch { idx, sorted, goes_left, spill, .. } = arena;
+                        stable_partition(&mut idx[lo..hi], goes_left, spill);
+                        if depth + 1 < self.params.max_depth
+                            && nl.max(n - nl) >= self.params.min_samples_split
+                        {
+                            for s in sorted.iter_mut().filter(|s| !s.is_empty()) {
+                                stable_partition(&mut s[lo..hi], goes_left, spill);
                             }
                         }
                         let mid = lo + nl;
@@ -302,8 +316,8 @@ impl DecisionTree {
         }
 
         let n = idx.len() as f64;
-        let sum: f64 = idx.iter().map(|&i| y[i]).sum();
-        let sum_sq: f64 = idx.iter().map(|&i| y[i] * y[i]).sum();
+        let sum: f64 = idx.iter().map(|&i| y[i as usize]).sum();
+        let sum_sq: f64 = idx.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let parent_sse = sum_sq - sum * sum / n;
 
         let mut best: Option<(SplitRule, f64)> = None;
@@ -338,18 +352,35 @@ impl DecisionTree {
     }
 }
 
-/// Reusable working set for the segment-based build — the fix for the
-/// worst allocation-churn site the memory profiler found (an ensemble
-/// refit rebuilt every one of these buffers, including the column-major
-/// copy of an unchanged design matrix, once per tree). Build one with
+/// Reusable working set for the segment-based build. Build one with
 /// [`FitScratch::for_design`] and pass it to
-/// [`DecisionTree::fit_indices_with`] for every tree over that matrix.
+/// [`DecisionTree::fit_indices_with`] for every tree over that matrix:
+/// the column-major copy, the value ranks and every build buffer are then
+/// made once per design matrix instead of once per tree.
 ///
-/// A node is the range `[lo, hi)` of every row list: `idx` holds the
-/// node's member rows in parent order, and `sorted` holds one list per
-/// numeric feature kept sorted by feature value (empty for categorical
-/// features). Splitting a node stably partitions each list's segment in
-/// place, so no buffer is ever allocated per node.
+/// **Ranks.** For each numeric column, `for_design` stores every row's
+/// dense rank under [`dbtune_linalg::ord::cmp_f64`]: rows whose values
+/// compare equal share a rank, and a lower rank means a smaller value.
+/// So all NaNs share the top rank, and −0.0 ranks below +0.0, as
+/// `total_cmp` orders them. Ordering rows by rank is therefore ordering
+/// them by `cmp_f64`, which is what lets each tree build its sorted
+/// lists with a stable counting sort instead of a comparison sort.
+///
+/// **Segments.** A node is the range `[lo, hi)` of every row list: `idx`
+/// holds the node's member rows in parent order, and `sorted` holds one
+/// list per numeric feature kept sorted by feature value (empty for
+/// categorical features). Splitting a node stably partitions the lists'
+/// segments in place, so no buffer is ever allocated per node. Row ids
+/// are stored as `u32` (`for_design` checks the row count fits).
+///
+/// **Which lists are current.** After a split, `idx` is always
+/// partitioned: leaf values and leaf sizes read it. The sorted lists are
+/// partitioned only when a child can still split — when the children sit
+/// above `max_depth` and the larger child has at least
+/// `min_samples_split` rows — because only split search reads them. A
+/// node that searches for a split therefore always finds its segment of
+/// every sorted list current, and a list left stale is never read again:
+/// the next tree rebuilds every list from the ranks.
 ///
 /// Stability argument: an order-preserving partition of a stably sorted
 /// sequence equals the stable sort of the partitioned sequence, and a
@@ -364,15 +395,24 @@ pub struct FitScratch {
     /// columns. Values are copied verbatim — identical bits, identical
     /// splits.
     cols: Vec<Vec<f64>>,
+    /// The feature kinds the ranks were built for (checked per fit).
+    kinds: Vec<FeatureKind>,
     /// Row count `cols` was built from (shape check in `fit_indices_with`).
     n_rows: usize,
-    idx: Vec<usize>,
-    sorted: Vec<Vec<usize>>,
+    /// `ranks[feature][row_id]`: the row's dense value rank for numeric
+    /// features (empty for categorical ones).
+    ranks: Vec<Vec<u32>>,
+    /// Distinct values per numeric feature (one more than its top rank).
+    n_ranks: Vec<usize>,
+    /// Per-rank bucket cursors for [`counting_sort_by_rank`].
+    buckets: Vec<u32>,
+    idx: Vec<u32>,
+    sorted: Vec<Vec<u32>>,
     /// Per-row routing verdict for the split currently being applied,
     /// indexed by original row id (bootstrap duplicates agree).
     goes_left: Vec<bool>,
-    /// Spill buffer for [`stable_partition`].
-    part_scratch: Vec<usize>,
+    /// Right-side spill buffer for [`stable_partition`].
+    spill: Vec<u32>,
     /// Feature-subsample buffer for `best_split`.
     feat_scratch: Vec<usize>,
     /// `(value, target)` gather buffer for [`best_numeric_split`].
@@ -382,20 +422,84 @@ pub struct FitScratch {
 }
 
 impl FitScratch {
-    /// Builds the scratch for a design matrix: the column-major copy is
-    /// made here, once, and shared by every subsequent fit over `x`.
-    pub fn for_design(x: &[Vec<f64>], d: usize) -> Self {
+    /// Builds the scratch for a design matrix whose columns are described
+    /// by `kinds`: the column-major copy and the numeric columns' value
+    /// ranks are made here, once, and shared by every subsequent fit over
+    /// `x`.
+    pub fn for_design(x: &[Vec<f64>], kinds: &[FeatureKind]) -> Self {
+        let n = x.len();
+        let n32 = u32::try_from(n).expect("design matrix has more rows than u32 row ids address");
+        let d = kinds.len();
+        let cols: Vec<Vec<f64>> = (0..d).map(|f| x.iter().map(|row| row[f]).collect()).collect();
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let (ranks, n_ranks) = cols
+            .iter()
+            .zip(kinds)
+            .map(|(col, kind)| match kind {
+                FeatureKind::Continuous => dense_ranks(col, n32, &mut order),
+                FeatureKind::Categorical { .. } => (Vec::new(), 0),
+            })
+            .unzip();
         Self {
-            cols: (0..d).map(|f| x.iter().map(|row| row[f]).collect()).collect(),
-            n_rows: x.len(),
-            idx: Vec::with_capacity(x.len()),
-            sorted: Vec::new(),
-            goes_left: Vec::with_capacity(x.len()),
-            part_scratch: Vec::with_capacity(x.len()),
+            cols,
+            kinds: kinds.to_vec(),
+            n_rows: n,
+            ranks,
+            n_ranks,
+            buckets: Vec::with_capacity(n + 1),
+            idx: Vec::with_capacity(n),
+            sorted: vec![Vec::new(); d],
+            goes_left: vec![false; n],
+            spill: Vec::with_capacity(n),
             feat_scratch: Vec::with_capacity(d),
             split_scratch: Vec::new(),
             cat: CatScratch::default(),
         }
+    }
+}
+
+/// Each row's dense rank among `col`'s values under
+/// [`dbtune_linalg::ord::cmp_f64`] (equal values share a rank), and the
+/// number of distinct values. `order` is a reusable row-id buffer.
+fn dense_ranks(col: &[f64], n: u32, order: &mut Vec<u32>) -> (Vec<u32>, usize) {
+    order.clear();
+    order.extend(0..n);
+    order.sort_unstable_by(|&a, &b| cmp_f64(&col[a as usize], &col[b as usize]));
+    let mut ranks = vec![0u32; col.len()];
+    let mut rank = 0u32;
+    for w in order.windows(2) {
+        rank += u32::from(cmp_f64(&col[w[0] as usize], &col[w[1] as usize]).is_ne());
+        ranks[w[1] as usize] = rank;
+    }
+    (ranks, rank as usize + 1)
+}
+
+/// Stable counting sort of `rows` by `rank[row]` into `out`: rows of
+/// equal rank keep their order in `rows`. `buckets` is reusable scratch.
+fn counting_sort_by_rank(
+    rows: &[u32],
+    rank: &[u32],
+    n_ranks: usize,
+    buckets: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    buckets.clear();
+    buckets.resize(n_ranks + 1, 0);
+    for &i in rows {
+        buckets[rank[i as usize] as usize + 1] += 1;
+    }
+    // Prefix sums turn per-rank counts into each rank's first slot.
+    let mut start = 0;
+    for b in buckets.iter_mut() {
+        start += *b;
+        *b = start;
+    }
+    out.clear();
+    out.resize(rows.len(), 0);
+    for &i in rows {
+        let slot = &mut buckets[rank[i as usize] as usize];
+        out[*slot as usize] = i;
+        *slot += 1;
     }
 }
 
@@ -412,29 +516,29 @@ struct CatScratch {
 }
 
 /// Stably partitions `seg` so rows with `goes_left[row] == true` come
-/// first, each side in original order. Two passes over a spill copy —
-/// O(n), allocation-free once `scratch` has warmed up.
-fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usize>) {
-    scratch.clear();
-    scratch.extend_from_slice(seg);
-    let mut w = 0;
-    for &i in scratch.iter() {
-        if goes_left[i] {
-            seg[w] = i;
-            w += 1;
-        }
+/// first, each side in original order. One branch-free pass writes every
+/// row both at the left cursor, in place, and at the right cursor of
+/// `spill`, and advances only its own side's cursor; the right side is
+/// then copied back behind the left. In place is safe because the left
+/// cursor never passes the row just read. `spill` must hold at least
+/// `seg.len()` rows.
+fn stable_partition(seg: &mut [u32], goes_left: &[bool], spill: &mut [u32]) {
+    let mut l = 0;
+    let mut r = 0;
+    for k in 0..seg.len() {
+        let row = seg[k];
+        let left = usize::from(goes_left[row as usize]);
+        seg[l] = row;
+        spill[r] = row;
+        l += left;
+        r += 1 - left;
     }
-    for &i in scratch.iter() {
-        if !goes_left[i] {
-            seg[w] = i;
-            w += 1;
-        }
-    }
+    seg[l..].copy_from_slice(&spill[..r]);
 }
 
 /// Exact best threshold split on a numeric feature by prefix scan over
 /// `sorted_rows`, the node's rows presorted by this feature (see
-/// [`BuildArena`]). Gathers `(value, y)` pairs from the feature's dense
+/// [`FitScratch`]). Gathers `(value, y)` pairs from the feature's dense
 /// column into `scratch` in sorted order — bit-identical to the
 /// historical sort-per-node implementation
 /// (`best_numeric_split_reference` under test) at O(n) instead of
@@ -442,13 +546,13 @@ fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usi
 fn best_numeric_split(
     col: &[f64],
     y: &[f64],
-    sorted_rows: &[usize],
+    sorted_rows: &[u32],
     feature: usize,
     min_leaf: usize,
     scratch: &mut Vec<(f64, f64)>,
 ) -> Option<(SplitRule, f64)> {
     scratch.clear();
-    scratch.extend(sorted_rows.iter().map(|&i| (col[i], y[i])));
+    scratch.extend(sorted_rows.iter().map(|&i| (col[i as usize], y[i as usize])));
     let pairs: &[(f64, f64)] = scratch;
     let n = pairs.len();
     if pairs[0].0 == pairs[n - 1].0 {
@@ -535,7 +639,7 @@ fn best_numeric_split_reference(
 fn best_categorical_split(
     col: &[f64],
     y: &[f64],
-    idx: &[usize],
+    idx: &[u32],
     feature: usize,
     cardinality: usize,
     min_leaf: usize,
@@ -550,6 +654,7 @@ fn best_categorical_split(
     sum_sq.clear();
     sum_sq.resize(cardinality, 0.0);
     for &i in idx {
+        let i = i as usize;
         let c = col[i] as usize;
         debug_assert!(c < cardinality, "category code {c} >= cardinality {cardinality}");
         count[c] += 1;
@@ -710,8 +815,8 @@ mod tests {
         assert_eq!(t.predict(&[100.0]), 3.0);
     }
 
-    /// Runs the fast path the way `build` does: presort the node's rows
-    /// stably by feature value, then gather-and-scan.
+    /// Runs the fast path the way a fit does: rank the column, counting-
+    /// sort the node's rows by rank, then gather-and-scan.
     fn fast_split(
         x: &[Vec<f64>],
         y: &[f64],
@@ -720,8 +825,10 @@ mod tests {
         min_leaf: usize,
     ) -> Option<(SplitRule, f64)> {
         let col: Vec<f64> = x.iter().map(|row| row[feature]).collect();
-        let mut sorted = idx.to_vec();
-        sorted.sort_by(|&a, &b| dbtune_linalg::ord::cmp_f64(&col[a], &col[b]));
+        let (ranks, n_ranks) = dense_ranks(&col, col.len() as u32, &mut Vec::new());
+        let rows: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
+        let mut sorted = Vec::new();
+        counting_sort_by_rank(&rows, &ranks, n_ranks, &mut Vec::new(), &mut sorted);
         let mut scratch = Vec::new();
         best_numeric_split(&col, y, &sorted, feature, min_leaf, &mut scratch)
     }
