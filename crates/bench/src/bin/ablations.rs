@@ -23,7 +23,7 @@ use dbtune_bench::{
     full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
     GridOpts,
 };
-use dbtune_core::exec::{run_grid, CachedObjective, EvalCache};
+use dbtune_core::exec::{run_grid, EvalCache};
 use dbtune_core::importance::MeasureKind;
 use dbtune_core::optimizer::{
     BoKind, BoOptimizer, Optimizer, Smac, SmacParams, Turbo, TurboParams,
@@ -51,10 +51,11 @@ fn session(
     seed: u64,
     policy: FailurePolicy,
     cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
+    opts: &GridOpts,
+    index: usize,
 ) -> SessionResult {
     let sim = DbSimulator::new(wl, Hardware::B, seed);
-    let mut obj = CachedObjective::new(sim, cache, noise_seed);
+    let mut obj = opts.cell_objective(sim, cache, index);
     run_session(
         &mut obj,
         space,
@@ -169,9 +170,9 @@ fn main() {
 
     let opts = GridOpts::from_args("ablations", &args, 4000);
     let cache = opts.make_cache();
-    let improvements = run_grid(&grid, opts.workers, |_, &(vi, seed)| {
+    let improvements = run_grid(&grid, opts.workers, |index, &(vi, seed)| {
         let run = |wl: Workload, space: &TuningSpace, opt: &mut dyn Optimizer, policy| {
-            session(wl, space, opt, iters, seed, policy, cache.clone(), opts.noise_seed)
+            session(wl, space, opt, iters, seed, policy, cache.clone(), &opts, index)
                 .best_improvement()
         };
         match &variants[vi].2 {

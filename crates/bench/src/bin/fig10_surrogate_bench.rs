@@ -23,7 +23,7 @@ use dbtune_bench::{
 };
 use dbtune_benchmark::collect::{collect_samples, Dataset};
 use dbtune_benchmark::objective::SurrogateBenchmark;
-use dbtune_core::exec::{run_grid, CachedObjective};
+use dbtune_core::exec::run_grid;
 use dbtune_core::importance::MeasureKind;
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::space::TuningSpace;
@@ -74,9 +74,9 @@ fn main() {
     }
     let cache = opts.make_cache();
     let t0 = Instant::now(); // lint: allow(D2) wall-clock benchmark report — timing is the deliverable
-    let sessions = run_grid(&grid, opts.workers, |_, &(opt_kind, seed)| {
+    let sessions = run_grid(&grid, opts.workers, |index, &(opt_kind, seed)| {
         let mut opt = opt_kind.build(space.space(), METRICS_DIM, seed);
-        let mut obj = CachedObjective::new(&bench, cache.clone(), opts.noise_seed);
+        let mut obj = opts.cell_objective(&bench, cache.clone(), index);
         run_session(
             &mut obj,
             &space,

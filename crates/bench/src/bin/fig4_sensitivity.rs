@@ -136,7 +136,6 @@ fn main() {
             workload: pool.workload.clone(),
             x: train.iter().map(|&i| pool.x[i].clone()).collect(),
             y: train.iter().map(|&i| pool.y[i]).collect(),
-            metrics: Vec::new(),
             default_cfg: pool.default_cfg.clone(),
         };
         let m = cell.measure.build();

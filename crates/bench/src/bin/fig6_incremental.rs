@@ -8,7 +8,10 @@
 //! vanilla BO, JOB & SYSBENCH).
 //!
 //! Arguments: `samples=6250 iters=120 seeds=1 workers= cache=on`
-//! (paper: 6250/200/3). The four strategies per workload run
+//! (paper: 6250/200/3), plus the shared `faults=`/`retries=`/`diag=`
+//! flags. Each session runs in the common session loop through
+//! `IncrementalOptimizer`, opening with a 10-point LHS design in its
+//! first phase's space (§4.1). The four strategies per workload run
 //! concurrently on the executor and share cached evaluations (all four
 //! search prefixes of the same SHAP ranking).
 
@@ -16,12 +19,13 @@ use dbtune_bench::{
     full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
     GridOpts,
 };
-use dbtune_core::exec::{run_grid, CachedObjective};
+use dbtune_core::exec::run_grid;
 use dbtune_core::importance::MeasureKind;
-use dbtune_core::incremental::{run_incremental_session, IncrementalStrategy};
+use dbtune_core::incremental::{session_space, IncrementalOptimizer, IncrementalStrategy};
 use dbtune_core::optimizer::{BoKind, BoOptimizer, Optimizer};
 use dbtune_core::space::ConfigSpace;
-use dbtune_core::tuner::SessionConfig;
+use dbtune_core::telemetry;
+use dbtune_core::tuner::{run_session, SessionConfig};
 use dbtune_dbsim::{DbSimulator, Hardware, Workload};
 use serde::Serialize;
 
@@ -47,6 +51,7 @@ fn main() {
 
     struct Cell {
         wl: Workload,
+        label: &'static str,
         strategy: IncrementalStrategy,
         ranked: Vec<usize>,
         seed: u64,
@@ -81,27 +86,43 @@ fn main() {
         for &(label, strategy) in &strategies {
             scenarios.push((wl, label));
             for s in 0..seeds {
-                grid.push(Cell { wl, strategy, ranked: ranked.clone(), seed: 600 + s as u64 });
+                grid.push(Cell {
+                    wl,
+                    label,
+                    strategy,
+                    ranked: ranked.clone(),
+                    seed: 600 + s as u64,
+                });
             }
         }
     }
 
     let cache = opts.make_cache();
-    let results = run_grid(&grid, opts.workers, |_, cell| {
+    let results = run_grid(&grid, opts.workers, |index, cell| {
         let sim = DbSimulator::new(cell.wl, Hardware::B, cell.seed);
-        let base = catalog.default_config(Hardware::B);
-        let mut obj = CachedObjective::new(sim, cache.clone(), opts.noise_seed);
-        run_incremental_session(
-            &mut obj,
+        let mut obj = opts.cell_objective(sim, cache.clone(), index);
+        let space = session_space(
             &catalog,
-            &base,
+            catalog.default_config(Hardware::B),
             &cell.ranked,
             cell.strategy,
-            &make_opt,
+        );
+        let mut opt = IncrementalOptimizer::new(&space, cell.strategy, &make_opt, cell.seed, 10);
+        // Every session would otherwise carry the phase optimizer's name
+        // and fold into one diag summary.
+        let diag_label = telemetry::global().diag_enabled().then(|| {
+            let strategy = cell.label.to_lowercase().replace("->", "-").replace(' ', "-");
+            format!("{strategy}/{}/s{}", cell.wl.name().to_lowercase(), cell.seed)
+        });
+        run_session(
+            &mut obj,
+            &space,
+            &mut opt,
             &SessionConfig {
                 iterations: iters,
                 lhs_init: 10,
                 seed: cell.seed,
+                diag_label,
                 ..Default::default()
             },
         )

@@ -28,7 +28,7 @@ use dbtune_bench::{
     full_pool, importance_scores, pct, print_exec_summary, print_table, save_json_with_exec,
     ExpArgs, GridOpts,
 };
-use dbtune_core::exec::{run_grid, CachedObjective, EvalCache};
+use dbtune_core::exec::{run_grid, EvalCache};
 use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::{Ddpg, DdpgParams, Optimizer, OptimizerKind};
 use dbtune_core::space::TuningSpace;
@@ -58,12 +58,13 @@ fn session(
     iters: usize,
     seed: u64,
     cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
+    opts: &GridOpts,
+    index: usize,
 ) -> SessionResult {
     let sim = DbSimulator::new(wl, Hardware::B, seed);
     let catalog = sim.catalog().clone();
     let space = TuningSpace::with_default_base(&catalog, selected.to_vec(), Hardware::B);
-    let mut obj = CachedObjective::new(sim, cache, noise_seed);
+    let mut obj = opts.cell_objective(sim, cache, index);
     run_session(
         &mut obj,
         &space,
@@ -111,15 +112,8 @@ fn main() {
     let mut agent = Ddpg::new(space0.space().clone(), METRICS_DIM, DdpgParams::default(), 42);
     let mut source_tasks: Vec<SourceTask> = Vec::new();
     for (i, &src) in sources.iter().enumerate() {
-        let r = session(
-            src,
-            &selected,
-            &mut agent,
-            pretrain,
-            1000 + i as u64,
-            cache.clone(),
-            opts.noise_seed,
-        );
+        let r =
+            session(src, &selected, &mut agent, pretrain, 1000 + i as u64, cache.clone(), &opts, i);
         eprintln!("[pretrain {}] best improvement {}", src.name(), pct(r.best_improvement()));
         source_tasks.push(SourceTask {
             name: src.name().to_string(),
@@ -147,7 +141,9 @@ fn main() {
             grid.push((target, seed, k));
         }
     }
-    let sessions = run_grid(&grid, opts.workers, |_, &(target, seed, k)| {
+    // Grid cells take the cell indices after the pre-training sessions',
+    // so no two sessions share a fault schedule.
+    let sessions = run_grid(&grid, opts.workers, |index, &(target, seed, k)| {
         let mut opt: Box<dyn Optimizer> = match k {
             0 => OptimizerKind::MixedKernelBo.build(space0.space(), METRICS_DIM, seed),
             1 => OptimizerKind::Smac.build(space0.space(), METRICS_DIM, seed),
@@ -184,7 +180,8 @@ fn main() {
                 seed,
             )),
         };
-        session(target, &selected, &mut *opt, iters, seed, cache.clone(), opts.noise_seed)
+        let cell = sources.len() + index;
+        session(target, &selected, &mut *opt, iters, seed, cache.clone(), &opts, cell)
     });
     let exec = opts.report(cache.as_ref());
 

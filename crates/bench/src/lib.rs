@@ -10,14 +10,14 @@ pub mod artifact;
 pub mod quality;
 
 use dbtune_core::exec::{
-    cell_seed, resolve_workers, run_grid, CacheStats, CachedObjective, EvalCache, RetryPolicy,
+    cell_seed, resolve_workers, run_grid, CacheStats, CachedObjective, DeterministicObjective,
+    EvalCache, RetryPolicy,
 };
 use dbtune_core::importance::{ImportanceInput, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
-use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::telemetry::{self, TraceEvent};
-use dbtune_core::tuner::{orient, run_session, SessionConfig, SessionResult, SimObjective};
+use dbtune_core::tuner::{lhs_pool, run_session, SessionConfig, SessionResult};
 use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METRICS_DIM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -190,28 +190,40 @@ impl GridOpts {
         }
     }
 
+    /// The objective grid cell `index` evaluates through: `inner` behind
+    /// `cache`, under the cell's reseeded fault plan (see
+    /// [`cell_fault_plan`]) and the grid's retry policy. With faults off,
+    /// the default, this is exactly `CachedObjective::new(inner, cache,
+    /// noise_seed)`.
+    pub fn cell_objective<O: DeterministicObjective>(
+        &self,
+        inner: O,
+        cache: Option<Arc<EvalCache>>,
+        index: usize,
+    ) -> CachedObjective<O> {
+        CachedObjective::with_faults(
+            inner,
+            cache,
+            self.noise_seed,
+            cell_fault_plan(&self.faults, index),
+            self.retry,
+        )
+    }
+
     /// Final execution report for the driver's JSON output. Also publishes
     /// the cache counters into the global metrics registry, so the
     /// `"telemetry"` block, the journal flush, and the console summary all
     /// read the same numbers.
     pub fn report(&self, cache: Option<&Arc<EvalCache>>) -> ExecReport {
         let stats = cache.map(|c| c.stats()).unwrap_or_default();
-        let transient_skips = cache.map(|c| c.transient_skips()).unwrap_or(0);
         let metrics = &telemetry::global().metrics;
         metrics.counter("exec.cache.hits").add(stats.hits);
         metrics.counter("exec.cache.misses").add(stats.misses);
         metrics.gauge("exec.cache.entries").set(stats.entries as i64);
-        // Published lazily, like `sim.faults.*`: the counter can only be
-        // nonzero under fault injection, and registering it at zero
-        // would add a key to every fault-free telemetry block (committed
-        // artifacts must stay byte-identical).
-        if transient_skips > 0 {
-            metrics.counter("exec.cache.transient_skips").add(transient_skips);
-        }
-        // Memory metrics follow the same lazy rule: registered only when
-        // the profiler is latched (`mem=on`), so unprofiled artifacts
-        // keep their exact telemetry key set. All of these live in the
-        // `"telemetry"` block only — like wall clock, never `"results"`.
+        // Memory metrics are registered lazily, only when the profiler is
+        // latched (`mem=on`), so unprofiled artifacts keep their exact
+        // telemetry key set. All of these live in the `"telemetry"` block
+        // only — like wall clock, never `"results"`.
         if telemetry::global().memprof_enabled() {
             let mem = dbtune_obs::memprof::global_stats();
             metrics.gauge("mem.peak_bytes").set(mem.peak_bytes as i64);
@@ -235,7 +247,6 @@ impl GridOpts {
             cache_enabled: self.cache,
             noise_seed: self.noise_seed,
             cache: stats,
-            transient_skips,
             faults: self.faults,
             retry: self.retry,
         }
@@ -258,10 +269,6 @@ pub struct ExecReport {
     pub noise_seed: u64,
     /// Cache counters (all zero when the cache was off).
     pub cache: CacheStats,
-    /// Transient outcomes the cache refused to store (zero unless fault
-    /// injection was on; serialized only then — see
-    /// [`EvalCache::transient_skips`]).
-    pub transient_skips: u64,
     /// The fault schedule the grid ran under (inactive by default).
     pub faults: FaultPlan,
     /// The retry policy applied to transient faults.
@@ -278,7 +285,6 @@ impl Serialize for ExecReport {
         // Chaos settings appear only when injection is on: faults-off
         // artifacts must stay byte-identical to the pre-fault baseline.
         if self.faults.is_active() {
-            fields.push(("cache_transient_skips".to_string(), self.transient_skips.to_value()));
             fields.push((
                 "faults".to_string(),
                 serde::Value::Object(vec![
@@ -320,52 +326,25 @@ pub struct TuningCell {
     pub seed: u64,
 }
 
-/// Runs one tuning session against a cache-wrapped simulator. Pure given
-/// the cell and `noise_seed` — the shared cache only memoizes, so results
-/// are identical with the cache on, off, or shared (see
-/// [`CachedObjective`]).
-pub fn run_cached_session(
+/// Runs grid cell `index`: a tuning session against the cell's
+/// cache-wrapped simulator ([`GridOpts::cell_objective`]). Returns the
+/// result plus the session's own cache hit/miss counts (per-cell, unlike
+/// the grid-wide [`EvalCache::stats`]), the numbers the journal's
+/// per-cell events report. Pure given the cell and the options: the
+/// shared cache only memoizes, so results are identical with the cache
+/// on, off, or shared, and exhausted fault retries surface as failures to
+/// the session's failure policy.
+pub fn run_grid_cell(
     cell: &TuningCell,
     cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
-) -> SessionResult {
-    run_cached_session_with_stats(cell, cache, noise_seed).0
-}
-
-/// [`run_cached_session`] plus the session's own cache hit/miss counts
-/// (per-cell, unlike the grid-wide [`EvalCache::stats`]) — the numbers the
-/// journal's per-cell events report.
-pub fn run_cached_session_with_stats(
-    cell: &TuningCell,
-    cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
-) -> (SessionResult, u64, u64) {
-    run_faulty_session_with_stats(
-        cell,
-        cache,
-        noise_seed,
-        FaultPlan::disabled(),
-        RetryPolicy::none(),
-    )
-}
-
-/// [`run_cached_session_with_stats`] under a fault schedule: the cell's
-/// simulator is wrapped with `plan`/`retry`, so transient faults strike,
-/// are retried with simulated backoff, and exhausted evaluations surface
-/// as failures to the session's [`FailurePolicy`]. With `plan` inactive
-/// this is *exactly* the plain path (see `CachedObjective::with_faults`).
-pub fn run_faulty_session_with_stats(
-    cell: &TuningCell,
-    cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
-    plan: FaultPlan,
-    retry: RetryPolicy,
+    opts: &GridOpts,
+    index: usize,
 ) -> (SessionResult, u64, u64) {
     let sim = DbSimulator::new(cell.workload, Hardware::B, cell.seed);
     let catalog = sim.catalog().clone();
     let space = TuningSpace::with_default_base(&catalog, cell.selected.clone(), Hardware::B);
     let mut opt = cell.opt_kind.build(space.space(), METRICS_DIM, cell.seed);
-    let mut obj = CachedObjective::with_faults(sim, cache, noise_seed, plan, retry);
+    let mut obj = opts.cell_objective(sim, cache, index);
     // Label diag records so one journal distinguishes grid cells; the
     // label is built only when the recorder is on (it never influences
     // tuning either way).
@@ -423,13 +402,7 @@ pub fn run_tuning_grid(cells: &[TuningCell], opts: &GridOpts) -> (Vec<SessionRes
     let tele = telemetry::global();
     let results = run_grid(cells, opts.workers, |index, cell| {
         let t0 = std::time::Instant::now(); // lint: allow(D2) journal cell-event duration — trace telemetry only
-        let (result, hits, misses) = run_faulty_session_with_stats(
-            cell,
-            cache.clone(),
-            opts.noise_seed,
-            cell_fault_plan(&opts.faults, index),
-            opts.retry,
-        );
+        let (result, hits, misses) = run_grid_cell(cell, cache.clone(), opts, index);
         if tele.journal.is_enabled() {
             tele.journal.emit(TraceEvent::Cell {
                 index: index as u64,
@@ -469,7 +442,7 @@ pub fn print_exec_summary(exec: &ExecReport) {
     }
     if exec.faults.is_active() {
         println!(
-            "[chaos] fault seed={} timeouts={} spurious crashes={} noisy={} stalls={} | retries={} exhausted={} panics contained={} cache skips={}",
+            "[chaos] fault seed={} timeouts={} spurious crashes={} noisy={} stalls={} | retries={} exhausted={} panics contained={}",
             exec.faults.seed,
             metrics.counter("sim.faults.timeout").get(),
             metrics.counter("sim.faults.crash").get(),
@@ -478,7 +451,6 @@ pub fn print_exec_summary(exec: &ExecReport) {
             metrics.counter("exec.retries").get(),
             metrics.counter("exec.retry_exhausted").get(),
             metrics.counter("exec.panics_contained").get(),
-            exec.transient_skips,
         );
     }
 }
@@ -537,17 +509,16 @@ pub fn save_json_with_telemetry<T: Serialize>(
 }
 
 /// An LHS observation pool over the full 197-knob catalog for one
-/// workload: configurations, maximize-oriented scores, and metric vectors.
+/// workload: configurations and maximize-oriented scores.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Pool {
     /// Workload name (for cache-file identification).
     pub workload: String,
     /// Full-catalog raw configurations.
     pub x: Vec<Vec<f64>>,
-    /// Maximize-oriented scores (failures mapped to worst seen).
+    /// Maximize-oriented scores (failures scored by the pool rule, see
+    /// [`dbtune_core::tuner::PoolScorer`]).
     pub y: Vec<f64>,
-    /// Internal-metric vectors per observation.
-    pub metrics: Vec<Vec<f64>>,
     /// The hardware-adjusted default configuration.
     pub default_cfg: Vec<f64>,
 }
@@ -575,33 +546,8 @@ pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
     let default_cfg = catalog.default_config(Hardware::B);
     let all: Vec<usize> = (0..catalog.len()).collect();
     let space = TuningSpace::new(&catalog, all, default_cfg.clone());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9001);
-    let obj = SimObjective::objective(&sim);
-
-    let mut pool = Pool {
-        workload: workload.name().to_string(),
-        x: Vec::with_capacity(n),
-        y: Vec::with_capacity(n),
-        metrics: Vec::with_capacity(n),
-        default_cfg,
-    };
-    let mut worst = f64::INFINITY;
-    for cfg in sampling::lhs(space.space(), n, &mut rng) {
-        let res = SimObjective::evaluate(&mut sim, &cfg);
-        let score = if res.failed {
-            if worst.is_finite() {
-                worst
-            } else {
-                orient(obj, sim.reference_value(space.base())) - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        worst = worst.min(score);
-        pool.x.push(cfg);
-        pool.y.push(score);
-        pool.metrics.push(res.metrics);
-    }
+    let (x, y) = lhs_pool(&mut sim, &space, n, &mut StdRng::seed_from_u64(seed ^ 0x9001));
+    let pool = Pool { workload: workload.name().to_string(), x, y, default_cfg };
 
     if let Ok(file) = std::fs::File::create(&cache) {
         let _ = serde_json::to_writer(std::io::BufWriter::new(file), &pool);
@@ -641,7 +587,7 @@ pub fn top_k_knobs(
 /// Runs one full tuning session of `opt_kind` over the selected knobs of
 /// `workload` on instance B — the single-cell convenience form of
 /// [`run_tuning_grid`], sharing its deterministic noise scheme (noise
-/// seed = session seed, no cache).
+/// seed = session seed, no cache, no faults).
 pub fn run_tuning(
     workload: Workload,
     selected: Vec<usize>,
@@ -650,7 +596,14 @@ pub fn run_tuning(
     seed: u64,
 ) -> SessionResult {
     let cell = TuningCell { workload, selected, opt_kind, iters, seed };
-    run_cached_session(&cell, None, seed)
+    let opts = GridOpts {
+        workers: 1,
+        cache: false,
+        noise_seed: seed,
+        faults: FaultPlan::disabled(),
+        retry: RetryPolicy::none(),
+    };
+    run_grid_cell(&cell, None, &opts, 0).0
 }
 
 /// Median of a slice (convenience re-export for drivers).

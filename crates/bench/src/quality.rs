@@ -51,8 +51,7 @@ pub const SEED: u64 = 42;
 /// that model-based optimizers leave their LHS phase well behind.
 pub const DEFAULT_ITERS: usize = 30;
 
-/// The diag session label `run_faulty_session_with_stats` assigns to a
-/// matrix cell.
+/// The diag session label `run_grid_cell` assigns to a matrix cell.
 pub fn session_label(workload: Workload, opt_kind: OptimizerKind) -> String {
     crate::diag_session_label(opt_kind, workload, KNOBS, SEED)
 }

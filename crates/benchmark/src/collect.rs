@@ -8,9 +8,8 @@
 //! consistent measurement.
 
 use dbtune_core::optimizer::{Optimizer, OptimizerKind};
-use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
-use dbtune_core::tuner::{orient, SimObjective};
+use dbtune_core::tuner::{PoolScorer, SimObjective};
 use dbtune_dbsim::METRICS_DIM;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,51 +45,29 @@ pub fn collect_samples(
     seed: u64,
 ) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let obj = objective.objective();
-    let mut ds = Dataset::default();
-    let mut worst = f64::INFINITY;
-
-    let record = |ds: &mut Dataset,
-                  worst: &mut f64,
-                  sub: Vec<f64>,
-                  objective: &mut dyn SimObjective,
-                  space: &TuningSpace| {
-        let res = objective.evaluate(&space.full_config(&sub));
-        let score = if res.failed {
-            if worst.is_finite() {
-                *worst
-            } else {
-                // First sample crashed: anchor at a very poor score.
-                orient(obj, objective.reference_value(space.base())) - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        *worst = worst.min(score);
-        ds.x.push(sub);
-        ds.y.push(score);
-        (score, res.metrics)
-    };
+    // One scorer across both phases: a crash in the optimizer phase takes
+    // the worst score of the whole collection so far.
+    let mut scorer = PoolScorer::default();
 
     // Phase 1: LHS coverage.
     let n_lhs = n_total / 2;
-    for sub in sampling::lhs(space.space(), n_lhs.max(1), &mut rng) {
-        record(&mut ds, &mut worst, sub, objective, space);
-    }
+    let (mut x, mut y) = scorer.lhs(objective, space, n_lhs.max(1), &mut rng);
 
     // Phase 2: optimizer-driven densification of good regions.
     let n_opt = n_total - n_lhs;
     let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, seed ^ 0xc0111ec7);
     // Warm-start from the best LHS half so the optimizer heads uphill.
-    for (sub, score) in ds.x.iter().zip(&ds.y) {
+    for (sub, score) in x.iter().zip(&y) {
         opt.observe(sub, *score, &[]);
     }
     for _ in 0..n_opt {
         let sub = opt.suggest(&mut rng);
-        let (score, metrics) = record(&mut ds, &mut worst, sub.clone(), objective, space);
-        opt.observe(&sub, score, &metrics);
+        let (score, res) = scorer.evaluate(objective, space, &sub);
+        opt.observe(&sub, score, &res.metrics);
+        x.push(sub);
+        y.push(score);
     }
-    ds
+    Dataset { x, y }
 }
 
 #[cfg(test)]
@@ -108,6 +85,21 @@ mod tests {
         TuningSpace::with_default_base(cat, selected, Hardware::B)
     }
 
+    /// FNV-1a over the bit patterns of a dataset's configurations and
+    /// scores. The pinned values below were computed by the collector's
+    /// own inline scoring loop, before it moved to `PoolScorer`.
+    fn digest(ds: &Dataset) -> (u64, u64) {
+        let fnv = |words: &mut dyn Iterator<Item = u64>| {
+            words.flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        (
+            fnv(&mut ds.x.iter().flatten().map(|v| v.to_bits())),
+            fnv(&mut ds.y.iter().map(|v| v.to_bits())),
+        )
+    }
+
     #[test]
     fn collects_requested_number_of_samples() {
         let mut sim = DbSimulator::new(Workload::Smallbank, Hardware::B, 17);
@@ -116,6 +108,7 @@ mod tests {
         assert_eq!(ds.len(), 60);
         assert!(ds.x.iter().all(|c| c.len() == 3));
         assert!(ds.y.iter().all(|y| y.is_finite()));
+        assert_eq!(digest(&ds), (0x5bf0_b9a3_2d94_7096, 0x69c3_e7e5_3c46_5880));
     }
 
     #[test]
@@ -123,6 +116,7 @@ mod tests {
         let mut sim = DbSimulator::new(Workload::Tpcc, Hardware::B, 18);
         let space = write_space(&sim);
         let ds = collect_samples(&mut sim, &space, 80, 2);
+        assert_eq!(digest(&ds), (0x3635_7b58_b5e1_9565, 0x2abc_66fb_ead1_2fe4));
         // Second half (optimizer-driven) should average better than the
         // LHS half — that's the whole point of densification.
         let half = ds.len() / 2;

@@ -58,79 +58,21 @@ pub fn erf(x: f64) -> f64 {
 
 /// Maximizes an acquisition value over a configuration space.
 ///
-/// `score` maps a raw configuration to its acquisition value. The search
-/// draws `n_random` uniform candidates plus local neighbourhoods around
-/// the provided `incumbents`, then polishes the best candidate with a few
-/// rounds of single-dimension moves.
-pub fn maximize<F>(
-    space: &ConfigSpace,
-    score: F,
-    incumbents: &[Vec<f64>],
-    n_random: usize,
-    rng: &mut impl Rng,
-) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    let mut best_cfg: Option<Vec<f64>> = None;
-    let mut best_val = f64::NEG_INFINITY;
-    let consider =
-        |cfg: Vec<f64>, val: f64, best_cfg: &mut Option<Vec<f64>>, best_val: &mut f64| {
-            if val > *best_val {
-                *best_val = val;
-                *best_cfg = Some(cfg);
-            }
-        };
-
-    for _ in 0..n_random {
-        let cfg = space.sample(rng);
-        let v = score(&cfg);
-        consider(cfg, v, &mut best_cfg, &mut best_val);
-    }
-    for inc in incumbents {
-        for _ in 0..16 {
-            let cfg = space.neighbour(inc, 0.1, rng);
-            let v = score(&cfg);
-            consider(cfg, v, &mut best_cfg, &mut best_val);
-        }
-    }
-
-    // Local polish: greedy single-dimension perturbations.
-    let mut cur = best_cfg.expect("no candidates generated");
-    let mut cur_val = best_val;
-    for _ in 0..4 {
-        let mut improved = false;
-        for d in 0..space.dim() {
-            for &step in &[0.05, 0.2] {
-                let mut cand = cur.clone();
-                space.mutate_dim(&mut cand, d, step, rng);
-                let v = score(&cand);
-                if v > cur_val {
-                    cur_val = v;
-                    cur = cand;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    cur
-}
-
-/// [`maximize`] with batched scoring: the whole candidate pool (random
-/// samples plus incumbent neighbourhoods) is generated up front and handed
-/// to `batch_score` in one call, so surrogates can amortize their
-/// per-prediction setup (e.g. [`crate::gp::GaussianProcess::predict_batch`]
-/// reuses its kernel-row buffers across the pool).
+/// The search draws `n_random` uniform candidates plus 16 local
+/// neighbours around each of the provided `incumbents`, scores the whole
+/// pool in one `batch_score` call, and polishes the best candidate with a
+/// few rounds of single-dimension moves. Batching lets surrogates amortize
+/// their per-prediction setup (e.g.
+/// [`crate::gp::GaussianProcess::predict_batch`] reuses its kernel-row
+/// buffers across the pool); a pointwise score is a closure mapping each
+/// candidate.
 ///
-/// Returns the same configuration as [`maximize`] with a pointwise score,
-/// to the bit: candidate generation draws from `rng` in the identical
-/// order (scoring consumes no randomness), the argmax keeps the *first*
-/// strict maximum in generation order exactly like `maximize`'s `consider`,
-/// and the polish phase is inherently sequential so it scores
-/// one-candidate batches. The `gp_equivalence` suite pins this down.
+/// Scoring consumes no randomness, ties keep the *first* strict maximum
+/// in generation order, and the polish phase is inherently sequential, so
+/// it scores one-candidate batches. The result is therefore the same
+/// configuration, to the bit, as a search that scores each candidate as
+/// it is drawn; the `gp_equivalence` suite pins this against that
+/// pointwise reference.
 pub fn maximize_batched<F>(
     space: &ConfigSpace,
     batch_score: F,
@@ -241,26 +183,31 @@ mod tests {
         }
     }
 
+    /// A pointwise score lifted to the batch interface.
+    fn pointwise(f: impl Fn(&[f64]) -> f64) -> impl Fn(&[Vec<f64>]) -> Vec<f64> {
+        move |pool| pool.iter().map(|c| f(c)).collect()
+    }
+
     #[test]
-    fn maximize_finds_peak_of_simple_function() {
+    fn maximize_batched_finds_peak_of_simple_function() {
         let space = ConfigSpace::new(vec![
             KnobSpec::real("a", 0.0, 1.0, false, 0.5),
             KnobSpec::real("b", 0.0, 1.0, false, 0.5),
         ]);
         let mut rng = StdRng::seed_from_u64(1);
         // Peak at (0.7, 0.3).
-        let score = |c: &[f64]| -((c[0] - 0.7).powi(2) + (c[1] - 0.3).powi(2));
-        let best = maximize(&space, score, &[vec![0.5, 0.5]], 200, &mut rng);
+        let score = pointwise(|c| -((c[0] - 0.7).powi(2) + (c[1] - 0.3).powi(2)));
+        let best = maximize_batched(&space, score, &[vec![0.5, 0.5]], 200, &mut rng);
         assert!((best[0] - 0.7).abs() < 0.1, "{best:?}");
         assert!((best[1] - 0.3).abs() < 0.1, "{best:?}");
     }
 
     #[test]
-    fn maximize_handles_categorical_dims() {
+    fn maximize_batched_handles_categorical_dims() {
         let space = ConfigSpace::new(vec![KnobSpec::cat("c", vec!["a", "b", "c", "d"], 0)]);
         let mut rng = StdRng::seed_from_u64(2);
-        let score = |c: &[f64]| if c[0] == 2.0 { 1.0 } else { 0.0 };
-        let best = maximize(&space, score, &[], 50, &mut rng);
+        let score = pointwise(|c| if c[0] == 2.0 { 1.0 } else { 0.0 });
+        let best = maximize_batched(&space, score, &[], 50, &mut rng);
         assert_eq!(best[0], 2.0);
     }
 

@@ -46,7 +46,7 @@ pub mod tuner;
 
 pub use exec::{
     cell_seed, resolve_workers, run_grid, run_grid_contained, CacheKey, CacheStats,
-    CachedObjective, CellOutcome, DeterministicObjective, EvalCache, EvalOutcome, RetryPolicy,
+    CachedObjective, CellOutcome, DeterministicObjective, EvalCache, RetryPolicy,
 };
 // The F1 lint's total-order float comparisons live in the workspace's
 // lowest layer; re-exported here so downstream code can say
@@ -54,6 +54,7 @@ pub use exec::{
 pub use dbtune_linalg::ord;
 pub use space::{ConfigSpace, TuningSpace};
 pub use tuner::{
-    run_session, run_session_resumable, CrashRegionMemory, FailurePolicy, Observation, PhaseTrace,
-    RecordedEval, SessionCheckpoint, SessionConfig, SessionResult, SimObjective,
+    lhs_pool, run_session, run_session_resumable, CrashRegionMemory, FailurePolicy, Observation,
+    PhaseTrace, PoolScorer, RecordedEval, SessionCheckpoint, SessionConfig, SessionResult,
+    SimObjective,
 };

@@ -11,11 +11,10 @@
 use crate::importance::{top_k, ImportanceInput, MeasureKind};
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::repository::Repository;
-use crate::sampling;
 use crate::space::TuningSpace;
 use crate::transfer::{RgpeOptimizer, SurrogateKind};
 use crate::tuner::{
-    orient, run_session_resumable, SessionCheckpoint, SessionConfig, SessionResult, SimObjective,
+    lhs_pool, run_session_resumable, SessionCheckpoint, SessionConfig, SessionResult, SimObjective,
 };
 use dbtune_dbsim::{KnobCatalog, METRICS_DIM};
 use rand::rngs::StdRng;
@@ -106,27 +105,8 @@ impl TuningService {
         let default_cfg = self.catalog.default_config(dbtune_dbsim::Hardware::B);
         let all: Vec<usize> = (0..self.catalog.len()).collect();
         let full_space = TuningSpace::new(&self.catalog, all, default_cfg.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let obj = objective.objective();
-
-        let mut x = Vec::with_capacity(pool_samples);
-        let mut y = Vec::with_capacity(pool_samples);
-        let mut worst = f64::INFINITY;
-        for cfg in sampling::lhs(full_space.space(), pool_samples, &mut rng) {
-            let res = objective.evaluate(&cfg);
-            let score = if res.failed {
-                if worst.is_finite() {
-                    worst
-                } else {
-                    orient(obj, objective.reference_value(full_space.base())) - 1.0
-                }
-            } else {
-                orient(obj, res.value)
-            };
-            worst = worst.min(score);
-            x.push(cfg);
-            y.push(score);
-        }
+        let (x, y) =
+            lhs_pool(objective, &full_space, pool_samples, &mut StdRng::seed_from_u64(seed));
 
         let scores = measure.build().scores(&ImportanceInput {
             specs: self.catalog.specs(),

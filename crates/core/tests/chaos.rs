@@ -10,15 +10,19 @@
 //!   the *simulated* clock only;
 //! * a session killed after iteration k resumes from its checkpoint to
 //!   the same final result as an uninterrupted run — with or without an
-//!   active fault plan;
+//!   active fault plan, and for incremental (Figure 6) sessions across a
+//!   phase boundary;
+//! * exhausted transient faults never reach the shared evaluation cache;
 //! * `FailurePolicy::QuarantinePenalty` scores crashes one log-unit
 //!   below the worst observed configuration and remembers crash regions.
 
 use dbtune_core::exec::{
-    cell_seed, run_grid, run_grid_contained, CachedObjective, CellOutcome, EvalCache, RetryPolicy,
+    cell_seed, run_grid, run_grid_contained, CacheStats, CachedObjective, CellOutcome, EvalCache,
+    RetryPolicy,
 };
-use dbtune_core::optimizer::OptimizerKind;
-use dbtune_core::space::TuningSpace;
+use dbtune_core::incremental::{session_space, IncrementalOptimizer, IncrementalStrategy};
+use dbtune_core::optimizer::{Optimizer, OptimizerKind};
+use dbtune_core::space::{ConfigSpace, TuningSpace};
 use dbtune_core::tuner::{
     run_session, run_session_resumable, FailurePolicy, SessionCheckpoint, SessionConfig,
     SessionResult,
@@ -263,6 +267,37 @@ fn recovered_transients_charge_lost_attempts_and_keep_the_clean_result() {
     );
 }
 
+#[test]
+fn exhausted_timeouts_leave_the_shared_cache_untouched() {
+    // Transient faults are properties of the attempt: an all-timeout plan
+    // must store nothing, so a later fault-free evaluation of the same
+    // configuration misses and computes the clean result.
+    let cache = EvalCache::shared();
+    let mk = || DbSimulator::new(Workload::Sysbench, Hardware::B, 1);
+    let base = mk().catalog().default_config(Hardware::B);
+    let plan = FaultPlan::parse("seed:5,timeout:1.0").expect("valid plan");
+
+    use dbtune_core::tuner::SimObjective;
+    let mut faulty = CachedObjective::with_faults(
+        mk(),
+        Some(cache.clone()),
+        NOISE_SEED,
+        plan,
+        RetryPolicy::default(),
+    );
+    assert!(faulty.evaluate(&base).failed, "an all-timeout plan must exhaust the retries");
+    assert_eq!(cache.stats(), CacheStats::default(), "no attempt completed, so nothing is stored");
+
+    let mut clean = CachedObjective::new(mk(), Some(cache.clone()), NOISE_SEED);
+    let got = clean.evaluate(&base);
+    let want = CachedObjective::new(mk(), None, NOISE_SEED).evaluate(&base);
+    assert_eq!(clean.n_misses(), 1, "the fault-free evaluation must miss");
+    assert!(!got.failed);
+    assert_eq!(got.value.to_bits(), want.value.to_bits(), "the clean result, not a cached fault");
+    assert_eq!(got.metrics, want.metrics);
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, entries: 1 });
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / resume
 // ---------------------------------------------------------------------------
@@ -335,6 +370,63 @@ fn checkpoint_resume_round_trips_under_faults() {
             digest(&[resumed]),
             "chaos session resumed after iteration {kill_after} must finish bit-identically \
              (fault-schedule cursor realignment)"
+        );
+    }
+}
+
+/// One incremental (Figure 6) session under the chaos plan: SMAC phases
+/// over 2, 4 and 6 knobs with boundaries after observations 4 and 8.
+/// Knob 0 is the buffer pool, so modelled crashes mix with injected
+/// faults. Returns the result and the snapshot taken after `kill_after`.
+fn run_incremental(
+    policy: FailurePolicy,
+    resume: Option<&SessionCheckpoint>,
+    kill_after: usize,
+) -> (SessionResult, Option<SessionCheckpoint>) {
+    let sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 7);
+    let catalog = sim.catalog().clone();
+    let strategy = IncrementalStrategy::Increase { start: 2, step: 2, every: 4, cap: 6 };
+    let space =
+        session_space(&catalog, catalog.default_config(Hardware::B), &[0, 1, 2, 3, 4, 5], strategy);
+    let make_opt = |space: &ConfigSpace, seed: u64| -> Box<dyn Optimizer> {
+        OptimizerKind::Smac.build(space, METRICS_DIM, seed)
+    };
+    let cfg = SessionConfig {
+        iterations: 12,
+        lhs_init: 3,
+        seed: 7,
+        failure_policy: policy,
+        ..Default::default()
+    };
+    let mut opt = IncrementalOptimizer::new(&space, strategy, &make_opt, cfg.seed, cfg.lhs_init);
+    let mut obj =
+        CachedObjective::with_faults(sim, None, NOISE_SEED, chaos_plan(), RetryPolicy::default());
+    let mut kept: Option<SessionCheckpoint> = None;
+    let mut sink = |ck: &SessionCheckpoint| {
+        if ck.completed == kill_after {
+            kept = Some(ck.clone());
+        }
+    };
+    let result = run_session_resumable(&mut obj, &space, &mut opt, &cfg, resume, Some(&mut sink));
+    (result, kept)
+}
+
+#[test]
+fn incremental_session_resumes_across_a_phase_boundary() {
+    for policy in [FailurePolicy::WorstSeen, FailurePolicy::QuarantinePenalty] {
+        // Killed mid-phase (the 4-knob phase covers observations 4..8);
+        // the resumed run rebuilds that phase during replay and then
+        // crosses into the 6-knob phase live.
+        let (uninterrupted, ck) = run_incremental(policy, None, 6);
+        assert!(uninterrupted.observations.iter().any(|o| o.failed), "{policy:?}: no failure");
+        let ck = SessionCheckpoint::from_json(&ck.expect("kill point reached").to_json())
+            .expect("round-trip");
+        let (resumed, _) = run_incremental(policy, Some(&ck), 6);
+        assert_eq!(
+            digest(&[uninterrupted]),
+            digest(&[resumed]),
+            "{policy:?}: an incremental session resumed after iteration 6 must finish \
+             bit-identically"
         );
     }
 }

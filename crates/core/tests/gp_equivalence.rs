@@ -9,13 +9,13 @@
 //! 1. model level — `Kernel::eval_into` vs `eval`, `GaussianProcess::
 //!    extend` vs `fit`, `predict_batch` vs looped `predict`, over all
 //!    three kernels;
-//! 2. search level — `maximize_batched` vs `maximize` under GP- and
-//!    forest-backed scoring closures;
+//! 2. search level — `maximize_batched` vs the pointwise `maximize`
+//!    reference below, under GP- and forest-backed scoring closures;
 //! 3. optimizer level — `BoOptimizer::suggest` (incremental + batched)
 //!    vs a from-scratch reference replay of the historical suggest loop,
 //!    RNG stream and all.
 
-use dbtune_core::acquisition::{expected_improvement, maximize, maximize_batched};
+use dbtune_core::acquisition::{expected_improvement, maximize_batched};
 use dbtune_core::gp::{
     select_hyperparams, GaussianProcess, Kernel, Matern52Kernel, MixedKernel, RbfKernel,
 };
@@ -27,6 +27,67 @@ use dbtune_ml::{RandomForest, RandomForestParams, Regressor, UncertainRegressor}
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The historical pointwise acquisition maximizer, kept as the bitwise
+/// reference for `maximize_batched`: it scores each candidate as it is
+/// drawn — `n_random` uniform samples, then 16 neighbours per incumbent —
+/// keeping the first strict maximum, then polishes it with greedy
+/// single-dimension moves.
+fn maximize<F>(
+    space: &ConfigSpace,
+    score: F,
+    incumbents: &[Vec<f64>],
+    n_random: usize,
+    rng: &mut impl Rng,
+) -> Vec<f64>
+where
+    F: Fn(&[f64]) -> f64,
+{
+    let mut best_cfg: Option<Vec<f64>> = None;
+    let mut best_val = f64::NEG_INFINITY;
+    let consider =
+        |cfg: Vec<f64>, val: f64, best_cfg: &mut Option<Vec<f64>>, best_val: &mut f64| {
+            if val > *best_val {
+                *best_val = val;
+                *best_cfg = Some(cfg);
+            }
+        };
+
+    for _ in 0..n_random {
+        let cfg = space.sample(rng);
+        let v = score(&cfg);
+        consider(cfg, v, &mut best_cfg, &mut best_val);
+    }
+    for inc in incumbents {
+        for _ in 0..16 {
+            let cfg = space.neighbour(inc, 0.1, rng);
+            let v = score(&cfg);
+            consider(cfg, v, &mut best_cfg, &mut best_val);
+        }
+    }
+
+    let mut cur = best_cfg.expect("no candidates generated");
+    let mut cur_val = best_val;
+    for _ in 0..4 {
+        let mut improved = false;
+        for d in 0..space.dim() {
+            for &step in &[0.05, 0.2] {
+                let mut cand = cur.clone();
+                space.mutate_dim(&mut cand, d, step, rng);
+                let v = score(&cand);
+                if v > cur_val {
+                    cur_val = v;
+                    cur = cand;
+                    improved = true;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    cur
+}
 
 /// One prototype kernel per family, over 3-dim inputs with dim 2
 /// categorical (codes 0..4). The mixed kernel exercises both parts.

@@ -30,7 +30,7 @@ fn repository_is_clean_under_gate() {
     // say why in the PR) when adding or removing one.
     assert_eq!(
         report.pragmas.len(),
-        22,
+        15,
         "active suppression count changed — review the new/removed pragma:\n{:#?}",
         report.pragmas
     );

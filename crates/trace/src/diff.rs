@@ -66,7 +66,6 @@ pub const METRIC_POLICY: &[(&str, MetricPolicy)] = &[
     ("exec.cache.entries", MetricPolicy::Exact),
     ("exec.cache.hits", MetricPolicy::Exact),
     ("exec.cache.misses", MetricPolicy::Exact),
-    ("exec.cache.transient_skips", MetricPolicy::Exact),
     ("exec.cells", MetricPolicy::Exact),
     ("exec.panics_contained", MetricPolicy::Exact),
     ("exec.queue.depth", MetricPolicy::Exact),
@@ -429,11 +428,11 @@ mod tests {
         // work — flagged no matter which side it appears on.
         let mut a = summary(100, 50_000_000, 10);
         let b = summary(100, 50_000_000, 10);
-        a.counters.insert("exec.cache.transient_skips".into(), 3);
+        a.counters.insert("exec.retry_exhausted".into(), 3);
         let entries = diff_summaries(&a, &b, &DiffConfig::default());
         let only_base = entries
             .iter()
-            .find(|e| e.key == "counter:exec.cache.transient_skips")
+            .find(|e| e.key == "counter:exec.retry_exhausted")
             .expect("one-sided counter in diff");
         assert!(only_base.flagged);
         assert_eq!(only_base.kind, DiffKind::Count);
@@ -443,7 +442,7 @@ mod tests {
         let entries = diff_summaries(&b, &a, &DiffConfig::default());
         let only_cur = entries
             .iter()
-            .find(|e| e.key == "counter:exec.cache.transient_skips")
+            .find(|e| e.key == "counter:exec.retry_exhausted")
             .expect("one-sided counter in diff");
         assert!(only_cur.flagged);
         assert!(only_cur.note.contains("missing from baseline"), "{}", only_cur.note);

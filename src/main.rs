@@ -19,9 +19,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use dbtune::core::repository::Repository;
-use dbtune::core::sampling;
 use dbtune::core::service::{TuningRequest, TuningService};
-use dbtune::core::tuner::orient;
+use dbtune::core::tuner::lhs_pool;
 use dbtune::prelude::*;
 use rand::SeedableRng;
 
@@ -292,34 +291,13 @@ fn cmd_rank(args: &Args) -> Result<(), String> {
     let default_cfg = catalog.default_config(hardware);
     let all: Vec<usize> = (0..catalog.len()).collect();
     let space = TuningSpace::new(&catalog, all, default_cfg.clone());
-    let obj = sim.objective();
 
     eprintln!(
         "collecting {samples}-sample LHS pool on {} ({} knobs)…",
         workload.name(),
         catalog.len()
     );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let objective: &mut dyn SimObjective = &mut sim;
-    let default_score = orient(obj, objective.reference_value(space.base()));
-    let mut x = Vec::with_capacity(samples);
-    let mut y = Vec::with_capacity(samples);
-    let mut worst = f64::INFINITY;
-    for cfg in sampling::lhs(space.space(), samples, &mut rng) {
-        let res = objective.evaluate(&cfg);
-        let score = if res.failed || !res.value.is_finite() {
-            if worst.is_finite() {
-                worst
-            } else {
-                default_score - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        worst = worst.min(score);
-        x.push(cfg);
-        y.push(score);
-    }
+    let (x, y) = lhs_pool(&mut sim, &space, samples, &mut rand::rngs::StdRng::seed_from_u64(seed));
 
     let scores = measure.build().scores(&ImportanceInput {
         specs: catalog.specs(),
