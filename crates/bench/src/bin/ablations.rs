@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Ablation studies for the design choices DESIGN.md §6 calls out —
 //! beyond the paper's own tables, these justify the defaults this
 //! implementation ships with:
@@ -42,7 +42,7 @@ struct Finding {
     median_improvement: f64,
 }
 
-#[allow(clippy::too_many_arguments)] // experiment knobs enumerated on purpose
+#[allow(clippy::too_many_arguments, reason = "experiment knobs enumerated on purpose")]
 fn session(
     wl: Workload,
     space: &TuningSpace,

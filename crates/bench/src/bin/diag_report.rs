@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Renders the optimizer-quality flight recorder's diagnostics from a
 //! JSONL trace journal taken with `diag=on`: one convergence /
 //! calibration report per session, then the cross-optimizer ranking

@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Figure 10 + the §8 speedup claim: tuning on the surrogate benchmark.
 //!
 //! Builds the SYSBENCH medium-space benchmark (offline collection +
@@ -73,7 +73,11 @@ fn main() {
         }
     }
     let cache = opts.make_cache();
-    let t0 = Instant::now(); // lint: allow(D2) wall-clock benchmark report — timing is the deliverable
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock benchmark report — timing is the deliverable"
+    )]
+    let t0 = Instant::now();
     let sessions = run_grid(&grid, opts.workers, |index, &(opt_kind, seed)| {
         let mut opt = opt_kind.build(space.space(), METRICS_DIM, seed);
         let mut obj = opts.cell_objective(&bench, cache.clone(), index);

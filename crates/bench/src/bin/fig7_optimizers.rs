@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Figure 7 + Table 7 + the §6.4 headline number.
 //!
 //! All seven optimizers over small (top-5), medium (top-20), and large

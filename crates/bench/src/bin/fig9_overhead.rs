@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Figure 9: algorithm overhead — the wall-clock time each optimizer
 //! spends choosing the next configuration, as the iteration count grows
 //! (JOB, medium space), decomposed into surrogate-fit, acquisition, and

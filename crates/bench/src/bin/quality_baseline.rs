@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Optimizer-quality baseline: runs the fixed quality matrix (every
 //! Table 3 optimizer on JOB and Sysbench, see `dbtune_bench::quality`)
 //! with the diag recorder on, folds the journal's per-iteration records

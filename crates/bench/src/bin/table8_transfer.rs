@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Table 8: the knowledge-transfer study.
 //!
 //! Five source tasks (SEATS, Voter, TATP, Smallbank, SIBench) are tuned
@@ -50,7 +50,7 @@ struct Row {
     apr: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "experiment knobs enumerated on purpose")]
 fn session(
     wl: Workload,
     selected: &[usize],

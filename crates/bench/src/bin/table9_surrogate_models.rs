@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Table 9: regression performance of the surrogate-model zoo (RF, GB,
 //! SVR, NuSVR, KNN, RR) by 10-fold cross-validation, on the JOB small
 //! space and the SYSBENCH medium space.

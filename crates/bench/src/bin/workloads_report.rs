@@ -1,7 +1,7 @@
-// Driver binary: exempt from the unwrap ban (lint rule E1 and its clippy
-// twin unwrap_used) — a panic here aborts one experiment run, not a
-// library caller.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "driver binary: a panic here aborts one experiment run, not a library caller"
+)]
 //! Tables 4 & 5: workload profiles and hardware configurations, printed
 //! from the simulator's own metadata, plus the default performance of
 //! every workload (sanity anchor for all other experiments).

@@ -22,7 +22,7 @@ use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METR
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -44,9 +44,10 @@ use std::sync::Arc;
 /// structural violation `trace_validate` can actually catch (an
 /// unclosed parent span) rather than a silent artifact of buffering.
 /// A no-op when tracing is disabled.
-// The doctest's `fn main` is the point of the example (the guard must be
-// the first statement of a driver's main), not boilerplate.
-#[allow(clippy::needless_doctest_main)]
+#[allow(
+    clippy::needless_doctest_main,
+    reason = "the guard must be the first statement of a driver's main, so the example shows one"
+)]
 #[must_use = "the guard flushes on drop; binding it to _ drops it immediately"]
 pub struct TraceFlushGuard(());
 
@@ -63,13 +64,13 @@ pub fn flush_guard() -> TraceFlushGuard {
 
 /// `key=value` command-line arguments with typed getters.
 pub struct ExpArgs {
-    map: HashMap<String, String>,
+    map: BTreeMap<String, String>,
 }
 
 impl ExpArgs {
     /// Parses `std::env::args`.
     pub fn parse() -> Self {
-        let mut map = HashMap::new();
+        let mut map = BTreeMap::new();
         for arg in std::env::args().skip(1) {
             if let Some((k, v)) = arg.split_once('=') {
                 map.insert(k.trim_start_matches('-').to_string(), v.to_string());
@@ -401,7 +402,11 @@ pub fn run_tuning_grid(cells: &[TuningCell], opts: &GridOpts) -> (Vec<SessionRes
     let cache = opts.make_cache();
     let tele = telemetry::global();
     let results = run_grid(cells, opts.workers, |index, cell| {
-        let t0 = std::time::Instant::now(); // lint: allow(D2) journal cell-event duration — trace telemetry only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "journal cell-event duration — trace telemetry only"
+        )]
+        let t0 = std::time::Instant::now();
         let (result, hits, misses) = run_grid_cell(cell, cache.clone(), opts, index);
         if tele.journal.is_enabled() {
             tele.journal.emit(TraceEvent::Cell {
@@ -648,7 +653,7 @@ mod tests {
 
     #[test]
     fn args_typed_getters() {
-        let mut map = HashMap::new();
+        let mut map = BTreeMap::new();
         map.insert("iters".to_string(), "42".to_string());
         let args = ExpArgs { map };
         assert_eq!(args.get_usize("iters", 7), 42);

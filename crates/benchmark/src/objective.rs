@@ -140,7 +140,11 @@ impl SurrogateBenchmark {
 
 impl SimObjective for SurrogateBenchmark {
     fn evaluate(&mut self, full_cfg: &[f64]) -> EvalResult {
-        let t0 = Instant::now(); // lint: allow(D2) surrogate-overhead accounting (Table 9 timing) — not a tuning result
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "surrogate-overhead accounting (Table 9 timing) — not a tuning result"
+        )]
+        let t0 = Instant::now();
         let sub = self.space.project(full_cfg);
         let enc = self.space.space().to_unit(&sub);
         let score = self.model.predict(&enc);

@@ -282,6 +282,7 @@ mod tests {
     fn maximize_batched_rejects_wrong_batch_length() {
         let space = ConfigSpace::new(vec![KnobSpec::real("a", 0.0, 1.0, false, 0.5)]);
         let mut rng = StdRng::seed_from_u64(9);
+        #[expect(clippy::disallowed_methods, reason = "the test asserts that this call panics")]
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             maximize_batched(&space, |raws| vec![0.0; raws.len() + 1], &[], 8, &mut rng)
         }));

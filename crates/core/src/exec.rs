@@ -167,6 +167,10 @@ where
 /// mutexes (no poisoning) and evaluation closures run outside the shard
 /// locks, so a panicking cell can never leave a lock held or a
 /// half-written entry behind.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sanctioned containment layer: every caught panic becomes a counted Panicked outcome"
+)]
 pub fn run_grid_contained<T, R, F>(cells: &[T], workers: usize, f: F) -> Vec<CellOutcome<R>>
 where
     T: Sync,
@@ -217,7 +221,11 @@ where
             .enumerate()
             .map(|(i, c)| {
                 depth_gauge.set((n - i - 1) as i64);
-                let t = Instant::now(); // lint: allow(D2) cell-duration telemetry; never feeds results
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "cell-duration telemetry; never feeds results"
+                )]
+                let t = Instant::now();
                 let result = {
                     let _cell = tele.span("exec.cell");
                     f(i, c)
@@ -247,17 +255,29 @@ where
             );
             scope.spawn(move |_| {
                 let _worker = tele.span("exec.worker");
-                let worker_start = Instant::now(); // lint: allow(D2) worker busy/idle ledger — observability only
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "worker busy/idle ledger — observability only"
+                )]
+                let worker_start = Instant::now();
                 let (mut busy, mut steal) = (0u64, 0u64);
                 loop {
-                    let t_claim = Instant::now(); // lint: allow(D2) steal-time ledger — observability only
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "steal-time ledger — observability only"
+                    )]
+                    let t_claim = Instant::now();
                     let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
                     steal += t_claim.elapsed().as_nanos() as u64;
                     if i >= n {
                         break;
                     }
                     depth_gauge.set(n as i64 - i as i64 - 1);
-                    let t = Instant::now(); // lint: allow(D2) cell-duration telemetry; never feeds results
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "cell-duration telemetry; never feeds results"
+                    )]
+                    let t = Instant::now();
                     let result = {
                         let _cell = tele.span("exec.cell");
                         f_ref(i, &cells[i])

@@ -425,8 +425,10 @@ impl GaussianProcess {
                     let mut s2 = 0.0;
                     for vk in v_il.chunks_exact(LANES) {
                         let vi = vk[l];
-                        // `!(… < …)`, not `… >= …`: NaN must stay computed.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                        #[allow(
+                            clippy::neg_cmp_op_on_partial_ord,
+                            reason = "`!(… < …)`, not `… >= …`: NaN must stay computed"
+                        )]
                         if !(vi.abs() < SOS_SKIP_BELOW) {
                             s2 += vi * vi;
                         }
@@ -491,8 +493,10 @@ const SOS_SKIP_BELOW: f64 = 1.112536929253601e-162;
 fn sum_of_squares(v: &[f64]) -> f64 {
     let mut s2 = 0.0;
     for &vi in v {
-        // `!(… < …)`, not `… >= …`: NaN must stay computed.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[allow(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "`!(… < …)`, not `… >= …`: NaN must stay computed"
+        )]
         if !(vi.abs() < SOS_SKIP_BELOW) {
             s2 += vi * vi;
         }

@@ -127,6 +127,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test leaks its few knob names to get the &'static str KnobSpec wants"
+    )]
     fn high_dim_falls_back_to_linear_terms() {
         let specs: Vec<KnobSpec> = (0..80)
             .map(|i| {

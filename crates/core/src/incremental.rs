@@ -341,4 +341,33 @@ mod tests {
             log.windows(2).filter(|w| w[0].0 != w[1].0).map(|w| w[1]).collect();
         assert_eq!(firsts, vec![(4, 8), (6, 16)]);
     }
+
+    #[test]
+    fn each_phase_optimizer_is_seeded_with_seed_xor_its_boundary() {
+        let seed = 3;
+        for (strategy, boundaries) in [
+            (IncrementalStrategy::Increase { start: 2, step: 2, every: 8, cap: 6 }, [8, 16]),
+            (IncrementalStrategy::Decrease { start: 6, step: 2, every: 7, floor: 2 }, [7, 14]),
+        ] {
+            let mut sim = DbSimulator::new(Workload::Tpcc, Hardware::B, 9);
+            let cat = sim.catalog().clone();
+            let seeds = RefCell::new(Vec::new());
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let make_opt = |space: &ConfigSpace, s: u64| -> Box<dyn Optimizer> {
+                seeds.borrow_mut().push(s);
+                Box::new(Counting { space: space.clone(), observed: 0, log: log.clone() })
+            };
+            let space =
+                session_space(&cat, cat.default_config(Hardware::B), &ranked(&cat), strategy);
+            let mut opt = IncrementalOptimizer::new(&space, strategy, &make_opt, seed, 5);
+            let cfg = SessionConfig { iterations: 20, lhs_init: 5, seed, ..Default::default() };
+            run_session(&mut sim, &space, &mut opt, &cfg);
+
+            for b in boundaries {
+                assert_ne!(strategy.knobs_at(b - 1), strategy.knobs_at(b), "{b} is a boundary");
+            }
+            let [b1, b2] = boundaries.map(|b| b as u64);
+            assert_eq!(*seeds.borrow(), vec![seed, seed ^ b1, seed ^ b2], "{strategy:?}");
+        }
+    }
 }

@@ -50,7 +50,7 @@ mod tests {
         let space = ConfigSpace::new(vec![KnobSpec::int("a", 0, 1000, false, 1)]);
         let mut opt = RandomSearch::new(space.clone());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..50 {
             let cfg = opt.suggest(&mut rng);
             let mut c = cfg.clone();

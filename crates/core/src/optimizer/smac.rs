@@ -179,6 +179,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test leaks its few knob names to get the &'static str KnobSpec wants"
+    )]
     fn smac_beats_its_own_first_samples_on_high_dim() {
         // 20-dimensional additive objective.
         let specs: Vec<KnobSpec> = (0..20)

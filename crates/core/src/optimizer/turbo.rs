@@ -269,6 +269,10 @@ mod tests {
     use dbtune_dbsim::knob::KnobSpec;
     use rand::SeedableRng;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test leaks its few knob names to get the &'static str KnobSpec wants"
+    )]
     fn unit_space(d: usize) -> ConfigSpace {
         ConfigSpace::new(
             (0..d)

@@ -591,8 +591,10 @@ pub fn run_session(
 /// `sink` is invoked with a fresh checkpoint after every completed
 /// iteration; callers decide persistence cadence (a session killed
 /// between two invocations loses at most one iteration).
-// The iteration index doubles as the LHS-design cursor.
-#[allow(clippy::needless_range_loop)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the iteration index doubles as the LHS-design cursor"
+)]
 pub fn run_session_resumable(
     objective: &mut dyn SimObjective,
     space: &TuningSpace,

@@ -445,6 +445,7 @@ fn checkpoint_rejects_mismatched_sessions() {
 
     let mut wrong_seed = ck;
     wrong_seed.seed = 8;
+    #[expect(clippy::disallowed_methods, reason = "the test asserts that this call panics")]
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         resume_from(&wrong_seed, FaultPlan::disabled(), FailurePolicy::WorstSeen)
     }));

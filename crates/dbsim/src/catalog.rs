@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 ///
 /// The name index is a `BTreeMap` so any traversal of it (diagnostics,
 /// serialization, future iteration) is in sorted name order by
-/// construction — the D1 lint bans unordered-map iteration outside the
-/// telemetry crates.
+/// construction — the D1 ban in `clippy.toml` keeps hash maps out of
+/// first-party code outside the telemetry crate.
 #[derive(Clone, Debug)]
 pub struct KnobCatalog {
     specs: Vec<KnobSpec>,

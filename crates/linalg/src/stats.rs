@@ -102,8 +102,8 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 /// top-k knob sets produced from a training subsample and the full pool.
 pub fn intersection_over_union(a: &[usize], b: &[usize]) -> f64 {
     // Sorted-merge set arithmetic: same complexity class as hashing for
-    // these small index sets, and iteration order is defined (the D1 lint
-    // bans unordered-set traversal outside the telemetry crates).
+    // these small index sets, and iteration order is defined (the D1 ban
+    // in clippy.toml keeps hash sets out of first-party code).
     let dedup = |xs: &[usize]| {
         let mut v = xs.to_vec();
         v.sort_unstable();

@@ -12,7 +12,7 @@
 //! | R3   | env read reachable from the results path                        |
 //! | R4   | thread-identity read reachable from the results path            |
 //! | R5   | iteration over a hash collection *returned by a call* on the    |
-//! |      | results path (D1 only sees locally-bound collections)           |
+//! |      | results path (e.g. a map handed out by the telemetry crate)     |
 //! | C2   | the same two locks are acquired in both orders somewhere in     |
 //! |      | the exec/obs call graph — a deadlock candidate                  |
 //! | S1   | telemetry name emitted but not documented in                    |
@@ -91,7 +91,7 @@ fn determinism_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
             // Telemetry owns the clock and may hold RNG state, but a fn
             // that *returns a number* derived from either hands
             // nondeterminism back to the results path — the laundering
-            // hole D2/D3 cannot see.
+            // hole a call ban cannot see.
             if n.item.returns_numeric() {
                 if has(TaintKind::Clock) {
                     out.push(Finding {
@@ -127,8 +127,9 @@ fn determinism_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
             }
         } else {
             // Non-telemetry reachable code: env and thread-identity
-            // reads are findings at the read site (clock/RNG are already
-            // line-rule findings there, D2/D3 — no double report).
+            // reads are findings at the read site (a direct clock read is
+            // clippy's `disallowed_methods`, and the vendored `rand` has no
+            // entropy source — no double report).
             for &(kind, line) in &n.item.taints {
                 let (rule, what, fix) = match kind {
                     TaintKind::Env => (
@@ -156,9 +157,10 @@ fn determinism_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
                     ),
                 });
             }
-            // R5 — iterating a hash collection a call returned. The D1
-            // line rule tracks locally-bound collections only; resolving
-            // the callee's return type closes the cross-file hole.
+            // R5 — iterating a hash collection a call returned. Clippy's
+            // `disallowed_types` ban stops at the telemetry crate's
+            // exemption; resolving the callee's return type catches a
+            // telemetry map handed back to the results path.
             for ic in &n.item.iter_calls {
                 let hash_ret = graph.named(&ic.callee).iter().any(|&c| {
                     let ret = &graph.nodes[c].item.ret;

@@ -1,12 +1,11 @@
 //! The `// lint:` pragma grammar (see `docs/static-analysis.md`).
 //!
-//! Two forms, both requiring a non-empty justification so every
-//! suppression in the tree documents *why* the flagged pattern is safe:
+//! One form, requiring a non-empty justification so every suppression in
+//! the tree documents *why* the flagged pattern is safe:
 //!
 //! ```text
-//! // lint: allow(D2) timing feeds telemetry only, never the results block
-//! // lint: allow(D1, E1) <justification>
-//! // lint: sorted <justification>          (sugar for allow(D1))
+//! // lint: allow(C1) monotonic one-way latch; a stale read skips one count
+//! // lint: allow(S1, S3) <justification>
 //! ```
 //!
 //! A trailing pragma suppresses matching findings on its own line; a
@@ -57,9 +56,6 @@ pub fn parse(line: usize, body: &str, standalone: bool) -> Pragma {
         Pragma { line, rules, unknown, justification, malformed, standalone }
     };
 
-    if let Some(rest) = body.strip_prefix("sorted") {
-        return make(vec!["D1".into()], Vec::new(), rest, None);
-    }
     if let Some(rest) = body.strip_prefix("allow") {
         let rest = rest.trim_start();
         if let Some(inner_start) = rest.strip_prefix('(') {
@@ -88,7 +84,7 @@ pub fn parse(line: usize, body: &str, standalone: bool) -> Pragma {
         Vec::new(),
         Vec::new(),
         "",
-        Some(format!("unrecognised pragma `lint: {body}`; expected `allow(...)` or `sorted`")),
+        Some(format!("unrecognised pragma `lint: {body}`; expected `allow(...)`")),
     )
 }
 
@@ -98,30 +94,21 @@ mod tests {
 
     #[test]
     fn allow_with_justification() {
-        let p = parse(3, "allow(D2) timing is telemetry-only", false);
+        let p = parse(3, "allow(C1) -- the latch is monotonic", false);
         assert!(p.malformed.is_none());
-        assert!(p.covers("D2") && !p.covers("D1"));
-        assert_eq!(p.justification, "timing is telemetry-only");
-    }
-
-    #[test]
-    fn sorted_is_sugar_for_allow_d1() {
-        let p = parse(1, "sorted -- BTreeMap iterates in key order", true);
-        assert!(p.malformed.is_none());
-        assert!(p.covers("D1"));
-        assert_eq!(p.justification, "BTreeMap iterates in key order");
+        assert!(p.covers("C1") && !p.covers("C2"));
+        assert_eq!(p.justification, "the latch is monotonic");
     }
 
     #[test]
     fn multi_rule_allow() {
-        let p = parse(1, "allow(D1, E1) fixture exercising both", false);
-        assert!(p.covers("D1") && p.covers("E1"));
+        let p = parse(1, "allow(F1, E1) fixture exercising both", false);
+        assert!(p.covers("F1") && p.covers("E1"));
     }
 
     #[test]
     fn missing_justification_is_malformed() {
-        assert!(parse(1, "allow(D2)", false).malformed.is_some());
-        assert!(parse(1, "sorted", false).malformed.is_some());
+        assert!(parse(1, "allow(C1)", false).malformed.is_some());
     }
 
     #[test]
@@ -132,15 +119,17 @@ mod tests {
         assert!(p.malformed.is_none(), "{:?}", p.malformed);
         assert_eq!(p.unknown, vec!["D9".to_string()]);
         assert!(p.rules.is_empty());
-        let p = parse(1, "allow(D1, Z9) mixed list", false);
+        let p = parse(1, "allow(F1, Z9) mixed list", false);
         assert!(p.malformed.is_none());
-        assert!(p.covers("D1"));
+        assert!(p.covers("F1"));
         assert_eq!(p.unknown, vec!["Z9".to_string()]);
     }
 
     #[test]
     fn garbage_is_malformed() {
         assert!(parse(1, "suppress-all please", false).malformed.is_some());
-        assert!(parse(1, "allow D2 no parens", false).malformed.is_some());
+        assert!(parse(1, "allow C1 no parens", false).malformed.is_some());
+        // The retired `sorted` sugar (D1 moved to clippy.toml) no longer parses.
+        assert!(parse(1, "sorted keys re-sorted below", false).malformed.is_some());
     }
 }

@@ -12,7 +12,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`D1`, `D2`, `D3`, `F1`, `E1`, `P1`, `P2`).
+    /// Rule id, one of [`crate::RULE_IDS`].
     pub rule: String,
     /// Human explanation with the suggested fix.
     pub message: String,
@@ -167,13 +167,13 @@ mod tests {
             findings: vec![Finding {
                 path: "crates/x/src/a.rs".into(),
                 line: 7,
-                rule: "D1".into(),
+                rule: "F1".into(),
                 message: "has \"quotes\" and\nnewline".into(),
             }],
             pragmas: vec![PragmaRecord {
                 path: "crates/x/src/b.rs".into(),
                 line: 3,
-                rules: vec!["D2".into()],
+                rules: vec!["C1".into()],
                 justification: "telemetry only".into(),
                 used: true,
             }],
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn human_format_is_path_line_rule_message() {
         let h = sample().human();
-        assert!(h.starts_with("crates/x/src/a.rs:7: D1 — "), "{h}");
+        assert!(h.starts_with("crates/x/src/a.rs:7: F1 — "), "{h}");
         assert!(h.contains("1 finding(s) in 2 file(s); 1 active suppression(s)"));
     }
 
@@ -192,7 +192,7 @@ mod tests {
         let j = sample().to_json();
         assert!(j.contains("\"version\": 2"), "{j}");
         assert!(j.contains("\"wall_ms\": 12"), "{j}");
-        assert!(j.contains("\"counts\": {\"D1\": 1}"), "{j}");
+        assert!(j.contains("\"counts\": {\"F1\": 1}"), "{j}");
         assert!(j.contains("has \\\"quotes\\\" and\\nnewline"));
         assert!(j.contains("\"justification\": \"telemetry only\""));
         assert!(j.contains("\"clean\": false"));

@@ -390,11 +390,11 @@ mod tests {
 
     #[test]
     fn pragma_comments_are_captured() {
-        let scanned = clean("let x = m.iter(); // lint: sorted keys are pre-sorted\nplain();");
-        assert_eq!(scanned[0].pragma.as_deref(), Some("sorted keys are pre-sorted"));
+        let scanned = clean("if f.load(o) {} // lint: allow(C1) monotonic latch\nplain();");
+        assert_eq!(scanned[0].pragma.as_deref(), Some("allow(C1) monotonic latch"));
         assert!(scanned[1].pragma.is_none());
         // Pragma text inside a *string* is not a pragma.
-        let scanned = clean(r#"let s = "// lint: sorted fake";"#);
+        let scanned = clean(r#"let s = "// lint: allow(C1) fake";"#);
         assert!(scanned[0].pragma.is_none());
     }
 

@@ -29,10 +29,12 @@ use crate::scanner::{self, is_ident_char};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintKind {
     /// `Instant::now` / `SystemTime::now` / `UNIX_EPOCH` (R1 when
-    /// laundered through telemetry; D2 reports the direct read).
+    /// laundered through telemetry; clippy's `disallowed_methods` reports
+    /// the direct read).
     Clock,
     /// `thread_rng` / `from_entropy` / `OsRng` / `rand::random` (R2 when
-    /// laundered; D3 reports the direct read).
+    /// laundered; the vendored `rand` defines none of them, so a direct
+    /// call does not compile).
     Rng,
     /// `env::var` / `env::vars` / `env::var_os` (R3).
     Env,
@@ -129,15 +131,15 @@ pub struct FileSymbols {
     pub emissions: Vec<Emission>,
 }
 
-/// Wall-clock read patterns (mirrors `rules::CLOCK_READS`).
+/// Wall-clock read patterns.
 const CLOCK_READS: &[&str] = &["Instant::now", "SystemTime::now", "UNIX_EPOCH"];
-/// Unseeded randomness patterns (mirrors `rules::UNSEEDED_RNG`).
+/// Unseeded randomness patterns.
 const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "rand::random"];
 /// Environment-read patterns (R3): `env::var`, `env::vars`, `env::var_os`.
 const ENV_READS: &[&str] = &["env::var", "env::vars", "env::var_os"];
 /// Thread-identity patterns (R4).
 const THREAD_READS: &[&str] = &["thread::current", "ThreadId"];
-/// Unordered-iteration methods (mirrors `rules::ITER_METHODS`).
+/// Unordered-iteration methods (R5).
 const ITER_METHODS: &[&str] = &[
     ".iter()",
     ".iter_mut()",

@@ -121,9 +121,11 @@ fn scan_files(root: &Path, files: &[String]) -> io::Result<Vec<FileScan>> {
 /// symbol extraction per file, then the graph-level R/C/S passes, then
 /// per-file pragma resolution over the merged findings.
 pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    // Wall time is telemetry about the lint run itself (reported as
-    // `wall_ms`); it never influences findings or gating.
-    let started = Instant::now(); // lint: allow(D2) scan wall time is report telemetry, not results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the report's `wall_ms` telemetry; it never influences findings or gating"
+    )]
+    let started = Instant::now();
 
     let files = collect_files(root)?;
     let scans = scan_files(root, &files)?;

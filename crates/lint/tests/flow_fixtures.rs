@@ -30,7 +30,6 @@ fn flow_corpus_exact_findings() {
         ("crates/core/src/pipeline.rs", 20, "R5"),
         ("crates/obs/src/probe.rs", 8, "R1"),
         ("crates/obs/src/probe.rs", 14, "R2"),
-        ("crates/obs/src/probe.rs", 15, "D3"),
     ]
     .iter()
     .map(|(p, l, r)| (p.to_string(), *l, r.to_string()))

@@ -125,10 +125,10 @@ proptest! {
     /// intact, while still being stripped from the cleaned code.
     #[test]
     fn pragmas_round_trip(just in text("abcdef ", 1..20)) {
-        let src = format!("let y = 2; // lint: allow(D2) {just}\n");
+        let src = format!("let y = 2; // lint: allow(C1) {just}\n");
         let cleaned = scanner::clean(&src);
         let pragma = cleaned[0].pragma.as_deref().expect("pragma captured");
-        prop_assert!(pragma.contains("allow(D2)"), "{pragma:?}");
+        prop_assert!(pragma.contains("allow(C1)"), "{pragma:?}");
         prop_assert!(pragma.contains(just.trim_end()), "{pragma:?}");
         prop_assert!(!cleaned[0].code.contains("lint:"), "{:?}", &cleaned[0].code);
     }

@@ -438,6 +438,7 @@ mod tests {
         let before = net.weights_flat();
         for wrong in [before.len() - 1, before.len() + 1] {
             let flat = vec![1.0; wrong];
+            #[expect(clippy::disallowed_methods, reason = "the test asserts that this call panics")]
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 net.set_weights_flat(&flat);
             }));

@@ -128,7 +128,7 @@ impl RefMlp {
         acts
     }
 
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "the reference keeps the indexed loops it pins")]
     fn step_with_output_gradient(&mut self, input: &[f64], grad_out: &[f64]) -> Vec<f64> {
         let acts = self.forward_cached(input);
         self.adam_t += 1;
@@ -177,7 +177,7 @@ impl RefMlp {
         delta
     }
 
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "the reference keeps the indexed loops it pins")]
     fn input_gradient(&self, input: &[f64], grad_out: &[f64]) -> Vec<f64> {
         let acts = self.forward_cached(input);
         let mut delta = grad_out.to_vec();

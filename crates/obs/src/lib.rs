@@ -34,6 +34,11 @@
 //! The crate is std-only (no external dependencies, not even the
 //! workspace's vendored stubs) so any crate in the stack can depend on it.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "span and memory tables are hash maps keyed by name; telemetry never feeds results"
+)]
+
 pub mod hist;
 pub mod journal;
 pub mod memprof;

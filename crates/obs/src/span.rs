@@ -180,6 +180,10 @@ pub struct SpanGuard<'a> {
 
 impl<'a> SpanGuard<'a> {
     /// Opens a span (called by [`crate::Telemetry::span`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timing is the telemetry layer's job; durations never reach a results payload"
+    )]
     pub(crate) fn open(name: &'static str, stats: Arc<SpanStats>, journal: &'a Journal) -> Self {
         let (parent, depth) = STACK.with(|s| {
             let mut s = s.borrow_mut();

@@ -1,46 +1,18 @@
-//! Fixture: library-crate determinism violations (D1 / D2 / E1 / F1) and
-//! a legal `// lint: sorted` suppression.
+//! Fixture: library-crate hygiene violations (F1 / E1).
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-pub struct Index {
-    by_name: HashMap<String, usize>,
-}
-
-impl Index {
-    // expect: D1 — field iteration through `self`.
-    pub fn names(&self) -> Vec<String> {
-        self.by_name.keys().cloned().collect()
-    }
-
-    // expect: D2 — wall-clock read in a non-telemetry crate.
-    pub fn timed(&self) -> f64 {
-        let t = Instant::now();
-        t.elapsed().as_secs_f64()
-    }
-}
-
-// expect: D1 — `for .. in` over a hash map parameter's values.
-pub fn merge(a: &HashMap<u32, u32>) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::new();
-    for v in a.values() {
-        out.push(*v);
-    }
-    out.sort_unstable();
-    out
-}
-
-// expect: no finding — the trailing `sorted` pragma proves the order.
-pub fn sorted_keys(a: &HashMap<u32, u32>) -> Vec<u32> {
-    let mut keys: Vec<u32> = a.keys().copied().collect(); // lint: sorted collected then sorted below
-    keys.sort_unstable();
-    keys
-}
-
-// expect: E1 + F1 — NaN-panicking comparison, context-free unwrap.
+// expect: F1 — NaN-panicking comparison.
 pub fn best(xs: &[f64]) -> f64 {
     let mut ys = xs.to_vec();
     ys.sort_by(|p, q| p.partial_cmp(q).unwrap());
     ys[0]
+}
+
+// expect: E1 — an empty panic message says nothing.
+pub fn first(xs: &[f64]) -> f64 {
+    *xs.first().expect("")
+}
+
+// expect: no finding — `.unwrap()` is clippy's `unwrap_used`, not a line rule.
+pub fn last(xs: &[f64]) -> f64 {
+    *xs.last().unwrap()
 }

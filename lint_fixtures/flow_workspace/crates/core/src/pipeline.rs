@@ -14,7 +14,7 @@ pub fn current_shard() -> u64 {
 }
 
 // expect: R5 — iterating the HashMap that `tables::snapshot` returns;
-// the D1 line rule cannot see the callee's return type.
+// the pass resolves the callee's return type across files.
 pub fn plan() -> usize {
     let mut total = 0;
     for name in tables::snapshot() {

@@ -1,7 +1,7 @@
 //! Fixture: telemetry helpers that launder nondeterminism back to the
-//! results path. Telemetry may read the clock internally (D2 exempts
-//! it); *returning* a clock- or RNG-derived number to a reachable caller
-//! is the hole R1/R2 close. Reported at the fn definition line.
+//! results path. Telemetry may read the clock internally (clippy's ban
+//! exempts it); *returning* a clock- or RNG-derived number to a reachable
+//! caller is the hole R1/R2 close. Reported at the fn definition line.
 
 // expect: R1 — reached from pipeline::measure, returns a clock-derived
 // number.
@@ -9,8 +9,8 @@ pub fn ticks() -> u64 {
     Instant::now().elapsed().as_nanos() as u64
 }
 
-// expect: R2 at the fn line, plus D3 at the thread_rng line (the line
-// rule sees the direct read; R2 sees the laundering).
+// expect: R2 — reached from pipeline::measure, returns an RNG-derived
+// number.
 pub fn draw() -> f64 {
     rand::thread_rng().gen()
 }

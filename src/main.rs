@@ -111,6 +111,11 @@ const KNOWN_OPTS: &[&str] = &[
     "task",
 ];
 
+/// Sizes that must be at least 1, checked as early as unknown keys: a
+/// zero-iteration session has no best configuration, a zero-knob space
+/// is empty, and a zero-sample pool has nothing to rank or train on.
+const POSITIVE_OPTS: &[&str] = &["iters", "knobs", "samples"];
+
 struct Args {
     positional: Vec<String>,
     opts: BTreeMap<String, String>,
@@ -129,6 +134,9 @@ impl Args {
                             "unknown option `{k}=` (known: {})",
                             KNOWN_OPTS.join(", ")
                         ));
+                    }
+                    if POSITIVE_OPTS.contains(&k.as_str()) && v.parse::<usize>() == Ok(0) {
+                        return Err(format!("{k}={v}: must be at least 1"));
                     }
                     opts.insert(k, v.to_string());
                 }
@@ -464,4 +472,79 @@ fn cmd_benchmark(args: &Args) -> Result<(), String> {
         report.speedup,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(raw: &[&str]) -> Result<Args, String> {
+        Args::parse(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_key_is_rejected() {
+        let err = parse(&["TPC-C", "optimzer=tpe"]).err().expect("typo must fail");
+        assert!(err.starts_with("unknown option `optimzer=`"), "{err}");
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected_before_any_work() {
+        for key in POSITIVE_OPTS {
+            let err = parse(&["TPC-C", &format!("{key}=0")]).err().expect("zero must fail");
+            assert_eq!(err, format!("{key}=0: must be at least 1"));
+        }
+        // Through the command dispatcher too: parsing fails before the
+        // subcommand collects a pool or runs a session.
+        for cmd in [
+            &["tune", "TPC-C", "iters=0", "pin=sync_binlog"][..],
+            &["benchmark", "Smallbank", "iters=0"],
+            &["tune", "TPC-C", "knobs=0"],
+            &["rank", "TPC-C", "samples=0"],
+            &["benchmark", "Smallbank", "samples=0"],
+        ] {
+            let raw: Vec<String> = cmd.iter().map(|s| s.to_string()).collect();
+            let err = run(&raw).expect_err("zero size must fail");
+            assert!(err.ends_with("=0: must be at least 1"), "{cmd:?}: {err}");
+        }
+        // A positive size still parses.
+        assert!(parse(&["TPC-C", "iters=1", "knobs=1", "samples=1"]).is_ok());
+    }
+
+    #[test]
+    fn defaults_parse() {
+        let args = parse(&["TPC-C"]).expect("a bare workload parses");
+        assert_eq!(args.workload(), Ok(Workload::Tpcc));
+        assert_eq!(args.hardware(), Ok(Hardware::B));
+        assert_eq!(args.measure(), Ok(MeasureKind::Shap));
+        assert_eq!(args.optimizer(), Ok(OptimizerKind::Smac));
+        assert_eq!(args.usize_opt("samples", 500), Ok(500));
+        assert_eq!(args.usize_opt("knobs", 10), Ok(10));
+        assert_eq!(args.pinned_knobs(&KnobCatalog::mysql57()), Ok(None));
+        let cfg = args.session_config().expect("default session config");
+        assert_eq!((cfg.iterations, cfg.lhs_init, cfg.seed), (100, 10, 42));
+        assert_eq!(cfg.failure_policy, FailurePolicy::WorstSeen);
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        let args = parse(&["TPCC-X", "iters=ten", "seed=-1", "hardware=E", "measure=shapley"])
+            .expect("values are checked by the subcommand's accessors");
+        assert!(args.workload().is_err_and(|e| e.starts_with("unknown workload `TPCC-X`")));
+        assert_eq!(args.session_config().err(), Some("iters=ten: not an integer".into()));
+        assert_eq!(args.u64_opt("seed", 42), Err("seed=-1: not an integer".into()));
+        assert_eq!(args.hardware(), Err("hardware=E: expected A|B|C|D".into()));
+        assert!(args.measure().is_err_and(|e| e.starts_with("measure=shapley:")));
+        let args = parse(&["tpcc", "optimizer=bayes", "policy=retry", "pin=sync_binlog,nope"])
+            .expect("parses");
+        assert_eq!(args.workload(), Ok(Workload::Tpcc), "names match case- and dash-blind");
+        assert_eq!(args.optimizer(), Err("optimizer=bayes: unknown optimizer".into()));
+        assert_eq!(args.failure_policy(), Err("policy=retry: expected worst|discard".into()));
+        assert_eq!(
+            args.pinned_knobs(&KnobCatalog::mysql57()),
+            Err("pin: unknown knob `nope`".into())
+        );
+        let err = run(&["rebuild".to_string()]).expect_err("unknown command");
+        assert!(err.starts_with("unknown command `rebuild`"), "{err}");
+    }
 }
