@@ -73,9 +73,9 @@ fn session(
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 120);
-    let seeds = args.get_usize("seeds", 2);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 120);
+    let seeds = args.get_size("seeds", 2);
 
     let catalog: KnobCatalog = KnobCatalog::mysql57();
     let pool = full_pool(Workload::Sysbench, samples, 7);

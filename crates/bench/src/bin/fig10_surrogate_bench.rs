@@ -44,9 +44,9 @@ struct Run {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 1200);
-    let iters = args.get_usize("iters", 120);
-    let runs = args.get_usize("runs", 5);
+    let samples = args.get_size("samples", 1200);
+    let iters = args.get_size("iters", 120);
+    let runs = args.get_size("runs", 5);
 
     let catalog = DbSimulator::new(Workload::Sysbench, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Sysbench, samples, 7);

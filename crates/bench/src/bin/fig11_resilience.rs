@@ -44,8 +44,8 @@ struct Run {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let iters = args.get_usize("iters", 60);
-    let seeds = args.get_usize("seeds", 2);
+    let iters = args.get_size("iters", 60);
+    let seeds = args.get_size("seeds", 2);
 
     let mut opts = GridOpts::from_args("fig11_resilience", &args, 1100);
     // This driver injects faults by default (it is the resilience

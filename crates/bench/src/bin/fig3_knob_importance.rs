@@ -39,9 +39,9 @@ struct Cell {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 120);
-    let seeds = args.get_usize("seeds", 2);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 120);
+    let seeds = args.get_size("seeds", 2);
 
     let workloads = [Workload::Job, Workload::Sysbench];
     let optimizers = [OptimizerKind::VanillaBo, OptimizerKind::Ddpg];

@@ -91,8 +91,8 @@ fn surrogate_r2(
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 1500);
-    let repeats = args.get_usize("repeats", 5);
+    let samples = args.get_size("samples", 1500);
+    let repeats = args.get_size("repeats", 5);
 
     let catalog = DbSimulator::new(Workload::Sysbench, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Sysbench, samples, 7);

@@ -33,9 +33,9 @@ struct Point {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 240);
-    let seeds = args.get_usize("seeds", 1);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 240);
+    let seeds = args.get_size("seeds", 1);
 
     let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let knob_counts = [5usize, 10, 20, 40, 80, 197];

@@ -40,9 +40,9 @@ struct Series {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 120);
-    let seeds = args.get_usize("seeds", 1);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 120);
+    let seeds = args.get_size("seeds", 1);
 
     let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let make_opt = |space: &ConfigSpace, _seed: u64| -> Box<dyn Optimizer> {

@@ -62,8 +62,8 @@ impl PhaseSeries {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 400);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 400);
 
     let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Job, samples, 7);

@@ -33,7 +33,7 @@ fn main() -> ExitCode {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
     let repeats = args.get_usize("repeats", 2).max(1);
-    let iters = args.get_usize("iters", quality::DEFAULT_ITERS);
+    let iters = args.get_size("iters", quality::DEFAULT_ITERS);
     let workers = args.get_usize("workers", 1);
     let write = args.get_str("write", "BENCH_quality.json");
     let against = args.get_str("against", "");

@@ -76,8 +76,8 @@ fn session(
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 6250);
-    let iters = args.get_usize("iters", 120);
+    let samples = args.get_size("samples", 6250);
+    let iters = args.get_size("iters", 120);
     let pretrain = args.get_usize("pretrain", 150);
 
     let catalog = DbSimulator::new(Workload::Sysbench, Hardware::B, 0).catalog().clone();

@@ -33,8 +33,8 @@ struct Entry {
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse();
-    let samples = args.get_usize("samples", 1200);
-    let folds = args.get_usize("folds", 10);
+    let samples = args.get_size("samples", 1200);
+    let folds = args.get_size("folds", 10);
 
     let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     // JOB: small space (top-5); SYSBENCH: medium space (top-20), as §8.

@@ -67,16 +67,51 @@ pub struct ExpArgs {
     map: BTreeMap<String, String>,
 }
 
+/// Size arguments and the least value a driver can do anything with:
+/// no iterations, samples, seeds, repeats or runs leave nothing to report,
+/// and k-fold cross-validation needs two folds.
+const MIN_SIZES: &[(&str, usize)] =
+    &[("iters", 1), ("samples", 1), ("seeds", 1), ("repeats", 1), ("runs", 1), ("folds", 2)];
+
 impl ExpArgs {
     /// Parses `std::env::args`.
     pub fn parse() -> Self {
+        Self::from_strs(std::env::args().skip(1))
+    }
+
+    fn from_strs(args: impl IntoIterator<Item = String>) -> Self {
         let mut map = BTreeMap::new();
-        for arg in std::env::args().skip(1) {
+        for arg in args {
             if let Some((k, v)) = arg.split_once('=') {
                 map.insert(k.trim_start_matches('-').to_string(), v.to_string());
             }
         }
         Self { map }
+    }
+
+    /// Size argument with default (`iters`, `samples`, `seeds`, `repeats`,
+    /// `runs` or `folds`). Drivers read their sizes before any work, so a
+    /// size too small to report anything ends the driver here: it prints
+    /// `error: iters=0: must be at least 1` and exits with status 1.
+    pub fn get_size(&self, key: &str, default: usize) -> usize {
+        self.size(key, default).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(1)
+        })
+    }
+
+    /// [`Self::get_size`]'s check, as a value.
+    fn size(&self, key: &str, default: usize) -> Result<usize, String> {
+        let min = MIN_SIZES
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, min)| min)
+            .unwrap_or_else(|| panic!("`{key}` is not a size argument"));
+        let n = self.get_usize(key, default);
+        if n < min {
+            return Err(format!("{key}={n}: must be at least {min}"));
+        }
+        Ok(n)
     }
 
     /// Integer argument with default.
@@ -651,13 +686,34 @@ mod tests {
         assert_eq!(pct(-0.015), "-1.50%");
     }
 
+    fn args(raw: &[&str]) -> ExpArgs {
+        ExpArgs::from_strs(raw.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn args_typed_getters() {
-        let mut map = BTreeMap::new();
-        map.insert("iters".to_string(), "42".to_string());
-        let args = ExpArgs { map };
+        let args = args(&["iters=42", "--cache=off", "positional"]);
         assert_eq!(args.get_usize("iters", 7), 42);
         assert_eq!(args.get_usize("seeds", 7), 7);
         assert_eq!(args.get_u64("seed", 3), 3);
+        assert_eq!(args.get_str("cache", "on"), "off", "leading dashes are trimmed");
+    }
+
+    #[test]
+    fn sizes_below_their_minimum_are_rejected() {
+        for (key, min) in MIN_SIZES {
+            let too_small = min - 1;
+            let err = args(&[&format!("{key}={too_small}")]).size(key, 5).expect_err("must fail");
+            assert_eq!(err, format!("{key}={too_small}: must be at least {min}"));
+            assert_eq!(args(&[&format!("{key}={min}")]).size(key, 5), Ok(*min));
+            assert_eq!(args(&[]).size(key, 5), Ok(5), "{key}: an absent size takes its default");
+        }
+        // The message is the CLI's.
+        assert_eq!(
+            args(&["samples=150", "iters=0", "seeds=1"]).size("iters", 120),
+            Err("iters=0: must be at least 1".to_string())
+        );
+        // Zero is only checked where a driver reads the key as a size.
+        assert_eq!(args(&["pretrain=0"]).get_usize("pretrain", 150), 0);
     }
 }

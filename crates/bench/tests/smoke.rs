@@ -85,3 +85,29 @@ smoke!(table8_runs, "table8_transfer", "table8_transfer");
 smoke!(table9_runs, "table9_surrogate_models", "table9_surrogates");
 smoke!(workloads_report_runs, "workloads_report", "workloads_report");
 smoke!(fig11_runs, "fig11_resilience", "fig11_resilience");
+
+/// A zero size is rejected before any work: the driver prints the CLI's
+/// message, exits 1 without panicking, and writes nothing — not even
+/// the observation pools it would collect first.
+#[test]
+fn zero_iterations_exit_before_any_work() {
+    let dir = std::env::temp_dir().join("dbtune_smoke_zero_iters");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fig7_optimizers"))
+        .args(["samples=150", "iters=0", "seeds=1", "workers=1"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn driver");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "--- stderr ---\n{stderr}");
+    assert_eq!(stderr.trim_end(), "error: iters=0: must be at least 1");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read scratch dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert!(written.is_empty(), "wrote {written:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -411,12 +411,16 @@ fn fnv1a_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
 /// lexicographically) so cache shards can live in `BTreeMap`s and any
 /// traversal — [`EvalCache::snapshot`], future eviction or export — is in
 /// key order regardless of insertion order (the D1 determinism contract).
+///
+/// The fingerprint is computed once, at quantization, and stored: the
+/// cache shard choice and the noise token both read it. It is a function
+/// of the first two fields, so as the last field it never changes how
+/// two keys compare.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
-    /// Hash of the response surface's identity.
-    pub domain: u64,
-    /// Per-knob quantized values (`f64::to_bits` after `Domain::clamp`).
-    pub bits: Vec<u64>,
+    domain: u64,
+    bits: Vec<u64>,
+    fingerprint: u64,
 }
 
 impl CacheKey {
@@ -435,14 +439,26 @@ impl CacheKey {
                 let q = if q == 0.0 { 0.0 } else { q };
                 q.to_bits()
             })
-            .collect();
-        Self { domain, bits }
+            .collect::<Vec<u64>>();
+        let fingerprint = fnv1a_words(std::iter::once(domain).chain(bits.iter().copied()));
+        Self { domain, bits, fingerprint }
     }
 
-    /// 64-bit fingerprint of the whole key (domain + quantized config);
-    /// also the source of the per-evaluation noise token.
+    /// Hash of the response surface's identity.
+    pub fn domain(&self) -> u64 {
+        self.domain
+    }
+
+    /// Per-knob quantized values (`f64::to_bits` after `Domain::clamp`).
+    pub fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// 64-bit fingerprint of the whole key: byte-wise FNV-1a over the
+    /// domain tag, then every quantized word, little-endian. Also the
+    /// source of the per-evaluation noise token, so its value is fixed.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a_words(std::iter::once(self.domain).chain(self.bits.iter().copied()))
+        self.fingerprint
     }
 
     /// Tags a domain from its identifying parts (e.g. workload name,

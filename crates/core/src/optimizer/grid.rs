@@ -6,6 +6,7 @@
 use super::{Optimizer, SurrogateIntrospect};
 use crate::space::ConfigSpace;
 use crate::telemetry;
+use dbtune_dbsim::knob::KnobSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -13,24 +14,94 @@ use rand::SeedableRng;
 /// Grid-search optimizer.
 ///
 /// The per-dimension resolution starts at `initial_levels` and increases
-/// by one each time the lattice is exhausted. For high-dimensional spaces
-/// the full lattice is intractable, so at most `max_points_per_pass`
-/// lattice points are sampled (without replacement) per pass — the
-/// documented reason grid search loses to random/model-based search as
-/// dimensionality grows.
+/// by one each time a pass is exhausted. For high-dimensional spaces the
+/// full lattice is intractable, so a pass draws `max_points_per_pass`
+/// lattice points *with replacement* instead — the documented reason grid
+/// search loses to random/model-based search as dimensionality grows.
+/// After the shuffle, a point equal to the one visited just before it is
+/// dropped, but equal points further apart are not: a sampled pass can
+/// propose one configuration twice (so can an enumerated one whose
+/// distinct lattice points decode to the same integer or categorical
+/// values).
 pub struct GridSearch {
     space: ConfigSpace,
     levels: usize,
-    queue: Vec<Vec<f64>>,
+    pass: Pass,
     max_points_per_pass: usize,
     seed: u64,
+}
+
+/// One pass over the lattice, kept as level indices and decoded only when
+/// a point is proposed.
+struct Pass {
+    /// Per-dimension resolution of this pass.
+    levels: usize,
+    /// A sampled pass's level indices, `dim` per point; empty for an
+    /// enumerated pass, whose point ids are lattice codes.
+    sampled: Vec<u32>,
+    /// Point ids in shuffled visit order, proposed from the back.
+    order: Vec<u32>,
+}
+
+impl Pass {
+    /// Coordinate `k` of point `id` in the unit cube (`d` dimensions).
+    fn unit(&self, id: u32, k: usize, d: usize) -> f64 {
+        let level = if self.sampled.is_empty() {
+            // Lattice code: base-`levels` digits, dimension 0 lowest.
+            (id as u64 / (self.levels as u64).pow(k as u32)) % self.levels as u64
+        } else {
+            self.sampled[id as usize * d + k] as u64
+        };
+        level as f64 / (self.levels - 1) as f64
+    }
+
+    /// Point `id` decoded into a configuration.
+    fn decode(&self, id: u32, specs: &[KnobSpec]) -> Vec<f64> {
+        let d = specs.len();
+        specs
+            .iter()
+            .enumerate()
+            .map(|(k, spec)| spec.domain.from_unit(self.unit(id, k, d)))
+            .collect()
+    }
+
+    /// Whether point `id` decodes equal to `point`; stops decoding at the
+    /// first coordinate that differs.
+    fn decodes_to(&self, id: u32, specs: &[KnobSpec], point: &[f64]) -> bool {
+        let d = specs.len();
+        specs
+            .iter()
+            .zip(point)
+            .enumerate()
+            .all(|(k, (spec, &v))| spec.domain.from_unit(self.unit(id, k, d)) == v)
+    }
+
+    /// The next point of the visit order. Every point in the run of equal
+    /// points that ends the order is consumed and the first of them is
+    /// returned, so the pass proposes what shuffling the decoded points,
+    /// dropping each one equal to its predecessor and popping from the back
+    /// would.
+    fn pop(&mut self, specs: &[KnobSpec]) -> Option<Vec<f64>> {
+        let last = self.order.pop()?;
+        let mut point = self.decode(last, specs);
+        while let Some(&id) = self.order.last() {
+            if !self.decodes_to(id, specs, &point) {
+                break;
+            }
+            // Equal, but not always bit for bit (-0.0 == 0.0).
+            point = self.decode(id, specs);
+            self.order.pop();
+        }
+        Some(point)
+    }
 }
 
 impl GridSearch {
     /// Creates a grid search starting at `initial_levels` per dimension.
     pub fn new(space: ConfigSpace, initial_levels: usize, seed: u64) -> Self {
         assert!(initial_levels >= 2, "need at least 2 grid levels");
-        Self { space, levels: initial_levels, queue: Vec::new(), max_points_per_pass: 4096, seed }
+        let pass = Pass { levels: initial_levels, sampled: Vec::new(), order: Vec::new() };
+        Self { space, levels: initial_levels, pass, max_points_per_pass: 4096, seed }
     }
 
     /// Current per-dimension resolution.
@@ -44,31 +115,20 @@ impl GridSearch {
         let total = (levels as f64).powi(d as i32);
         let mut rng = StdRng::seed_from_u64(self.seed ^ (levels as u64) << 32);
 
-        let mut points: Vec<Vec<f64>> = Vec::new();
-        if total <= self.max_points_per_pass as f64 {
-            // Full lattice enumeration.
-            let n = (levels as u64).pow(d as u32);
-            for mut code in 0..n {
-                let mut unit = Vec::with_capacity(d);
-                for _ in 0..d {
-                    let level = (code % levels as u64) as f64;
-                    unit.push(level / (levels - 1) as f64);
-                    code /= levels as u64;
-                }
-                points.push(self.space.from_unit(&unit));
-            }
+        let (n, sampled) = if total <= self.max_points_per_pass as f64 {
+            // Full lattice enumeration: point ids are lattice codes.
+            ((levels as u64).pow(d as u32) as usize, Vec::new())
         } else {
-            // Lattice too large: sample distinct lattice points.
+            // Lattice too large: draw lattice points with replacement.
             use rand::Rng;
-            for _ in 0..self.max_points_per_pass {
-                let unit: Vec<f64> =
-                    (0..d).map(|_| rng.gen_range(0..levels) as f64 / (levels - 1) as f64).collect();
-                points.push(self.space.from_unit(&unit));
-            }
-        }
-        points.shuffle(&mut rng);
-        points.dedup();
-        self.queue = points;
+            let n = self.max_points_per_pass;
+            (n, (0..n * d).map(|_| rng.gen_range(0..levels) as u32).collect())
+        };
+        // The shuffle's draws depend only on the length, so shuffling ids
+        // visits the points in the order shuffling them would.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut rng);
+        self.pass = Pass { levels, sampled, order };
         self.levels += 1;
     }
 }
@@ -84,10 +144,10 @@ impl Optimizer for GridSearch {
 
     fn suggest(&mut self, _rng: &mut StdRng) -> Vec<f64> {
         let _acq_span = telemetry::span("acquisition");
-        if self.queue.is_empty() {
+        if self.pass.order.is_empty() {
             self.refill();
         }
-        self.queue.pop().expect("refill produced points")
+        self.pass.pop(self.space.specs()).expect("refill produced points")
     }
 
     fn observe(&mut self, _cfg: &[f64], _score: f64, _metrics: &[f64]) {}
@@ -100,7 +160,6 @@ impl Optimizer for GridSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtune_dbsim::knob::KnobSpec;
 
     fn space2() -> ConfigSpace {
         ConfigSpace::new(vec![

@@ -10,8 +10,9 @@
 //!   the *simulated* clock only;
 //! * a session killed after iteration k resumes from its checkpoint to
 //!   the same final result as an uninterrupted run — with or without an
-//!   active fault plan, and for incremental (Figure 6) sessions across a
-//!   phase boundary;
+//!   active fault plan, for Grid Search killed in the middle of a sampled
+//!   pass, and for incremental (Figure 6) sessions across a phase
+//!   boundary;
 //! * exhausted transient faults never reach the shared evaluation cache;
 //! * `FailurePolicy::QuarantinePenalty` scores crashes one log-unit
 //!   below the worst observed configuration and remembers crash regions.
@@ -302,17 +303,20 @@ fn exhausted_timeouts_leave_the_shared_cache_untouched() {
 // Checkpoint / resume
 // ---------------------------------------------------------------------------
 
-/// Runs one session with a checkpoint sink, keeping only the snapshot
-/// taken after iteration `kill_after`.
+/// Runs one session of `kind` over the first `knobs` catalog knobs with a
+/// checkpoint sink, keeping only the snapshot taken after iteration
+/// `kill_after`.
 fn run_with_sink(
+    kind: OptimizerKind,
+    knobs: usize,
     plan: FaultPlan,
     policy: FailurePolicy,
     kill_after: usize,
 ) -> (SessionResult, SessionCheckpoint) {
     let sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 7);
     let catalog = sim.catalog().clone();
-    let space = TuningSpace::with_default_base(&catalog, vec![0, 1, 2, 3, 4], Hardware::B);
-    let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, 7);
+    let space = TuningSpace::with_default_base(&catalog, (0..knobs).collect(), Hardware::B);
+    let mut opt = kind.build(space.space(), METRICS_DIM, 7);
     let mut obj = CachedObjective::with_faults(sim, None, NOISE_SEED, plan, RetryPolicy::default());
     let mut kept: Option<SessionCheckpoint> = None;
     let mut sink = |ck: &SessionCheckpoint| {
@@ -331,12 +335,18 @@ fn run_with_sink(
     (result, kept.expect("session must have reached the kill point"))
 }
 
-fn resume_from(ck: &SessionCheckpoint, plan: FaultPlan, policy: FailurePolicy) -> SessionResult {
+fn resume_from(
+    kind: OptimizerKind,
+    knobs: usize,
+    ck: &SessionCheckpoint,
+    plan: FaultPlan,
+    policy: FailurePolicy,
+) -> SessionResult {
     // A fresh process: new simulator, new optimizer, new objective.
     let sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 7);
     let catalog = sim.catalog().clone();
-    let space = TuningSpace::with_default_base(&catalog, vec![0, 1, 2, 3, 4], Hardware::B);
-    let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, 7);
+    let space = TuningSpace::with_default_base(&catalog, (0..knobs).collect(), Hardware::B);
+    let mut opt = kind.build(space.space(), METRICS_DIM, 7);
     let mut obj = CachedObjective::with_faults(sim, None, NOISE_SEED, plan, RetryPolicy::default());
     run_session_resumable(&mut obj, &space, &mut opt, &session_cfg(7, policy), Some(ck), None)
 }
@@ -344,13 +354,14 @@ fn resume_from(ck: &SessionCheckpoint, plan: FaultPlan, policy: FailurePolicy) -
 #[test]
 fn checkpoint_resume_round_trips_fault_free() {
     let plan = FaultPlan::disabled();
-    let (uninterrupted, ck) = run_with_sink(plan, FailurePolicy::WorstSeen, 5);
+    let (uninterrupted, ck) =
+        run_with_sink(OptimizerKind::Smac, 5, plan, FailurePolicy::WorstSeen, 5);
 
     // The JSON round-trip is exact (floats travel as bit words).
     let ck2 = SessionCheckpoint::from_json(&ck.to_json()).expect("round-trip");
     assert_eq!(ck.to_json(), ck2.to_json());
 
-    let resumed = resume_from(&ck2, plan, FailurePolicy::WorstSeen);
+    let resumed = resume_from(OptimizerKind::Smac, 5, &ck2, plan, FailurePolicy::WorstSeen);
     assert_eq!(
         digest(&[uninterrupted]),
         digest(&[resumed]),
@@ -362,14 +373,40 @@ fn checkpoint_resume_round_trips_fault_free() {
 fn checkpoint_resume_round_trips_under_faults() {
     let plan = chaos_plan();
     for kill_after in [1, 5, 11] {
-        let (uninterrupted, ck) = run_with_sink(plan, FailurePolicy::QuarantinePenalty, kill_after);
+        let (uninterrupted, ck) = run_with_sink(
+            OptimizerKind::Smac,
+            5,
+            plan,
+            FailurePolicy::QuarantinePenalty,
+            kill_after,
+        );
         let ck = SessionCheckpoint::from_json(&ck.to_json()).expect("round-trip");
-        let resumed = resume_from(&ck, plan, FailurePolicy::QuarantinePenalty);
+        let resumed =
+            resume_from(OptimizerKind::Smac, 5, &ck, plan, FailurePolicy::QuarantinePenalty);
         assert_eq!(
             digest(&[uninterrupted]),
             digest(&[resumed]),
             "chaos session resumed after iteration {kill_after} must finish bit-identically \
              (fault-schedule cursor realignment)"
+        );
+    }
+}
+
+#[test]
+fn grid_search_resumes_mid_pass() {
+    // 3^8 lattice points exceed a pass, so the pass is sampled; a kill
+    // after 5 of 12 iterations lands mid-pass, and the resumed run
+    // rebuilds the pass during replay and proposes the rest of it live.
+    let plan = chaos_plan();
+    for policy in [FailurePolicy::WorstSeen, FailurePolicy::QuarantinePenalty] {
+        let (uninterrupted, ck) = run_with_sink(OptimizerKind::Grid, 8, plan, policy, 5);
+        let ck = SessionCheckpoint::from_json(&ck.to_json()).expect("round-trip");
+        let resumed = resume_from(OptimizerKind::Grid, 8, &ck, plan, policy);
+        assert_eq!(
+            digest(&[uninterrupted]),
+            digest(&[resumed]),
+            "{policy:?}: a Grid Search session resumed after iteration 5 must finish \
+             bit-identically"
         );
     }
 }
@@ -433,7 +470,8 @@ fn incremental_session_resumes_across_a_phase_boundary() {
 
 #[test]
 fn checkpoint_rejects_mismatched_sessions() {
-    let (_, ck) = run_with_sink(FaultPlan::disabled(), FailurePolicy::WorstSeen, 3);
+    let (_, ck) =
+        run_with_sink(OptimizerKind::Smac, 5, FaultPlan::disabled(), FailurePolicy::WorstSeen, 3);
 
     let mut wrong_schema = ck.clone();
     wrong_schema.schema = 2;
@@ -447,7 +485,13 @@ fn checkpoint_rejects_mismatched_sessions() {
     wrong_seed.seed = 8;
     #[expect(clippy::disallowed_methods, reason = "the test asserts that this call panics")]
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        resume_from(&wrong_seed, FaultPlan::disabled(), FailurePolicy::WorstSeen)
+        resume_from(
+            OptimizerKind::Smac,
+            5,
+            &wrong_seed,
+            FaultPlan::disabled(),
+            FailurePolicy::WorstSeen,
+        )
     }));
     assert!(res.is_err(), "resuming under a different seed must fail loudly");
 }

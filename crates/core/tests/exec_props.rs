@@ -1,6 +1,8 @@
 //! Property tests for the evaluation-cache key (`exec::CacheKey`):
 //! quantization must be idempotent, sub-resolution jitter must collapse
-//! to one key, and domain tags must separate response surfaces.
+//! to one key, domain tags must separate response surfaces, and the
+//! fingerprint stored at quantization must be the byte-wise FNV-1a of the
+//! key that every noise token is mixed from.
 
 use dbtune_core::exec::CacheKey;
 use dbtune_dbsim::{Domain, Hardware, KnobCatalog, Workload};
@@ -30,7 +32,25 @@ fn raw_config(catalog: &KnobCatalog, unit: &[f64], spread: f64) -> Vec<f64> {
 
 /// Decodes a key's bits back into the f64 config it stored.
 fn decode(key: &CacheKey) -> Vec<f64> {
-    key.bits.iter().map(|&b| f64::from_bits(b)).collect()
+    key.bits().iter().map(|&b| f64::from_bits(b)).collect()
+}
+
+/// 64-bit FNV-1a over a byte string, written out independently of the
+/// library's word-stream version.
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The fingerprint a key must carry: FNV-1a over the domain tag's
+/// little-endian bytes, then every quantized word's.
+fn reference_fingerprint(key: &CacheKey) -> u64 {
+    let mut bytes = key.domain().to_le_bytes().to_vec();
+    for w in key.bits() {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    fnv1a_bytes(&bytes)
 }
 
 proptest! {
@@ -49,6 +69,21 @@ proptest! {
         let again = CacheKey::quantize(DOMAIN, catalog.specs(), &decode(&key));
         prop_assert_eq!(&key, &again, "quantize(decode(quantize(cfg))) must equal quantize(cfg)");
         prop_assert_eq!(key.fingerprint(), again.fingerprint());
+    }
+
+    /// The stored fingerprint is the byte-wise FNV-1a over `domain`
+    /// then `bits`, for any configuration and domain tag.
+    #[test]
+    fn fingerprint_is_fnv1a_over_domain_then_bits(
+        unit in proptest::collection::vec(0.0f64..=1.0, 197),
+        spread in 0.0f64..=2.0,
+        domain in 0..u64::MAX,
+    ) {
+        let catalog = KnobCatalog::mysql57();
+        let key = CacheKey::quantize(domain, catalog.specs(), &raw_config(&catalog, &unit, spread));
+        prop_assert_eq!(key.domain(), domain);
+        prop_assert_eq!(key.bits().len(), catalog.len());
+        prop_assert_eq!(key.fingerprint(), reference_fingerprint(&key));
     }
 
     /// Jitter smaller than an integer/categorical knob's step — noise a
@@ -101,6 +136,13 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn reference_fnv1a_matches_published_vectors() {
+    assert_eq!(fnv1a_bytes(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a_bytes(b"foobar"), 0x8594_4171_f739_67e8);
 }
 
 #[test]

@@ -60,10 +60,44 @@ pub struct DbSimulator {
     idx: Idx,
     noise_sigma: f64,
     rng: StdRng,
+    fillers: Vec<FillerEffect>,
     s_default: f64,
     default_cfg: Vec<f64>,
     total_simulated_secs: f64,
     n_evals: usize,
+}
+
+/// The micro-effect of one filler knob, tabulated once per simulator:
+/// the surface multiplies by `1.0 + weight·(to_unit(cfg[index]) −
+/// default_unit)`.
+#[derive(Clone, Copy, Debug)]
+struct FillerEffect {
+    /// Catalog index of the knob.
+    index: usize,
+    /// Signed amplitude `amp·dir`, derived from the FNV-1a hash of the
+    /// knob's name; exact, because `dir` is ±1.
+    weight: f64,
+    /// The knob's catalog default, unit-encoded.
+    default_unit: f64,
+}
+
+impl FillerEffect {
+    /// The effects of every filler knob, in catalog order. Semantic knobs
+    /// are modelled by the surface itself; filler is identified by index
+    /// (the first 40 catalog entries are semantic).
+    fn tabulate(cat: &KnobCatalog) -> Vec<Self> {
+        cat.specs()
+            .iter()
+            .enumerate()
+            .skip(40)
+            .map(|(index, spec)| {
+                let h = fnv1a(spec.name);
+                let amp = ((h % 1000) as f64 / 1000.0) * 0.004;
+                let dir = if (h >> 10) & 1 == 0 { 1.0 } else { -1.0 };
+                Self { index, weight: amp * dir, default_unit: spec.domain.to_unit(spec.default) }
+            })
+            .collect()
+    }
 }
 
 /// Resolved catalog indices of every semantic knob.
@@ -202,6 +236,7 @@ impl DbSimulator {
     pub fn new(workload: Workload, hardware: Hardware, seed: u64) -> Self {
         let catalog = KnobCatalog::mysql57();
         let idx = Idx::resolve(&catalog);
+        let fillers = FillerEffect::tabulate(&catalog);
         let profile = workload.profile();
         let default_cfg = catalog.default_config(hardware);
         let mut sim = Self {
@@ -212,14 +247,13 @@ impl DbSimulator {
             idx,
             noise_sigma: 0.02,
             rng: StdRng::seed_from_u64(seed),
+            fillers,
             s_default: 1.0,
             default_cfg,
             total_simulated_secs: 0.0,
             n_evals: 0,
         };
-        sim.s_default = sim
-            .surface_score(&sim.default_cfg.clone())
-            .expect("default configuration must not crash");
+        sim.s_default = sim.score(&sim.default_cfg).expect("default configuration must not crash");
         sim
     }
 
@@ -309,8 +343,8 @@ impl DbSimulator {
             (m.counter("sim.evals"), m.counter("sim.crashes"))
         });
         evals.inc();
-        match self.surface_score(cfg) {
-            Err(()) => {
+        match self.score(cfg) {
+            None => {
                 crashes.inc();
                 Outcome {
                     value: f64::NAN,
@@ -319,7 +353,7 @@ impl DbSimulator {
                     simulated_secs: EVAL_SECONDS + RESTART_SECONDS,
                 }
             }
-            Ok(s) => {
+            Some(s) => {
                 let noise = if self.noise_sigma > 0.0 {
                     let z: f64 = rng.sample(rand_distr::StandardNormal);
                     (z * self.noise_sigma).exp()
@@ -348,7 +382,7 @@ impl DbSimulator {
     /// Noise-free expected performance (for tests and analysis); `None`
     /// when the configuration crashes.
     pub fn expected_value(&self, cfg: &[f64]) -> Option<f64> {
-        let s = self.surface_score(cfg).ok()?;
+        let s = self.score(cfg)?;
         let ratio = (s / self.s_default).max(0.02);
         Some(match self.objective() {
             Objective::Throughput => self.profile.base_rate * self.hardware.perf_scale() * ratio,
@@ -429,8 +463,11 @@ impl DbSimulator {
         }
     }
 
-    /// The multiplicative score surface. `Err(())` = crash.
-    fn surface_score(&self, cfg: &[f64]) -> Result<f64, ()> {
+    /// The raw multiplicative score surface; `None` when the
+    /// configuration crashes. Performance is this score over the default
+    /// configuration's, floored at 0.02, times the workload's base rate
+    /// and the hardware scale (throughput) or dividing 200 s (latency).
+    pub fn score(&self, cfg: &[f64]) -> Option<f64> {
         let p = &self.profile;
         let hw = self.hardware;
         let cores = hw.cores() as f64;
@@ -451,7 +488,7 @@ impl DbSimulator {
         // as smooth thrash penalties below); it only gets OOM-killed at
         // extreme misconfiguration.
         if bp > ram * 4.0 {
-            return Err(()); // OOM at startup
+            return None; // OOM at startup
         }
         let t_eff = self.effective_threads(cfg);
         let tmp_mb = cfg[idx.tmp_table_size].min(cfg[idx.max_heap_table_size]);
@@ -472,7 +509,7 @@ impl DbSimulator {
         let buffers_mb = per_thread_mb - tmp_mb * 0.5;
         let total_mem = bp + active * buffers_mb * 0.3 + t_eff * tmp_mb * 0.5 + qc_mb;
         if total_mem > ram * 2.5 {
-            return Err(()); // OOM under load — the tmp_table × concurrency trap
+            return None; // OOM under load — the tmp_table × concurrency trap
         }
 
         let mut s = 1.0f64;
@@ -591,21 +628,13 @@ impl DbSimulator {
         s *= 1.0 + 0.28 * jc * gauss_log(osd_eff, 8.0, 1.0);
 
         // --- filler knobs: deterministic micro-effects ------------------------------
-        for (i, spec) in self.catalog.specs().iter().enumerate() {
-            let h = fnv1a(spec.name);
-            // Semantic knobs are modelled above; identify filler by index
-            // (the first 40 catalog entries are semantic).
-            if i < 40 {
-                continue;
-            }
-            let amp = ((h % 1000) as f64 / 1000.0) * 0.004;
-            let dir = if (h >> 10) & 1 == 0 { 1.0 } else { -1.0 };
-            let du = spec.domain.to_unit(cfg[i]) - spec.domain.to_unit(spec.default);
-            s *= 1.0 + amp * dir * du;
+        let specs = self.catalog.specs();
+        for f in &self.fillers {
+            s *= 1.0 + f.weight * (specs[f.index].domain.to_unit(cfg[f.index]) - f.default_unit);
         }
 
         debug_assert!(s.is_finite() && s > 0.0, "surface score degenerate: {s}");
-        Ok(s)
+        Some(s)
     }
 
     /// Simulated internal metrics: a workload signature plus
