@@ -67,16 +67,27 @@ impl Domain {
     /// Maps a raw value to the unit interval `[0, 1]` (categoricals map to
     /// `index / (k-1)` — the *ordinal* encoding vanilla BO is stuck with).
     pub fn to_unit(&self, v: f64) -> f64 {
-        match self {
-            Domain::Real { lo, hi, log } => unit_of(v, *lo, *hi, *log),
-            Domain::Int { lo, hi, log } => unit_of(v, *lo as f64, *hi as f64, *log),
-            Domain::Cat { choices } => {
-                if choices.len() <= 1 {
-                    0.0
-                } else {
-                    v / (choices.len() - 1) as f64
-                }
+        self.unit_encoding().encode(v)
+    }
+
+    /// The constants [`Domain::to_unit`] derives from the domain, for a
+    /// caller that encodes many values of one domain.
+    pub(crate) fn unit_encoding(&self) -> UnitEncoding {
+        let numeric = |lo: f64, hi: f64, log: bool| {
+            if hi <= lo {
+                UnitEncoding::Zero
+            } else if log {
+                debug_assert!(lo > 0.0, "log domain needs positive bounds");
+                UnitEncoding::Log { lo, ln_lo: lo.ln(), ln_width: hi.ln() - lo.ln() }
+            } else {
+                UnitEncoding::Linear { lo, width: hi - lo }
             }
+        };
+        match self {
+            Domain::Real { lo, hi, log } => numeric(*lo, *hi, *log),
+            Domain::Int { lo, hi, log } => numeric(*lo as f64, *hi as f64, *log),
+            Domain::Cat { choices } if choices.len() <= 1 => UnitEncoding::Zero,
+            Domain::Cat { choices } => UnitEncoding::Ordinal { last: (choices.len() - 1) as f64 },
         }
     }
 
@@ -98,17 +109,36 @@ impl Domain {
     }
 }
 
-fn unit_of(v: f64, lo: f64, hi: f64, log: bool) -> f64 {
-    if hi <= lo {
-        return 0.0;
+/// The constants [`Domain::to_unit`] derives from a domain's bounds (for
+/// a log-scaled domain `ln(lo)` and `ln(hi) − ln(lo)`), computed once.
+/// `ln` of the same input is the same value, so [`UnitEncoding::encode`]
+/// gives the bits a per-call computation would, at one logarithm per
+/// log-scaled value.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum UnitEncoding {
+    /// A numeric range with `hi <= lo`, or a single-option categorical:
+    /// always 0.
+    Zero,
+    /// `(v − lo) / width`, clamped to `[0, 1]`.
+    Linear { lo: f64, width: f64 },
+    /// `(ln(max(v, lo)) − ln_lo) / ln_width`, clamped to `[0, 1]`.
+    Log { lo: f64, ln_lo: f64, ln_width: f64 },
+    /// A categorical's option index over its last index.
+    Ordinal { last: f64 },
+}
+
+impl UnitEncoding {
+    /// The unit-interval encoding of the raw value `v`.
+    pub(crate) fn encode(&self, v: f64) -> f64 {
+        match *self {
+            UnitEncoding::Zero => 0.0,
+            UnitEncoding::Linear { lo, width } => ((v - lo) / width).clamp(0.0, 1.0),
+            UnitEncoding::Log { lo, ln_lo, ln_width } => {
+                ((v.max(lo).ln() - ln_lo) / ln_width).clamp(0.0, 1.0)
+            }
+            UnitEncoding::Ordinal { last } => v / last,
+        }
     }
-    let u = if log {
-        debug_assert!(lo > 0.0, "log domain needs positive bounds");
-        (v.max(lo).ln() - lo.ln()) / (hi.ln() - lo.ln())
-    } else {
-        (v - lo) / (hi - lo)
-    };
-    u.clamp(0.0, 1.0)
 }
 
 fn raw_of(u: f64, lo: f64, hi: f64, log: bool) -> f64 {

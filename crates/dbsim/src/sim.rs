@@ -15,6 +15,7 @@
 
 use crate::catalog::KnobCatalog;
 use crate::hardware::Hardware;
+use crate::knob::UnitEncoding;
 use crate::workload::{Workload, WorkloadProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +69,7 @@ pub struct DbSimulator {
 }
 
 /// The micro-effect of one filler knob, tabulated once per simulator:
-/// the surface multiplies by `1.0 + weight·(to_unit(cfg[index]) −
+/// the surface multiplies by `1.0 + weight·(unit.encode(cfg[index]) −
 /// default_unit)`.
 #[derive(Clone, Copy, Debug)]
 struct FillerEffect {
@@ -77,6 +78,8 @@ struct FillerEffect {
     /// Signed amplitude `amp·dir`, derived from the FNV-1a hash of the
     /// knob's name; exact, because `dir` is ±1.
     weight: f64,
+    /// The knob's `Domain::to_unit`, with its bounds' logarithms taken once.
+    unit: UnitEncoding,
     /// The knob's catalog default, unit-encoded.
     default_unit: f64,
 }
@@ -94,7 +97,8 @@ impl FillerEffect {
                 let h = fnv1a(spec.name);
                 let amp = ((h % 1000) as f64 / 1000.0) * 0.004;
                 let dir = if (h >> 10) & 1 == 0 { 1.0 } else { -1.0 };
-                Self { index, weight: amp * dir, default_unit: spec.domain.to_unit(spec.default) }
+                let unit = spec.domain.unit_encoding();
+                Self { index, weight: amp * dir, unit, default_unit: unit.encode(spec.default) }
             })
             .collect()
     }
@@ -628,9 +632,8 @@ impl DbSimulator {
         s *= 1.0 + 0.28 * jc * gauss_log(osd_eff, 8.0, 1.0);
 
         // --- filler knobs: deterministic micro-effects ------------------------------
-        let specs = self.catalog.specs();
         for f in &self.fillers {
-            s *= 1.0 + f.weight * (specs[f.index].domain.to_unit(cfg[f.index]) - f.default_unit);
+            s *= 1.0 + f.weight * (f.unit.encode(cfg[f.index]) - f.default_unit);
         }
 
         debug_assert!(s.is_finite() && s > 0.0, "surface score degenerate: {s}");

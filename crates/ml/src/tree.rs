@@ -295,6 +295,13 @@ impl DecisionTree {
 
     /// Finds the best split over a (possibly subsampled) feature set,
     /// returning the rule and its SSE reduction.
+    ///
+    /// The numeric candidates are searched eight at a time by
+    /// [`best_numeric_splits`], in `feat_scratch` order; the numeric
+    /// candidates after the last full group of eight, and every
+    /// categorical one, are searched one at a time. Each feature's
+    /// candidate is then weighed in `feat_scratch` order, as before: a
+    /// lane returns exactly the split [`best_numeric_split`] returns.
     fn best_split(
         &self,
         y: &[f64],
@@ -303,7 +310,7 @@ impl DecisionTree {
         hi: usize,
         rng: &mut impl Rng,
     ) -> Option<(SplitRule, f64)> {
-        let FitScratch { cols, idx, sorted, feat_scratch, split_scratch, cat, .. } = arena;
+        let FitScratch { cols, idx, sorted, feat_scratch, split_scratch, lanes, cat, .. } = arena;
         let idx = &idx[lo..hi];
         let d = self.feature_kinds.len();
         feat_scratch.clear();
@@ -320,9 +327,38 @@ impl DecisionTree {
         let sum_sq: f64 = idx.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let parent_sse = sum_sq - sum * sum / n;
 
+        let is_numeric = |f: &usize| self.feature_kinds[*f] == FeatureKind::Continuous;
+        let n_numeric = feat_scratch.iter().filter(|f| is_numeric(f)).count();
+        // Numeric candidates that lane groups search, how many of them the
+        // loop has reached, the features the next group searches, and the
+        // current group's splits.
+        let n_laned = n_numeric - n_numeric % LANES;
+        let mut laned = 0;
+        let mut group_feats = feat_scratch.iter().copied().filter(is_numeric);
+        let mut group = [None; LANES];
         let mut best: Option<(SplitRule, f64)> = None;
         for &f in feat_scratch.iter() {
             let candidate = match self.feature_kinds[f] {
+                FeatureKind::Continuous if laned < n_laned => {
+                    let lane = laned % LANES;
+                    if lane == 0 {
+                        let feats = std::array::from_fn(|_| {
+                            group_feats.next().expect("a full group of numeric candidates")
+                        });
+                        group = best_numeric_splits(
+                            cols,
+                            y,
+                            sorted,
+                            &feats,
+                            lo..hi,
+                            self.params.min_samples_leaf,
+                            lanes,
+                        );
+                    }
+                    laned += 1;
+                    group[lane]
+                        .map(|(threshold, sse)| (SplitRule::Numeric { feature: f, threshold }, sse))
+                }
                 FeatureKind::Continuous => best_numeric_split(
                     &cols[f],
                     y,
@@ -417,6 +453,8 @@ pub struct FitScratch {
     feat_scratch: Vec<usize>,
     /// `(value, target)` gather buffer for [`best_numeric_split`].
     split_scratch: Vec<(f64, f64)>,
+    /// Lane-major rows for [`best_numeric_splits`].
+    lanes: LaneScratch,
     /// Per-category accumulators for [`best_categorical_split`].
     cat: CatScratch,
 }
@@ -453,6 +491,7 @@ impl FitScratch {
             spill: Vec::with_capacity(n),
             feat_scratch: Vec::with_capacity(d),
             split_scratch: Vec::new(),
+            lanes: LaneScratch::default(),
             cat: CatScratch::default(),
         }
     }
@@ -583,6 +622,152 @@ fn best_numeric_split(
         }
     }
     best.map(|(threshold, sse)| (SplitRule::Numeric { feature, threshold }, sse))
+}
+
+/// Numeric features [`best_numeric_splits`] searches together.
+const LANES: usize = 8;
+
+/// One value per lane.
+type Lanes = [f64; LANES];
+
+/// Lane-major rows for [`best_numeric_splits`]: row `p` of `x` and `y`
+/// holds the `p`-th `(value, target)` pair of each lane's sorted list,
+/// and row `k` of `sse` the child SSEs of the `k`-th split position in
+/// the `min_samples_leaf` window. Grown to the largest node, then reused.
+#[derive(Default)]
+struct LaneScratch {
+    x: Vec<Lanes>,
+    y: Vec<Lanes>,
+    sse: Vec<Lanes>,
+}
+
+/// [`best_numeric_split`] for eight features at once: lane `l` searches
+/// `feats[l]` over the node's segment `rows` of the sorted lists and
+/// returns the threshold and child SSE of its split, or `None` where the
+/// scalar scan would.
+///
+/// Every lane performs the scalar scan's IEEE operations on the same
+/// operands in the same order, so its split is the scalar scan's to the
+/// bit: totals fold from −0.0, where `Iterator::sum` starts; prefix sums
+/// fold from +0.0; each position's child SSE is computed by the same
+/// expression; and the select takes the first position whose values are
+/// not tied (`!(a == b)`, so NaN counts as untied) unconditionally and a
+/// later one only when its SSE is strictly smaller (so a NaN SSE never
+/// wins, and a NaN incumbent is never replaced). The scan runs in two
+/// passes, SSEs into `sse` and then the select, each over small
+/// per-lane helpers that the compiler turns into packed arithmetic.
+fn best_numeric_splits(
+    cols: &[Vec<f64>],
+    y: &[f64],
+    sorted: &[Vec<u32>],
+    feats: &[usize; LANES],
+    rows: std::ops::Range<usize>,
+    min_leaf: usize,
+    scratch: &mut LaneScratch,
+) -> [Option<(f64, f64)>; LANES] {
+    let n = rows.len();
+    // Position p splits after the p-th sorted row; the window holds the
+    // positions that leave both children at least `min_leaf` rows.
+    let start = min_leaf.saturating_sub(1);
+    let end = n.saturating_sub(min_leaf.max(1));
+    if start >= end {
+        return [None; LANES];
+    }
+    let LaneScratch { x, y: ys, sse } = scratch;
+    if x.len() < n {
+        x.resize(n, [0.0; LANES]);
+        ys.resize(n, [0.0; LANES]);
+        sse.resize(n, [0.0; LANES]);
+    }
+    let (x, ys, sse) = (&mut x[..n], &mut ys[..n], &mut sse[..end - start]);
+    // Row by row, so each row is written whole while it is in cache.
+    let lists: [&[u32]; LANES] = feats.map(|f| &sorted[f][rows.clone()]);
+    let lane_cols: [&[f64]; LANES] = feats.map(|f| cols[f].as_slice());
+    for (p, (xr, yr)) in x.iter_mut().zip(ys.iter_mut()).enumerate() {
+        for l in 0..LANES {
+            let i = lists[l][p] as usize;
+            xr[l] = lane_cols[l][i];
+            yr[l] = y[i];
+        }
+    }
+
+    let mut total = [-0.0; LANES];
+    let mut total_sq = [-0.0; LANES];
+    for yr in ys.iter() {
+        accumulate(&mut total, &mut total_sq, yr);
+    }
+    let mut left_sum = [0.0; LANES];
+    let mut left_sq = [0.0; LANES];
+    for yr in &ys[..start] {
+        accumulate(&mut left_sum, &mut left_sq, yr);
+    }
+    for ((p, yr), out) in (start..end).zip(&ys[start..end]).zip(sse.iter_mut()) {
+        accumulate(&mut left_sum, &mut left_sq, yr);
+        let (nl, nr) = ((p + 1) as f64, (n - p - 1) as f64);
+        child_sses(out, &left_sum, &left_sq, &total, &total_sq, nl, nr);
+    }
+
+    let mut best = [0.0; LANES];
+    let mut at = [0usize; LANES];
+    let mut found = [false; LANES];
+    for ((p, pair), s) in (start..end).zip(x[start..=end].windows(2)).zip(sse.iter()) {
+        select_first_min(&mut best, &mut at, &mut found, s, &pair[0], &pair[1], p);
+    }
+    std::array::from_fn(|l| {
+        let constant = x[0][l] == x[n - 1][l];
+        (found[l] && !constant).then(|| (0.5 * (x[at[l]][l] + x[at[l] + 1][l]), best[l]))
+    })
+}
+
+/// Adds `v` to `sum` and `v²` to `sum_sq`, lane by lane.
+#[inline(always)]
+fn accumulate(sum: &mut Lanes, sum_sq: &mut Lanes, v: &Lanes) {
+    for ((s, q), v) in sum.iter_mut().zip(sum_sq.iter_mut()).zip(v) {
+        *s += v;
+        *q += v * v;
+    }
+}
+
+/// Writes each lane's child SSE for a split with `nl` rows on the left,
+/// by [`best_numeric_split`]'s expression.
+#[inline(always)]
+fn child_sses(
+    out: &mut Lanes,
+    left_sum: &Lanes,
+    left_sq: &Lanes,
+    total: &Lanes,
+    total_sq: &Lanes,
+    nl: f64,
+    nr: f64,
+) {
+    for l in 0..LANES {
+        let sse_l = left_sq[l] - left_sum[l] * left_sum[l] / nl;
+        let right_sum = total[l] - left_sum[l];
+        let sse_r = (total_sq[l] - left_sq[l]) - right_sum * right_sum / nr;
+        out[l] = sse_l + sse_r;
+    }
+}
+
+/// Moves each lane's incumbent to position `p` (SSE `sse`) when the values
+/// either side of `p` are untied and the lane has no incumbent yet or
+/// `sse` is strictly smaller. Branch-free, so it runs as packed selects.
+#[inline(always)]
+fn select_first_min(
+    best: &mut Lanes,
+    at: &mut [usize; LANES],
+    found: &mut [bool; LANES],
+    sse: &Lanes,
+    below: &Lanes,
+    above: &Lanes,
+    p: usize,
+) {
+    for l in 0..LANES {
+        let untied = !(below[l] == above[l]);
+        let take = untied & (!found[l] | (sse[l] < best[l]));
+        best[l] = if take { sse[l] } else { best[l] };
+        at[l] = if take { p } else { at[l] };
+        found[l] |= untied;
+    }
 }
 
 /// The historical sort-per-node numeric split search, kept verbatim as
@@ -881,6 +1066,103 @@ mod tests {
             let r = best_numeric_split_reference(&x, &y, &idx, 0, min_leaf);
             let f = fast_split(&x, &y, &idx, 0, min_leaf);
             assert_split_eq(r, f, "proptest case");
+        }
+    }
+
+    /// Values with every case `cmp_f64` orders specially (±0.0, two NaNs
+    /// of different bits, ±∞) and few enough for ties to be common.
+    const VALUES: [f64; 12] = [
+        f64::NEG_INFINITY,
+        -2.5,
+        -1.0,
+        -0.0,
+        0.0,
+        0.25,
+        1.0,
+        3.0,
+        1e300,
+        f64::INFINITY,
+        f64::NAN,
+        f64::from_bits(0xfff8_0000_0000_0001),
+    ];
+
+    /// Targets whose sums depend on summation order, and a negative zero.
+    const TARGETS: [f64; 8] = [1e15, -1e15, 0.1, 0.2, -0.3, 3.0, 7.5, -0.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Each lane of the eight-feature search returns the rule and the
+        /// SSE bits the scalar search returns for that lane's feature, on
+        /// the value pool above, mixed-magnitude targets, any row multiset,
+        /// any node range and any leaf minimum, with lanes that may repeat
+        /// a feature, through a scratch reused across nodes.
+        fn lane_search_equals_the_scalar_search_lane_by_lane(
+            n_rows in 1usize..=40,
+            d in 1usize..=10,
+            min_leaf in 0usize..=6,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let cols: Vec<Vec<f64>> = (0..d)
+                .map(|_| {
+                    let pooled = rng.gen_bool(0.5);
+                    (0..n_rows)
+                        .map(|_| match pooled {
+                            true => VALUES[rng.gen_range(0..VALUES.len())],
+                            false => rng.gen_range(-8i32..8) as f64 / 4.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let y: Vec<f64> = (0..n_rows)
+                .map(|_| match rng.gen_bool(0.5) {
+                    true => TARGETS[rng.gen_range(0..TARGETS.len())],
+                    false => rng.gen_range(-100i32..100) as f64 / 8.0,
+                })
+                .collect();
+            let n_picks = rng.gen_range(1..=2 * n_rows);
+            let picks: Vec<u32> = (0..n_picks).map(|_| rng.gen_range(0..n_rows as u32)).collect();
+            let sorted: Vec<Vec<u32>> = cols
+                .iter()
+                .map(|col| {
+                    let (ranks, n_ranks) = dense_ranks(col, n_rows as u32, &mut Vec::new());
+                    let mut s = Vec::new();
+                    counting_sort_by_rank(&picks, &ranks, n_ranks, &mut Vec::new(), &mut s);
+                    s
+                })
+                .collect();
+            let feats: [usize; LANES] = std::array::from_fn(|_| rng.gen_range(0..d));
+            let lo = rng.gen_range(0..picks.len());
+            let hi = rng.gen_range(lo + 1..=picks.len());
+            let mut scratch = LaneScratch::default();
+            for rows in [0..picks.len(), lo..hi] {
+                let splits = best_numeric_splits(
+                    &cols,
+                    &y,
+                    &sorted,
+                    &feats,
+                    rows.clone(),
+                    min_leaf,
+                    &mut scratch,
+                );
+                for (lane, (&f, split)) in feats.iter().zip(splits).enumerate() {
+                    let list = &sorted[f][rows.clone()];
+                    let mut pairs = Vec::new();
+                    let scalar = best_numeric_split(&cols[f], &y, list, f, min_leaf, &mut pairs);
+                    let context = format!("lane {lane}, feature {f}, rows {rows:?}");
+                    match (scalar, split) {
+                        (None, None) => {}
+                        (Some((SplitRule::Numeric { feature, threshold }, sse)), Some((t, s))) => {
+                            assert_eq!(feature, f, "{context}");
+                            assert_eq!(threshold.to_bits(), t.to_bits(), "threshold: {context}");
+                            assert_eq!(sse.to_bits(), s.to_bits(), "SSE: {context}");
+                        }
+                        (a, b) => panic!("split presence differs ({context}): {a:?} vs {b:?}"),
+                    }
+                }
+            }
         }
     }
 

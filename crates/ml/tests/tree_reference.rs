@@ -20,6 +20,13 @@
 //! in another order changes the sums and with them the chosen splits. The
 //! order of −0.0 and +0.0 only ever shows that way, so a second property
 //! fits twin columns that differ only in the signs of their zeros.
+//!
+//! The optimized fit searches a node's numeric candidates eight at a time
+//! in lanes, and the rest one at a time. Designs of up to 30 columns make
+//! full groups of eight, leftover features and `max_features` subsets all
+//! common. A third property fits targets that read the same forwards and
+//! backwards along every column's order, so distinct split positions tie
+//! exactly and only the first-minimum rule picks the threshold.
 
 use dbtune_linalg::ord::cmp_f64;
 use dbtune_ml::{DecisionTree, DecisionTreeParams, FeatureKind, FitScratch, Node, SplitRule};
@@ -416,19 +423,22 @@ fn targets(n: usize, mixed: bool, rng: &mut StdRng) -> Vec<f64> {
 }
 
 /// Fits 3–5 trees over `x` through one `FitScratch`, each with its own
-/// parameters, targets and sample drawn from `data`, and checks each
-/// against a fresh reference fit and the RNG draw after it. With
-/// `always_mixed` false, half the trees fit mixed-magnitude targets.
-fn check_fits(x: &[Vec<f64>], kinds: &[FeatureKind], always_mixed: bool, seed: u64) {
+/// parameters drawn from `data` and its targets and sample drawn by
+/// `draw`, and checks each against a fresh reference fit and the RNG draw
+/// after it.
+fn check_fits(
+    x: &[Vec<f64>],
+    kinds: &[FeatureKind],
+    seed: u64,
+    draw: impl Fn(&mut StdRng) -> (Vec<f64>, Vec<usize>),
+) {
     let mut data = StdRng::seed_from_u64(seed);
     let mut scratch = FitScratch::for_design(x, kinds);
     let mut fit_rng = StdRng::seed_from_u64(seed ^ 0x7ee5);
     let mut ref_rng = fit_rng.clone();
     for t in 0..data.gen_range(3..=5) {
         let params = tree_params(kinds.len(), &mut data);
-        let mixed = always_mixed || data.gen_bool(0.5);
-        let y = targets(x.len(), mixed, &mut data);
-        let sample = sample_rows(x.len(), &mut data);
+        let (y, sample) = draw(&mut data);
         let context = format!("seed {seed}, tree {t}, {params:?}, kinds {kinds:?}");
 
         let mut tree = DecisionTree::new(params.clone(), kinds.to_vec());
@@ -444,9 +454,10 @@ proptest! {
 
     /// Trees fitted one after another through one `FitScratch` equal
     /// fresh reference fits bit for bit, and consume the same RNG draws.
+    /// Half the trees fit mixed-magnitude targets.
     fn fits_through_one_scratch_equal_the_reference(
         n_rows in 1usize..=80,
-        columns in proptest::collection::vec((0usize..3, 1usize..=6), 1..=8),
+        columns in proptest::collection::vec((0usize..3, 1usize..=6), 1..=30),
         seed in 0u64..u64::MAX,
     ) {
         let kinds: Vec<FeatureKind> = columns
@@ -460,7 +471,10 @@ proptest! {
             })
             .collect();
         let x = design(n_rows, &kinds, &mut StdRng::seed_from_u64(!seed));
-        check_fits(&x, &kinds, false, seed);
+        check_fits(&x, &kinds, seed, |data| {
+            let mixed = data.gen_bool(0.5);
+            (targets(n_rows, mixed, data), sample_rows(n_rows, data))
+        });
     }
 
     /// Two numeric features that differ only in the signs of their zeros
@@ -484,7 +498,43 @@ proptest! {
                 vec![v, twin]
             })
             .collect();
-        check_fits(&x, &[FeatureKind::Continuous; 2], true, seed);
+        check_fits(&x, &[FeatureKind::Continuous; 2], seed, |data| {
+            (targets(n_rows, true, data), sample_rows(n_rows, data))
+        });
+    }
+
+    /// Every column is an increasing or decreasing affine map of the row
+    /// number, and the targets of rows `i` and `n − 1 − i` are equal small
+    /// integers. Along every column's order the targets then read the same
+    /// forwards and backwards, so at the root the split after sorted row
+    /// `p` and the split after row `n − 2 − p` have child SSEs of equal
+    /// bits (their sums are exact and swap sides), and every column offers
+    /// the same SSEs. The reference keeps the first strict minimum and the
+    /// first feature to reach it; so must every lane.
+    fn mirrored_targets_tie_and_the_first_minimum_wins(
+        n_rows in 3usize..=48,
+        n_cols in 8usize..=20,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut data = StdRng::seed_from_u64(!seed);
+        let maps: Vec<(f64, f64)> = (0..n_cols)
+            .map(|_| {
+                let slope = data.gen_range(1i32..=4) as f64;
+                let sign = if data.gen_bool(0.5) { 1.0 } else { -1.0 };
+                (sign * slope, data.gen_range(-8i32..8) as f64)
+            })
+            .collect();
+        let x: Vec<Vec<f64>> = (0..n_rows)
+            .map(|i| maps.iter().map(|(a, b)| a * i as f64 + b).collect())
+            .collect();
+        check_fits(&x, &vec![FeatureKind::Continuous; n_cols], seed, |data| {
+            let half: Vec<f64> =
+                (0..n_rows.div_ceil(2)).map(|_| data.gen_range(-4i32..=4) as f64).collect();
+            let y = (0..n_rows).map(|i| half[i.min(n_rows - 1 - i)]).collect();
+            let mut rows: Vec<usize> = (0..n_rows).collect();
+            rows.shuffle(data);
+            (y, rows)
+        });
     }
 }
 
