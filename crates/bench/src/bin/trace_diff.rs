@@ -23,6 +23,9 @@ use dbtune_trace::{diff_summaries, summarize, DiffConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: trace_diff <base.jsonl> <current.jsonl> [mode=warn|gate] [rel=0.30] [floor_ms=5]";
+
 fn main() -> ExitCode {
     let mut paths = Vec::new();
     let mut gate = false;
@@ -45,13 +48,16 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                 },
-                "floor_ms" => match value.parse::<u64>() {
-                    Ok(v) => cfg.abs_floor_nanos = v * 1_000_000,
-                    _ => {
-                        eprintln!("trace_diff: bad floor_ms '{value}'");
-                        return ExitCode::from(2);
+                "floor_ms" => {
+                    match value.parse::<u64>().ok().and_then(|v| v.checked_mul(1_000_000)) {
+                        Some(nanos) => cfg.abs_floor_nanos = nanos,
+                        None => {
+                            eprintln!("trace_diff: bad floor_ms '{value}'");
+                            eprintln!("{USAGE}");
+                            return ExitCode::from(2);
+                        }
                     }
-                },
+                }
                 _ => {
                     eprintln!("trace_diff: unknown flag '{key}'");
                     return ExitCode::from(2);
@@ -62,9 +68,7 @@ fn main() -> ExitCode {
         }
     }
     let [base_path, cur_path] = paths.as_slice() else {
-        eprintln!(
-            "usage: trace_diff <base.jsonl> <current.jsonl> [mode=warn|gate] [rel=0.30] [floor_ms=5]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
 

@@ -17,17 +17,15 @@
 //! instrumented wall time. Exit codes: 0 ok, 1 structurally invalid
 //! journal, 2 usage or I/O error.
 //!
-//! Journals with `mem` events (memprof latched on, see
+//! Journals with profiled spans (memprof latched on, see
 //! docs/observability.md) additionally get a top-allocating-spans table
 //! and a **bytes-weighted** collapsed-stack file (`<journal>.mem.folded`)
-//! where frame width is allocated bytes instead of nanoseconds.
+//! where frame width is self-allocated bytes instead of nanoseconds.
 
 use dbtune_bench::artifact::load_journal;
 use dbtune_trace::{
-    build_trees, chrome_trace, collapsed_stacks, mem_to_span_events, merge_paths, MemSummary,
-    MergedNode,
+    build_trees, chrome_trace, collapsed_stacks, merge_paths, summarize, MemSummary, MergedNode,
 };
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -89,28 +87,11 @@ fn main() -> ExitCode {
     // Memory attribution (present only when the run had memprof latched
     // on): per-span-name allocation totals, self-sorted so churn sources
     // top the table.
-    let mut mem: BTreeMap<&str, MemSummary> = BTreeMap::new();
-    for jl in &journal.events {
-        if let dbtune_core::telemetry::TraceEvent::Mem {
-            name,
-            self_bytes,
-            self_allocs,
-            total_bytes,
-            total_allocs,
-            ..
-        } = &jl.event
-        {
-            let m = mem.entry(name.as_str()).or_default();
-            m.closes += 1;
-            m.self_bytes += self_bytes;
-            m.self_allocs += self_allocs;
-            m.total_bytes += total_bytes;
-            m.total_allocs += total_allocs;
-        }
-    }
-    if !mem.is_empty() {
-        let mut rows: Vec<(&str, MemSummary)> = mem.into_iter().collect();
-        rows.sort_by(|a, b| b.1.self_bytes.cmp(&a.1.self_bytes).then(a.0.cmp(b.0)));
+    let mem = summarize(&journal).mem;
+    let profiled = !mem.is_empty();
+    if profiled {
+        let mut rows: Vec<(String, MemSummary)> = mem.into_iter().collect();
+        rows.sort_by(|a, b| b.1.self_bytes.cmp(&a.1.self_bytes).then(a.0.cmp(&b.0)));
         println!();
         println!(
             "{:<24} {:>8} {:>12} {:>12} {:>12} {:>12}",
@@ -144,31 +125,15 @@ fn main() -> ExitCode {
     let folded_path = dir.join(format!("{stem}.folded"));
     let chrome_path = dir.join(format!("{stem}.chrome.json"));
     let mut exports = vec![
-        (folded_path, collapsed_stacks(&merged)),
+        (folded_path, collapsed_stacks(&merged, |n| n.self_nanos)),
         (chrome_path, chrome_trace(&trees, &journal.source)),
     ];
-    // Bytes-weighted flamegraph: project `mem` events onto synthetic
-    // spans whose duration IS their total allocated bytes, then reuse
-    // the same tree/merge/collapse pipeline — frame width becomes bytes.
-    let mem_spans = mem_to_span_events(&journal.events);
-    if !mem_spans.is_empty() {
-        // A journal whose latch flipped mid-run has spans that opened
-        // unprofiled and closed without a `mem` event, so the mem stream
-        // may not reconstruct — skip the export rather than fail (the
-        // wall-time products above are unaffected).
-        match build_trees(&mem_spans) {
-            Ok(mem_trees) => exports.push((
-                dir.join(format!("{stem}.mem.folded")),
-                collapsed_stacks(&merge_paths(&mem_trees)),
-            )),
-            Err(e) => {
-                eprintln!(
-                    "trace_report: {}: mem stream does not reconstruct (latched mid-run?), \
-                     skipping {stem}.mem.folded: {e}",
-                    journal_path.display()
-                );
-            }
-        }
+    // Bytes-weighted flamegraph: the same merged tree, weighted by each
+    // path's recorded self bytes (spans that opened before a mid-run
+    // latch add none).
+    if profiled {
+        let mem_folded = collapsed_stacks(&merged, |n| n.self_bytes);
+        exports.push((dir.join(format!("{stem}.mem.folded")), mem_folded));
     }
     for (path, content) in &exports {
         if let Err(e) = std::fs::write(path, content) {

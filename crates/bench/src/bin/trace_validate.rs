@@ -9,9 +9,10 @@
 //!    the first line must be a `meta` event carrying the supported
 //!    schema version, and `seq` must be strictly increasing.
 //! 2. **Structural** (`dbtune_trace::check_structure`) — the span
-//!    stream must reconstruct into a consistent tree per thread (every
-//!    close explained by a matched open: no orphan depths, no parent
-//!    mismatches, no spans whose parent never closes, i.e. truncation),
+//!    records must build into trees per thread (unique ids, every
+//!    parent closing after its children — a truncated journal leaves
+//!    some unclosed — and every child inside its parent's interval),
+//!    profiled spans must claim no more self than total allocation,
 //!    counters and histogram counts must be monotonically
 //!    non-decreasing across flushes, and histogram quantiles must be
 //!    ordered.
@@ -78,26 +79,21 @@ fn main() -> ExitCode {
                     errors += 1;
                 }
             }
-            TraceEvent::Span { seq, .. }
-            | TraceEvent::Counter { seq, .. }
-            | TraceEvent::Gauge { seq, .. }
-            | TraceEvent::Hist { seq, .. }
-            | TraceEvent::Cell { seq, .. }
-            | TraceEvent::Mem { seq, .. }
-            | TraceEvent::Diag { seq, .. } => {
+            _ => {
                 if lineno == 1 {
                     eprintln!("{path}:{lineno}: first line must be a meta event");
                     errors += 1;
                 }
                 // seq is assigned under the writer lock, so within a
                 // journal it must be strictly increasing.
-                if *seq <= last_seq {
+                let seq = event.seq();
+                if seq <= last_seq {
                     eprintln!(
                         "{path}:{lineno}: seq {seq} not greater than previous seq {last_seq}"
                     );
                     errors += 1;
                 }
-                last_seq = (*seq).max(last_seq);
+                last_seq = seq.max(last_seq);
             }
         }
         *counts.entry(event.kind()).or_insert(0) += 1;
@@ -113,11 +109,7 @@ fn main() -> ExitCode {
     // Cross-line structural invariants over whatever parsed (so a journal
     // with one bad line still gets its tree and counters checked).
     for violation in dbtune_trace::check_structure(&parsed) {
-        if violation.line == 0 {
-            eprintln!("{path}: end of journal: {}", violation.message);
-        } else {
-            eprintln!("{path}:{}: {}", violation.line, violation.message);
-        }
+        eprintln!("{path}:{}: {}", violation.line, violation.message);
         errors += 1;
     }
 

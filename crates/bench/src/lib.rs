@@ -177,7 +177,7 @@ impl GridOpts {
     /// latches the optimizer-quality recorder (see
     /// docs/observability.md) — its records reach a file only when the
     /// journal is also on. `mem=on` latches the memory profiler the
-    /// same way: span closes start carrying `mem` events (journal on)
+    /// same way: span records carry their allocations (journal on)
     /// and the `mem.*` metrics are published at report time; accounting
     /// is read-only, so results stay byte-identical either way. Fault
     /// injection defaults off; see `docs/robustness.md` for the flag

@@ -141,30 +141,18 @@ fn profiled_journal_carries_sound_mem_events() {
     let violations = dbtune_trace::check_structure(&journal.events);
     assert!(violations.is_empty(), "journal has structural violations: {violations:?}");
 
-    let (mut mem_events, mut span_events) = (0u64, 0u64);
+    // memprof was latched before the first span opened, so every span
+    // close carries its allocations (check_structure above holds them
+    // to self <= total), and a span is one record.
+    let mut spans = 0u64;
     for jl in &journal.events {
-        match &jl.event {
-            TraceEvent::Mem {
-                name, self_bytes, self_allocs, total_bytes, total_allocs, ..
-            } => {
-                mem_events += 1;
-                assert!(
-                    self_bytes <= total_bytes && self_allocs <= total_allocs,
-                    "mem '{name}' self exceeds total"
-                );
-            }
-            TraceEvent::Span { .. } => span_events += 1,
-            _ => {}
+        if let TraceEvent::Span { name, mem, .. } = &jl.event {
+            spans += 1;
+            assert!(mem.is_some(), "line {}: span '{name}' has no allocations", jl.line);
         }
     }
-    // memprof was latched for the whole run, so every span close
-    // carried an attribution frame and the bytes projection mirrors the
-    // span stack exactly.
-    assert!(mem_events > 0, "mem=on journal has no mem events");
-    assert_eq!(mem_events, span_events, "one mem event per span close when latched");
-    let mem_spans = dbtune_trace::mem_to_span_events(&journal.events);
-    assert_eq!(mem_spans.len() as u64, mem_events);
-    dbtune_trace::build_trees(&mem_spans).expect("mem stream reconstructs into trees");
+    assert!(spans > 0, "mem=on journal has no span events");
+    assert!(!FIG9.all_on_journal.contains("\"type\":\"mem\""), "no separate mem records");
 }
 
 #[test]

@@ -4,11 +4,13 @@
 //!
 //! These pin the acceptance criteria of the toolkit:
 //! * self time reconstructed from a `fig9_overhead` journal sums to the
-//!   instrumented wall time within 1%;
+//!   instrumented wall time within 1%, the bytes-weighted flamegraph of
+//!   a `mem=on` journal sums to its root spans' allocated bytes, and
+//!   every Chrome trace event lies inside its parent's;
 //! * two identical-seed runs diff to zero deltas, span counts included;
 //! * structurally broken journals (truncation, backwards counters,
-//!   parent mismatches) fail validation with the offending line named,
-//!   garbage exits 1 and a missing file exits 2;
+//!   children outside their parents) fail validation with the offending
+//!   line named, garbage exits 1 and a missing file exits 2;
 //! * `quality_baseline`, which folds diag journals into
 //!   `BENCH_quality.json`, writes the same results block on every run
 //!   and at any worker count, and keeps its exit-code contract: 0 when
@@ -37,6 +39,69 @@ fn run_fig9(dir: &Path, journal: &Path) {
     common::run_fig9(dir, 1, &[format!("trace={}", journal.display())]);
 }
 
+/// Runs `trace_report` on `journal` and checks its exit and report.
+fn run_trace_report(journal: &Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))
+        .arg(journal.as_os_str())
+        .output()
+        .expect("spawn trace_report");
+    assert!(out.status.success(), "trace_report failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("self-time sum"), "missing summary line:\n{stdout}");
+    assert!(stdout.contains("session"), "missing span rows:\n{stdout}");
+}
+
+/// Sum of the values of a collapsed-stack file.
+fn folded_sum(path: &Path) -> u64 {
+    let folded = std::fs::read_to_string(path).expect("folded written");
+    folded
+        .lines()
+        .map(|l| {
+            l.rsplit(' ')
+                .next()
+                .expect("collapsed line has a count")
+                .parse::<u64>()
+                .expect("collapsed line value")
+        })
+        .sum()
+}
+
+/// Checks that every complete event of a Chrome export lies inside its
+/// parent's, and returns how many there are.
+fn chrome_spans_nest(path: &Path) -> usize {
+    let chrome = std::fs::read_to_string(path).expect("chrome written");
+    let value: Value = serde_json::from_str(&chrome).expect("chrome export is valid JSON");
+    let events = lookup(&value, "traceEvents").and_then(Value::as_array).expect("traceEvents");
+    // Microseconds with nanosecond fractions, back to whole nanoseconds.
+    let nanos = |e: &Value, key: &str| {
+        (lookup(e, key).and_then(Value::as_f64).expect("numeric field") * 1e3).round() as u64
+    };
+    let arg = |e: &Value, key: &str| lookup(e, "args").and_then(|a| lookup(a, key)).cloned();
+    let spans: Vec<(u64, u64, Option<u64>, u64, u64)> = events
+        .iter()
+        .filter(|e| lookup(e, "ph").and_then(Value::as_str) == Some("X"))
+        .map(|e| {
+            let tid = lookup(e, "tid").and_then(Value::as_u64).expect("tid");
+            let id = arg(e, "id").and_then(|v| v.as_u64()).expect("args.id");
+            let parent = arg(e, "parent_id").expect("args.parent_id").as_u64();
+            let ts = nanos(e, "ts");
+            (tid, id, parent, ts, ts + nanos(e, "dur"))
+        })
+        .collect();
+    for &(tid, id, parent, start, end) in &spans {
+        let Some(parent) = parent else { continue };
+        let &(.., p_start, p_end) = spans
+            .iter()
+            .find(|s| s.0 == tid && s.1 == parent)
+            .unwrap_or_else(|| panic!("span {id} on tid {tid}: parent {parent} not exported"));
+        assert!(
+            p_start <= start && end <= p_end,
+            "span {id} [{start}, {end}] lies outside parent {parent} [{p_start}, {p_end}]"
+        );
+    }
+    spans.len()
+}
+
 #[test]
 fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
     let dir = scratch("trace_analysis_report");
@@ -56,36 +121,42 @@ fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
     assert!(drift < 0.01, "self-time sum {self_sum} vs wall {wall}: {:.3}% off", drift * 100.0);
 
     // The binary: exit 0, report on stdout, both exports written.
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))
-        .arg(journal_path.as_os_str())
-        .output()
-        .expect("spawn trace_report");
-    assert!(out.status.success(), "trace_report failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("self-time sum"), "missing summary line:\n{stdout}");
-    assert!(stdout.contains("session"), "missing span rows:\n{stdout}");
-
-    let folded = std::fs::read_to_string(dir.join("fig9.folded")).expect("folded written");
-    let folded_total: u64 = folded
-        .lines()
-        .map(|l| {
-            l.rsplit(' ')
-                .next()
-                .expect("collapsed line has a count")
-                .parse::<u64>()
-                .expect("collapsed line value")
-        })
-        .sum();
-    assert_eq!(folded_total, self_sum, "collapsed-stack values are self times");
-
-    let chrome = std::fs::read_to_string(dir.join("fig9.chrome.json")).expect("chrome written");
-    let value: Value = serde_json::from_str(&chrome).expect("chrome export is valid JSON");
-    let events = lookup(&value, "traceEvents").and_then(Value::as_array).expect("traceEvents");
-    let span_events =
-        events.iter().filter(|e| lookup(e, "ph").and_then(Value::as_str) == Some("X")).count();
+    run_trace_report(&journal_path);
+    assert_eq!(
+        folded_sum(&dir.join("fig9.folded")),
+        self_sum,
+        "collapsed-stack values are self times"
+    );
+    assert!(!dir.join("fig9.mem.folded").exists(), "no allocations were recorded");
     let total_spans: usize =
         trees.iter().map(|t| t.roots.iter().map(|r| r.node_count()).sum::<usize>()).sum();
-    assert_eq!(span_events, total_spans, "one complete event per span");
+    assert_eq!(
+        chrome_spans_nest(&dir.join("fig9.chrome.json")),
+        total_spans,
+        "one complete event per span"
+    );
+
+    // A profiled run at two workers: every span carries its allocations,
+    // and the bytes-weighted flamegraph sums the root spans' totals.
+    let mem_path = dir.join("fig9_mem.jsonl");
+    common::run_fig9(
+        &dir.join("run_mem"),
+        2,
+        &[format!("trace={}", mem_path.display()), "mem=on".to_string()],
+    );
+    let journal = load_journal(&mem_path).expect("profiled journal loads");
+    let trees = build_trees(&journal.events).expect("profiled journal is structurally sound");
+    let roots: Vec<_> = trees.iter().flat_map(|t| &t.roots).collect();
+    let root_bytes: u64 =
+        roots.iter().map(|r| r.mem.expect("every span is profiled").total_bytes).sum();
+    run_trace_report(&mem_path);
+    assert!(root_bytes > 0, "a profiled run allocates");
+    assert_eq!(
+        folded_sum(&dir.join("fig9_mem.mem.folded")),
+        root_bytes,
+        "bytes-weighted values are self bytes"
+    );
+    chrome_spans_nest(&dir.join("fig9_mem.chrome.json"));
 }
 
 #[test]
@@ -122,11 +193,11 @@ fn trace_diff_gate_flags_an_artificially_slowed_span() {
     let mk = |path: &Path, fit_nanos: u64| {
         let text = format!(
             concat!(
-                "{{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}}\n",
-                "{{\"type\":\"span\",\"name\":\"surrogate_fit\",\"parent\":\"session\",",
-                "\"depth\":1,\"dur_nanos\":{fit},\"thread\":0,\"seq\":1}}\n",
-                "{{\"type\":\"span\",\"name\":\"session\",\"parent\":null,\"depth\":0,",
-                "\"dur_nanos\":{total},\"thread\":0,\"seq\":2}}\n",
+                "{{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}}\n",
+                "{{\"type\":\"span\",\"name\":\"surrogate_fit\",\"id\":2,\"parent_id\":1,",
+                "\"start_nanos\":0,\"dur_nanos\":{fit},\"thread\":0,\"seq\":1}}\n",
+                "{{\"type\":\"span\",\"name\":\"session\",\"id\":1,\"parent_id\":null,",
+                "\"start_nanos\":0,\"dur_nanos\":{total},\"thread\":0,\"seq\":2}}\n",
                 "{{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":10,\"seq\":3}}\n"
             ),
             fit = fit_nanos,
@@ -154,6 +225,16 @@ fn trace_diff_gate_flags_an_artificially_slowed_span() {
         .output()
         .expect("spawn trace_diff");
     assert!(out.status.success(), "warn mode must exit 0");
+
+    // A floor whose nanoseconds overflow u64 is a usage error, not a
+    // wrapped-around tiny floor.
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_diff"))
+        .args([base.as_os_str(), slow.as_os_str()])
+        .arg(format!("floor_ms={}", u64::MAX / 1_000_000 + 1))
+        .output()
+        .expect("spawn trace_diff");
+    assert_eq!(out.status.code(), Some(2), "an overflowing floor_ms must exit 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: trace_diff"));
 }
 
 #[test]
@@ -166,33 +247,33 @@ fn trace_validate_rejects_structural_violations_with_line_numbers() {
         let out = Command::new(exe).arg(path.as_os_str()).output().expect("spawn trace_validate");
         (out.status.code(), String::from_utf8_lossy(&out.stderr).to_string())
     };
-    let meta = "{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}\n";
+    let meta = "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n";
 
     // Truncation: a child closed but its parent never did.
     let (code, stderr) = run(
         "truncated.jsonl",
         &format!(
             "{meta}{}",
-            "{\"type\":\"span\",\"name\":\"fit\",\"parent\":\"session\",\"depth\":1,\
-             \"dur_nanos\":5,\"thread\":0,\"seq\":1}\n"
+            "{\"type\":\"span\",\"name\":\"fit\",\"id\":2,\"parent_id\":1,\
+             \"start_nanos\":0,\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n"
         ),
     );
     assert_eq!(code, Some(1), "truncated journal must fail: {stderr}");
-    assert!(stderr.contains("parent never did"), "{stderr}");
+    assert!(stderr.contains(":2:") && stderr.contains("never closed"), "{stderr}");
 
-    // Parent mismatch: recorded parent is not the span that closed above.
+    // A child whose interval sticks out of its parent's.
     let (code, stderr) = run(
-        "mismatch.jsonl",
+        "outside.jsonl",
         &format!(
             "{meta}{}{}",
-            "{\"type\":\"span\",\"name\":\"fit\",\"parent\":\"ghost\",\"depth\":1,\
-             \"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
-            "{\"type\":\"span\",\"name\":\"session\",\"parent\":null,\"depth\":0,\
-             \"dur_nanos\":9,\"thread\":0,\"seq\":2}\n"
+            "{\"type\":\"span\",\"name\":\"fit\",\"id\":2,\"parent_id\":1,\
+             \"start_nanos\":6,\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
+            "{\"type\":\"span\",\"name\":\"session\",\"id\":1,\"parent_id\":null,\
+             \"start_nanos\":0,\"dur_nanos\":9,\"thread\":0,\"seq\":2}\n"
         ),
     );
-    assert_eq!(code, Some(1), "parent mismatch must fail: {stderr}");
-    assert!(stderr.contains(":3:") && stderr.contains("records parent 'ghost'"), "{stderr}");
+    assert_eq!(code, Some(1), "a child outside its parent must fail: {stderr}");
+    assert!(stderr.contains(":2:") && stderr.contains("lies outside its parent"), "{stderr}");
 
     // Backwards counter across flushes.
     let (code, stderr) = run(
@@ -211,8 +292,8 @@ fn trace_validate_rejects_structural_violations_with_line_numbers() {
         "sound.jsonl",
         &format!(
             "{meta}{}{}",
-            "{\"type\":\"span\",\"name\":\"session\",\"parent\":null,\"depth\":0,\
-             \"dur_nanos\":9,\"thread\":0,\"seq\":1}\n",
+            "{\"type\":\"span\",\"name\":\"session\",\"id\":1,\"parent_id\":null,\
+             \"start_nanos\":0,\"dur_nanos\":9,\"thread\":0,\"seq\":1}\n",
             "{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":3,\"seq\":2}\n"
         ),
     );

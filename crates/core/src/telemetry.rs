@@ -11,7 +11,7 @@ pub use dbtune_obs::journal::{thread_ordinal, SCHEMA_VERSION};
 pub use dbtune_obs::span::phase_secs;
 pub use dbtune_obs::telemetry::TRACE_ENV;
 pub use dbtune_obs::{
-    collect_phases, global, span, span_record, Counter, Gauge, HistSnapshot, Journal, LogHistogram,
+    collect_phases, global, span, Counter, Gauge, HistSnapshot, Journal, LogHistogram,
     MetricsSnapshot, PhaseRecord, Registry, SpanGuard, SpanSnapshot, SpanStats, SpanTable,
     Telemetry, TelemetryReport, TraceEvent,
 };
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn report_value_has_the_documented_shape() {
         let t = Telemetry::new();
-        t.span_record("glue_test_span", 2_000_000_000);
+        t.spans.stats("glue_test_span").record(2_000_000_000);
         t.metrics.counter("glue.count").add(7);
         t.metrics.gauge("glue.depth").set(-2);
         t.metrics.histogram("glue.hist").record(1_000);

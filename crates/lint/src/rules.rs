@@ -70,7 +70,7 @@ pub fn classify(rel: &str) -> FileClass {
 }
 
 /// Telemetry registration calls whose literal name argument M1 validates.
-const METRIC_CALLS: &[&str] = &["counter", "gauge", "histogram", "span", "span_record"];
+const METRIC_CALLS: &[&str] = &["counter", "gauge", "histogram", "span"];
 
 /// Scans one file's source and resolves its pragmas locally. `path` is
 /// recorded in findings verbatim. The workspace walker uses
@@ -507,11 +507,8 @@ mod tests {
 
     #[test]
     fn m1_flags_non_slug_telemetry_names() {
-        let src = "fn f(t: &Telemetry) {\n    t.metrics.counter(\"exec.cache.hits\").inc();\n    t.metrics.counter(\"Exec.CacheHits\").inc();\n    let _s = span(\"suggest phase\");\n    t.span_record(\"gp-extend\", 5);\n}\n";
-        assert_eq!(
-            findings("crates/core/src/x.rs", src),
-            vec![(3, "M1".into()), (4, "M1".into()), (5, "M1".into())]
-        );
+        let src = "fn f(t: &Telemetry) {\n    t.metrics.counter(\"exec.cache.hits\").inc();\n    t.metrics.counter(\"Exec.CacheHits\").inc();\n    let _s = span(\"suggest phase\");\n}\n";
+        assert_eq!(findings("crates/core/src/x.rs", src), vec![(3, "M1".into()), (4, "M1".into())]);
     }
 
     #[test]

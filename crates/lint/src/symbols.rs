@@ -14,8 +14,8 @@
 //! * **lock events** — `let`-bound Mutex/RwLock guard acquisitions and
 //!   the held-then-acquired pairs they create (rule C2);
 //! * **telemetry emissions** — the literal names registered via
-//!   `counter("…")`, `gauge("…")`, `histogram("…")`, `span("…")`,
-//!   `span_record("…")` (rule family S).
+//!   `counter("…")`, `gauge("…")`, `histogram("…")` and `span("…")`
+//!   (rule family S).
 //!
 //! Like the line rules, this is a heuristic token pass, not a type
 //! checker: calls are recorded by bare name (the call graph resolves by
@@ -160,7 +160,6 @@ const EMIT_CALLS: &[(&str, EmitKind)] = &[
     ("gauge", EmitKind::Gauge),
     ("histogram", EmitKind::Histogram),
     ("span", EmitKind::Span),
-    ("span_record", EmitKind::Span),
 ];
 /// Identifiers that look like calls but are control flow or bindings.
 const KEYWORDS: &[&str] = &[

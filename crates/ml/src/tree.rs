@@ -1097,6 +1097,7 @@ mod tests {
         /// the value pool above, mixed-magnitude targets, any row multiset,
         /// any node range and any leaf minimum, with lanes that may repeat
         /// a feature, through a scratch reused across nodes.
+        #[test]
         fn lane_search_equals_the_scalar_search_lane_by_lane(
             n_rows in 1usize..=40,
             d in 1usize..=10,

@@ -279,6 +279,7 @@ proptest! {
 
     /// `train_step` (one forward pass, no layer-0 input gradient, row-wise
     /// Adam) against the double-forward, indexed-Adam reference.
+    #[test]
     fn train_step_matches_reference_bitwise(
         input_dim in 1usize..=60,
         hidden in proptest::collection::vec(1usize..=70, 1..=3),
@@ -306,6 +307,7 @@ proptest! {
     /// `step_with` whose closure asks the critic for the action gradient,
     /// against the reference's actor `forward`, critic `input_gradient`
     /// and actor step.
+    #[test]
     fn actor_step_matches_reference_bitwise(
         state_dim in 1usize..=48,
         hidden in proptest::collection::vec(1usize..=70, 1..=3),

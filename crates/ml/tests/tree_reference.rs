@@ -455,6 +455,7 @@ proptest! {
     /// Trees fitted one after another through one `FitScratch` equal
     /// fresh reference fits bit for bit, and consume the same RNG draws.
     /// Half the trees fit mixed-magnitude targets.
+    #[test]
     fn fits_through_one_scratch_equal_the_reference(
         n_rows in 1usize..=80,
         columns in proptest::collection::vec((0usize..3, 1usize..=6), 1..=30),
@@ -482,6 +483,7 @@ proptest! {
     /// in orders that differ only inside the zero tie group. Under
     /// mixed-magnitude targets the sums then differ in their last bits, so
     /// which feature wins a node depends on −0.0 ranking below +0.0.
+    #[test]
     fn signed_zero_twins_equal_the_reference(
         n_rows in 2usize..=40,
         seed in 0u64..u64::MAX,
@@ -511,6 +513,7 @@ proptest! {
     /// bits (their sums are exact and swap sides), and every column offers
     /// the same SSEs. The reference keeps the first strict minimum and the
     /// first feature to reach it; so must every lane.
+    #[test]
     fn mirrored_targets_tie_and_the_first_minimum_wins(
         n_rows in 3usize..=48,
         n_cols in 8usize..=20,

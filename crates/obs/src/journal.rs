@@ -12,15 +12,17 @@
 //! journal line back into the event struct (round-trip tested here and
 //! against real driver output by `trace_validate`).
 
+use crate::memprof::MemDelta;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Version stamped into the journal's leading `meta` event.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One journal event. Field order in the serialized JSON is exactly the
 /// declaration order of each variant.
@@ -34,19 +36,32 @@ pub enum TraceEvent {
         /// What produced the journal (driver name or "env").
         source: String,
     },
-    /// A span closed:
-    /// `{"type":"span","name":S,"parent":S|null,"depth":N,"dur_nanos":N,"thread":N,"seq":N}`.
+    /// A span closed — the one record per span:
+    /// `{"type":"span","name":S,"id":N,"parent_id":N|null,"start_nanos":N,"dur_nanos":N,"thread":N[,"self_bytes":N,"self_allocs":N,"total_bytes":N,"total_allocs":N],"seq":N}`.
+    ///
+    /// The four allocation fields are present exactly when the memprof
+    /// latch was on as the span opened (see `memprof::enable`). `total_*`
+    /// counts everything allocated on the span's thread while it was
+    /// open; `self_*` is the total minus what its direct children
+    /// claimed, so `self <= total` always (checked by `trace_validate`).
+    /// Deallocations never reduce these — they measure churn, not
+    /// residency.
     Span {
         /// Span name (see the taxonomy in docs/observability.md).
         name: String,
-        /// Enclosing span on the same thread, if any.
-        parent: Option<String>,
-        /// Nesting depth on the emitting thread (0 = root).
-        depth: u32,
+        /// Per-thread id, assigned when the span opened.
+        id: u64,
+        /// Id of the enclosing span on the same thread, if any.
+        parent_id: Option<u64>,
+        /// Monotonic open time, as an offset from the journal's epoch
+        /// (read when the [`Journal`] was created).
+        start_nanos: u64,
         /// Monotonic duration.
         dur_nanos: u64,
         /// Per-process thread ordinal (see [`thread_ordinal`]).
         thread: u64,
+        /// Allocation attribution, when the span was profiled.
+        mem: Option<MemDelta>,
         /// Journal sequence number (assigned at write time).
         seq: u64,
     },
@@ -95,35 +110,6 @@ pub enum TraceEvent {
         cache_misses: u64,
         /// Wall-clock cell duration.
         dur_nanos: u64,
-        /// Per-process thread ordinal.
-        thread: u64,
-        /// Journal sequence number.
-        seq: u64,
-    },
-    /// One span's allocation attribution (emitted at span close only
-    /// when the memprof latch is on — see `memprof::enable`):
-    /// `{"type":"mem","name":S,"parent":S|null,"depth":N,"self_bytes":N,"self_allocs":N,"total_bytes":N,"total_allocs":N,"thread":N,"seq":N}`.
-    ///
-    /// `total_*` counts everything allocated on the span's thread while
-    /// it was open; `self_*` is the total minus what its direct
-    /// children claimed, so `self <= total` always (checked by
-    /// `trace_validate`). Deallocations never reduce these — they
-    /// measure churn, not residency.
-    Mem {
-        /// Span name (same taxonomy as [`TraceEvent::Span`]).
-        name: String,
-        /// Enclosing span on the same thread, if any.
-        parent: Option<String>,
-        /// Nesting depth on the emitting thread (0 = root).
-        depth: u32,
-        /// Bytes allocated by the span itself (total minus children).
-        self_bytes: u64,
-        /// Allocations by the span itself.
-        self_allocs: u64,
-        /// Bytes allocated while the span was open.
-        total_bytes: u64,
-        /// Allocations while the span was open.
-        total_allocs: u64,
         /// Per-process thread ordinal.
         thread: u64,
         /// Journal sequence number.
@@ -179,7 +165,6 @@ impl TraceEvent {
             TraceEvent::Gauge { .. } => "gauge",
             TraceEvent::Hist { .. } => "hist",
             TraceEvent::Cell { .. } => "cell",
-            TraceEvent::Mem { .. } => "mem",
             TraceEvent::Diag { .. } => "diag",
         }
     }
@@ -194,18 +179,25 @@ impl TraceEvent {
                 escape_into(&mut s, source);
                 s.push('}');
             }
-            TraceEvent::Span { name, parent, depth, dur_nanos, thread, seq } => {
+            TraceEvent::Span { name, id, parent_id, start_nanos, dur_nanos, thread, mem, seq } => {
                 let _ = write!(s, r#"{{"type":"span","name":"#);
                 escape_into(&mut s, name);
-                s.push_str(",\"parent\":");
-                match parent {
-                    Some(p) => escape_into(&mut s, p),
-                    None => s.push_str("null"),
-                }
+                let _ = match parent_id {
+                    Some(p) => write!(s, r#","id":{id},"parent_id":{p}"#),
+                    None => write!(s, r#","id":{id},"parent_id":null"#),
+                };
                 let _ = write!(
                     s,
-                    r#","depth":{depth},"dur_nanos":{dur_nanos},"thread":{thread},"seq":{seq}}}"#
+                    r#","start_nanos":{start_nanos},"dur_nanos":{dur_nanos},"thread":{thread}"#
                 );
+                if let Some(m) = mem {
+                    let _ = write!(
+                        s,
+                        r#","self_bytes":{},"self_allocs":{},"total_bytes":{},"total_allocs":{}"#,
+                        m.self_bytes, m.self_allocs, m.total_bytes, m.total_allocs
+                    );
+                }
+                let _ = write!(s, r#","seq":{seq}}}"#);
             }
             TraceEvent::Counter { name, value, seq } => {
                 let _ = write!(s, r#"{{"type":"counter","name":"#);
@@ -229,29 +221,6 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     r#"{{"type":"cell","index":{index},"cache_hits":{cache_hits},"cache_misses":{cache_misses},"dur_nanos":{dur_nanos},"thread":{thread},"seq":{seq}}}"#
-                );
-            }
-            TraceEvent::Mem {
-                name,
-                parent,
-                depth,
-                self_bytes,
-                self_allocs,
-                total_bytes,
-                total_allocs,
-                thread,
-                seq,
-            } => {
-                let _ = write!(s, r#"{{"type":"mem","name":"#);
-                escape_into(&mut s, name);
-                s.push_str(",\"parent\":");
-                match parent {
-                    Some(p) => escape_into(&mut s, p),
-                    None => s.push_str("null"),
-                }
-                let _ = write!(
-                    s,
-                    r#","depth":{depth},"self_bytes":{self_bytes},"self_allocs":{self_allocs},"total_bytes":{total_bytes},"total_allocs":{total_allocs},"thread":{thread},"seq":{seq}}}"#
                 );
             }
             TraceEvent::Diag {
@@ -321,23 +290,38 @@ impl TraceEvent {
                 other => Err(format!("field '{key}' is not an integer: {other:?}")),
             }
         };
+        let get_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
+            match get(key)? {
+                FlatValue::Null => Ok(None),
+                FlatValue::UInt(u) => Ok(Some(*u)),
+                other => {
+                    Err(format!("field '{key}' is not a non-negative integer or null: {other:?}"))
+                }
+            }
+        };
         match get_str("type")?.as_str() {
             "meta" => {
                 Ok(TraceEvent::Meta { version: get_u64("version")?, source: get_str("source")? })
             }
             "span" => Ok(TraceEvent::Span {
                 name: get_str("name")?,
-                parent: match get("parent")? {
-                    FlatValue::Null => None,
-                    FlatValue::Str(s) => Some(s.clone()),
-                    other => {
-                        return Err(format!("field 'parent' is not a string or null: {other:?}"))
-                    }
-                },
-                depth: u32::try_from(get_u64("depth")?)
-                    .map_err(|_| "field 'depth' overflows u32".to_string())?,
+                id: get_u64("id")?,
+                parent_id: get_opt_u64("parent_id")?,
+                start_nanos: get_u64("start_nanos")?,
                 dur_nanos: get_u64("dur_nanos")?,
                 thread: get_u64("thread")?,
+                // The allocation fields travel together: any one of them
+                // makes all four required.
+                mem: if fields.iter().any(|(k, _)| MEM_FIELDS.contains(&k.as_str())) {
+                    Some(MemDelta {
+                        self_bytes: get_u64("self_bytes")?,
+                        self_allocs: get_u64("self_allocs")?,
+                        total_bytes: get_u64("total_bytes")?,
+                        total_allocs: get_u64("total_allocs")?,
+                    })
+                } else {
+                    None
+                },
                 seq: get_u64("seq")?,
             }),
             "counter" => Ok(TraceEvent::Counter {
@@ -365,48 +349,19 @@ impl TraceEvent {
                 thread: get_u64("thread")?,
                 seq: get_u64("seq")?,
             }),
-            "mem" => Ok(TraceEvent::Mem {
-                name: get_str("name")?,
-                parent: match get("parent")? {
-                    FlatValue::Null => None,
-                    FlatValue::Str(s) => Some(s.clone()),
-                    other => {
-                        return Err(format!("field 'parent' is not a string or null: {other:?}"))
-                    }
-                },
-                depth: u32::try_from(get_u64("depth")?)
-                    .map_err(|_| "field 'depth' overflows u32".to_string())?,
-                self_bytes: get_u64("self_bytes")?,
-                self_allocs: get_u64("self_allocs")?,
-                total_bytes: get_u64("total_bytes")?,
-                total_allocs: get_u64("total_allocs")?,
-                thread: get_u64("thread")?,
+            "diag" => Ok(TraceEvent::Diag {
+                session: get_str("session")?,
+                iter: get_u64("iter")?,
+                outcome: get_str("outcome")?,
+                score_bits: get_u64("score_bits")?,
+                best_bits: get_u64("best_bits")?,
+                regret_bits: get_opt_u64("regret_bits")?,
+                cum_regret_bits: get_opt_u64("cum_regret_bits")?,
+                novelty_bits: get_opt_u64("novelty_bits")?,
+                pred_mean_bits: get_opt_u64("pred_mean_bits")?,
+                pred_var_bits: get_opt_u64("pred_var_bits")?,
                 seq: get_u64("seq")?,
             }),
-            "diag" => {
-                let get_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-                    match get(key)? {
-                        FlatValue::Null => Ok(None),
-                        FlatValue::UInt(u) => Ok(Some(*u)),
-                        other => Err(format!(
-                            "field '{key}' is not a non-negative integer or null: {other:?}"
-                        )),
-                    }
-                };
-                Ok(TraceEvent::Diag {
-                    session: get_str("session")?,
-                    iter: get_u64("iter")?,
-                    outcome: get_str("outcome")?,
-                    score_bits: get_u64("score_bits")?,
-                    best_bits: get_u64("best_bits")?,
-                    regret_bits: get_opt_u64("regret_bits")?,
-                    cum_regret_bits: get_opt_u64("cum_regret_bits")?,
-                    novelty_bits: get_opt_u64("novelty_bits")?,
-                    pred_mean_bits: get_opt_u64("pred_mean_bits")?,
-                    pred_var_bits: get_opt_u64("pred_var_bits")?,
-                    seq: get_u64("seq")?,
-                })
-            }
             other => Err(format!("unknown event type '{other}'")),
         }
     }
@@ -420,7 +375,6 @@ impl TraceEvent {
             | TraceEvent::Gauge { seq, .. }
             | TraceEvent::Hist { seq, .. }
             | TraceEvent::Cell { seq, .. }
-            | TraceEvent::Mem { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq,
         }
     }
@@ -433,12 +387,14 @@ impl TraceEvent {
             | TraceEvent::Gauge { seq, .. }
             | TraceEvent::Hist { seq, .. }
             | TraceEvent::Cell { seq, .. }
-            | TraceEvent::Mem { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq = n,
         }
         self
     }
 }
+
+/// The span event's optional allocation fields, in serialization order.
+const MEM_FIELDS: [&str; 4] = ["self_bytes", "self_allocs", "total_bytes", "total_allocs"];
 
 /// JSON-escapes `s` (quotes included) into `out`.
 fn escape_into(out: &mut String, s: &str) {
@@ -617,10 +573,19 @@ pub fn thread_ordinal() -> u64 {
 
 /// The JSONL sink. See the module docs for the enablement and cost
 /// contract.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Journal {
     enabled: AtomicBool,
     sink: Mutex<Option<JournalSink>>,
+    /// Origin of every span's `start_nanos`: read when the journal is
+    /// created, so no span that reports to it can open before it.
+    epoch: Instant,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Self { enabled: AtomicBool::new(false), sink: Mutex::new(None), epoch: crate::span::now() }
+    }
 }
 
 #[derive(Debug)]
@@ -633,6 +598,12 @@ impl Journal {
     /// A disabled journal.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `at` as a nanosecond offset from the journal's epoch — how span
+    /// events record when they opened.
+    pub(crate) fn offset_nanos(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Whether events are currently being written — the one check hot
@@ -700,18 +671,27 @@ mod tests {
         round_trip(TraceEvent::Meta { version: 1, source: "fig9_overhead".into() });
         round_trip(TraceEvent::Span {
             name: "surrogate_fit".into(),
-            parent: Some("suggest".into()),
-            depth: 2,
+            id: 7,
+            parent_id: Some(5),
+            start_nanos: 1_000_000,
             dur_nanos: 12_345,
             thread: 3,
+            mem: None,
             seq: 17,
         });
         round_trip(TraceEvent::Span {
             name: "session".into(),
-            parent: None,
-            depth: 0,
+            id: 1,
+            parent_id: None,
+            start_nanos: 0,
             dur_nanos: 1,
             thread: 0,
+            mem: Some(MemDelta {
+                self_allocs: 0,
+                self_bytes: 0,
+                total_allocs: u64::MAX,
+                total_bytes: u64::MAX,
+            }),
             seq: 1,
         });
         round_trip(TraceEvent::Counter { name: "exec.cache.hits".into(), value: u64::MAX, seq: 2 });
@@ -730,28 +710,6 @@ mod tests {
             dur_nanos: 1_000_000,
             thread: 1,
             seq: 5,
-        });
-        round_trip(TraceEvent::Mem {
-            name: "surrogate_fit".into(),
-            parent: Some("suggest".into()),
-            depth: 2,
-            self_bytes: 4096,
-            self_allocs: 12,
-            total_bytes: 8192,
-            total_allocs: 40,
-            thread: 3,
-            seq: 8,
-        });
-        round_trip(TraceEvent::Mem {
-            name: "session".into(),
-            parent: None,
-            depth: 0,
-            self_bytes: 0,
-            self_allocs: 0,
-            total_bytes: u64::MAX,
-            total_allocs: u64::MAX,
-            thread: 0,
-            seq: 9,
         });
         round_trip(TraceEvent::Diag {
             session: "bo/ro_heavy".into(),
@@ -790,37 +748,41 @@ mod tests {
     fn field_order_is_stable() {
         let ev = TraceEvent::Span {
             name: "a".into(),
-            parent: None,
-            depth: 0,
+            id: 3,
+            parent_id: None,
+            start_nanos: 1,
             dur_nanos: 2,
             thread: 0,
-            seq: 9,
-        };
-        assert_eq!(
-            ev.to_jsonl(),
-            r#"{"type":"span","name":"a","parent":null,"depth":0,"dur_nanos":2,"thread":0,"seq":9}"#
-        );
-    }
-
-    #[test]
-    fn mem_field_order_is_stable() {
-        let ev = TraceEvent::Mem {
-            name: "a".into(),
-            parent: None,
-            depth: 0,
-            self_bytes: 1,
-            self_allocs: 2,
-            total_bytes: 3,
-            total_allocs: 4,
-            thread: 0,
+            mem: None,
             seq: 9,
         };
         assert_eq!(
             ev.to_jsonl(),
             concat!(
-                r#"{"type":"mem","name":"a","parent":null,"depth":0,"#,
-                r#""self_bytes":1,"self_allocs":2,"total_bytes":3,"total_allocs":4,"#,
-                r#""thread":0,"seq":9}"#
+                r#"{"type":"span","name":"a","id":3,"parent_id":null,"start_nanos":1,"#,
+                r#""dur_nanos":2,"thread":0,"seq":9}"#
+            )
+        );
+    }
+
+    #[test]
+    fn mem_field_order_is_stable() {
+        let ev = TraceEvent::Span {
+            name: "a".into(),
+            id: 4,
+            parent_id: Some(3),
+            start_nanos: 1,
+            dur_nanos: 2,
+            thread: 0,
+            mem: Some(MemDelta { self_bytes: 1, self_allocs: 2, total_bytes: 3, total_allocs: 4 }),
+            seq: 9,
+        };
+        assert_eq!(
+            ev.to_jsonl(),
+            concat!(
+                r#"{"type":"span","name":"a","id":4,"parent_id":3,"start_nanos":1,"#,
+                r#""dur_nanos":2,"thread":0,"#,
+                r#""self_bytes":1,"self_allocs":2,"total_bytes":3,"total_allocs":4,"seq":9}"#
             )
         );
     }
@@ -854,6 +816,14 @@ mod tests {
     fn parse_rejects_malformed_lines() {
         assert!(TraceEvent::parse_line("not json").is_err());
         assert!(TraceEvent::parse_line(r#"{"type":"span"}"#).is_err(), "missing fields");
+        assert!(
+            TraceEvent::parse_line(concat!(
+                r#"{"type":"span","name":"a","id":1,"parent_id":null,"start_nanos":0,"#,
+                r#""dur_nanos":2,"thread":0,"total_bytes":3,"seq":9}"#
+            ))
+            .is_err(),
+            "allocation fields travel together"
+        );
         assert!(TraceEvent::parse_line(r#"{"type":"wat","x":1}"#).is_err(), "unknown type");
         assert!(
             TraceEvent::parse_line(r#"{"type":"counter","name":"n","value":-1,"seq":0}"#).is_err(),
@@ -863,7 +833,7 @@ mod tests {
 
     #[test]
     fn parse_journal_yields_line_numbers_and_keeps_going_past_errors() {
-        let text = "{\"type\":\"meta\",\"version\":1,\"source\":\"t\"}\nnot json\n{\"type\":\"counter\",\"name\":\"c\",\"value\":3,\"seq\":1}";
+        let text = "{\"type\":\"meta\",\"version\":2,\"source\":\"t\"}\nnot json\n{\"type\":\"counter\",\"name\":\"c\",\"value\":3,\"seq\":1}";
         let lines: Vec<(usize, Result<TraceEvent, String>)> = parse_journal(text).collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].0, 1);

@@ -22,8 +22,8 @@
 //! A fourth, orthogonal layer is **memory profiling** ([`memprof`]): a
 //! counting `#[global_allocator]` wrapper, latched on one-way per
 //! process (`mem=on` / [`Telemetry::enable_memprof`]), that attributes
-//! allocation counts and bytes to the active span and emits `mem`
-//! journal events at span close.
+//! allocation counts and bytes to the active span; the span's journal
+//! event carries them.
 //!
 //! **Determinism contract:** telemetry only *observes*. It never draws
 //! randomness, never feeds timing back into tuning decisions, and keeps
@@ -50,7 +50,5 @@ pub use hist::{HistSnapshot, LogHistogram};
 pub use journal::{parse_journal, Journal, TraceEvent};
 pub use memprof::{MemAgg, MemDelta, MemStats, ThreadMemStats};
 pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry};
-pub use span::{
-    collect_phases, current_context, PhaseRecord, SpanGuard, SpanSnapshot, SpanStats, SpanTable,
-};
-pub use telemetry::{global, span, span_record, Telemetry, TelemetryReport};
+pub use span::{collect_phases, PhaseRecord, SpanGuard, SpanSnapshot, SpanStats, SpanTable};
+pub use telemetry::{global, span, Telemetry, TelemetryReport};

@@ -18,18 +18,19 @@
 //! 2. **Global totals** ([`AtomicU64`]/[`AtomicI64`] statics):
 //!    process-wide counts, bytes, live bytes, and peak bytes
 //!    (`fetch_max` over live). [`global_stats`] snapshots them.
-//! 3. **Span attribution**: [`SpanGuard`](crate::SpanGuard) opens a
-//!    [`frame_open`] alongside its span-stack push and closes it with
-//!    [`frame_close`], which computes the span's *total* allocation
-//!    delta (everything allocated on the thread while it was open) and
-//!    its *self* delta (total minus what its children claimed), folds
-//!    the total into the parent frame, and aggregates self/total per
-//!    span name into a process-wide table ([`table_snapshot`]).
+//! 3. **Span attribution**: a span that opens while latched keeps a
+//!    [`Baseline`] of the thread's counters in its frame on the span
+//!    stack ([`crate::span`]). Closing it computes the span's *total*
+//!    allocation delta (everything allocated on the thread while it was
+//!    open) and its *self* delta (total minus what its children
+//!    claimed), folds the total into the parent's baseline, and
+//!    aggregates self/total per span name into a process-wide table
+//!    ([`table_snapshot`]).
 //!
 //! **Re-entrancy rule**: the allocator hooks touch *only* the latch,
 //! the `Cell` counters, and the global atomics — never a `RefCell`, a
 //! `Vec`, or anything lazily initialized. Allocating inside the
-//! allocator would recurse; the frame stack (which does allocate) is
+//! allocator would recurse; the span stack (which does allocate) is
 //! touched only from span open/close, which run outside the allocator.
 //!
 //! **Determinism contract**: accounting is read-only with respect to
@@ -38,7 +39,7 @@
 //! enforced end to end by `crates/bench/tests/observer_inertness.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -65,9 +66,6 @@ thread_local! {
     static T_ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
     static T_DEALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
     static T_DEALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-    /// Open span frames on this thread (parallel to the span stack).
-    /// Only span open/close touch this — never the allocator.
-    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Latches memory accounting on for the rest of the process. Idempotent.
@@ -232,18 +230,6 @@ pub fn thread_stats() -> ThreadMemStats {
     }
 }
 
-/// One open span's attribution frame.
-struct Frame {
-    /// Thread alloc count when the frame opened.
-    start_count: u64,
-    /// Thread alloc bytes when the frame opened.
-    start_bytes: u64,
-    /// Allocations claimed by already-closed child frames.
-    child_count: u64,
-    /// Bytes claimed by already-closed child frames.
-    child_bytes: u64,
-}
-
 /// One closed span's allocation attribution: `total` covers everything
 /// allocated on the thread while the span was open, `self` is the total
 /// minus what its direct children claimed.
@@ -259,58 +245,61 @@ pub struct MemDelta {
     pub total_bytes: u64,
 }
 
-/// Opens an attribution frame for a span on this thread. Returns `false`
-/// (and pushes nothing) while the latch is off — the caller must only
-/// [`frame_close`] when this returned `true`, which keeps the frame
-/// stack aligned with the span stack even when the latch flips while
-/// spans are open.
-pub(crate) fn frame_open() -> bool {
-    if !enabled() {
-        return false;
-    }
-    let (count, bytes) = (T_ALLOC_COUNT.with(Cell::get), T_ALLOC_BYTES.with(Cell::get));
-    FRAMES.with(|f| {
-        f.borrow_mut().push(Frame {
-            start_count: count,
-            start_bytes: bytes,
-            child_count: 0,
-            child_bytes: 0,
-        });
-    });
-    true
+/// An open span's allocation baseline, held in its frame on the span
+/// stack (see [`crate::span`]).
+pub(crate) struct Baseline {
+    /// Thread alloc count when the span opened.
+    start_count: u64,
+    /// Thread alloc bytes when the span opened.
+    start_bytes: u64,
+    /// Allocations claimed by already-closed child spans.
+    child_count: u64,
+    /// Bytes claimed by already-closed child spans.
+    child_bytes: u64,
 }
 
-/// Closes the innermost attribution frame: computes the span's deltas,
-/// folds its total into the parent frame, and aggregates under `name`
-/// in the process-wide table.
-pub(crate) fn frame_close(name: &'static str) -> MemDelta {
-    let (count, bytes) = (T_ALLOC_COUNT.with(Cell::get), T_ALLOC_BYTES.with(Cell::get));
-    let delta = FRAMES.with(|f| {
-        let mut frames = f.borrow_mut();
-        let frame = frames.pop().expect("memprof frames must close LIFO with span guards");
-        let total_allocs = count - frame.start_count;
-        let total_bytes = bytes - frame.start_bytes;
+impl Baseline {
+    /// The calling thread's counters now, or `None` while the latch is
+    /// off: a span that opens unlatched carries no baseline for its whole
+    /// life, even if the latch flips before it closes.
+    pub(crate) fn take() -> Option<Self> {
+        if !enabled() {
+            return None;
+        }
+        Some(Self {
+            start_count: T_ALLOC_COUNT.with(Cell::get),
+            start_bytes: T_ALLOC_BYTES.with(Cell::get),
+            child_count: 0,
+            child_bytes: 0,
+        })
+    }
+
+    /// Closes the span: computes its deltas, folds its total into the
+    /// enclosing span's baseline, and aggregates under `name` in the
+    /// process-wide table.
+    pub(crate) fn close(self, parent: Option<&mut Baseline>, name: &'static str) -> MemDelta {
+        let total_allocs = T_ALLOC_COUNT.with(Cell::get) - self.start_count;
+        let total_bytes = T_ALLOC_BYTES.with(Cell::get) - self.start_bytes;
         let delta = MemDelta {
-            self_allocs: total_allocs.saturating_sub(frame.child_count),
-            self_bytes: total_bytes.saturating_sub(frame.child_bytes),
+            self_allocs: total_allocs.saturating_sub(self.child_count),
+            self_bytes: total_bytes.saturating_sub(self.child_bytes),
             total_allocs,
             total_bytes,
         };
-        if let Some(parent) = frames.last_mut() {
+        if let Some(parent) = parent {
             parent.child_count += total_allocs;
             parent.child_bytes += total_bytes;
         }
+        table().lock().expect("memprof table lock").entry(name).or_default().fold(delta);
         delta
-    });
-    table().lock().expect("memprof table lock").entry(name).or_default().fold(delta);
-    delta
+    }
 }
 
 /// Per-span-name allocation aggregate (self and total sums over every
 /// close of that name).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemAgg {
-    /// Frame closes folded in.
+    /// Span closes folded in.
     pub closes: u64,
     /// Summed self allocations.
     pub self_allocs: u64,
@@ -460,26 +449,26 @@ mod tests {
     #[test]
     fn frames_attribute_self_and_total_with_child_folding() {
         enable();
-        // Warm the profiler's own storage (frame vec capacity, table
-        // entries for both names) so the measured sequence below is
-        // free of profiler-internal allocations and stays exact.
-        assert!(frame_open());
-        assert!(frame_open());
-        frame_close("memprof_test_inner");
-        frame_close("memprof_test_outer");
+        // Warm the profiler's own storage (table entries for both names)
+        // so the measured sequence below is free of profiler-internal
+        // allocations and stays exact.
+        let mut outer = Baseline::take().expect("latched");
+        let inner = Baseline::take().expect("latched");
+        inner.close(Some(&mut outer), "memprof_test_inner");
+        outer.close(None, "memprof_test_outer");
 
-        assert!(frame_open()); // outer
+        let mut outer = Baseline::take().expect("latched");
         let _outer_buf: Vec<u8> = Vec::with_capacity(300);
-        assert!(frame_open()); // inner
+        let inner = Baseline::take().expect("latched");
         let inner_buf: Vec<u8> = Vec::with_capacity(1000);
         drop(inner_buf); // deallocs do not reduce alloc attribution
-        let inner = frame_close("memprof_test_inner");
+        let inner = inner.close(Some(&mut outer), "memprof_test_inner");
         assert_eq!(inner.total_allocs, 1);
         assert_eq!(inner.total_bytes, 1000);
         assert_eq!(inner.self_allocs, 1);
         assert_eq!(inner.self_bytes, 1000);
         let _outer_buf2: Vec<u8> = Vec::with_capacity(50);
-        let outer = frame_close("memprof_test_outer");
+        let outer = outer.close(None, "memprof_test_outer");
         assert_eq!(outer.total_allocs, 3);
         assert_eq!(outer.total_bytes, 1350);
         assert_eq!(outer.self_allocs, 2, "inner span's alloc is claimed by the child");

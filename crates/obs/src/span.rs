@@ -11,17 +11,21 @@
 //!    how the session driver attributes `suggest()` time to
 //!    `surrogate_fit` vs `acquisition` without the optimizers knowing
 //!    about sessions);
-//! 3. emits a journal event when tracing is enabled (one atomic load
-//!    otherwise).
+//! 3. emits the span's one journal event when tracing is enabled (one
+//!    atomic load otherwise).
 //!
-//! Nesting is tracked per thread: each guard records its parent span's
-//! name and depth, which the journal preserves so traces can be
-//! reassembled into a tree.
+//! Nesting is tracked per thread on one stack of open-span frames. Each
+//! frame gets a per-thread id at open and, when the memprof latch is on
+//! at that moment, the span's allocation baseline. The journal event
+//! carries the id, the enclosing span's id and the open time, so traces
+//! reassemble into trees by id and lay out on a real timeline.
 
 use crate::hist::LogHistogram;
 use crate::journal::{Journal, TraceEvent};
+use crate::memprof::Baseline;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -115,9 +119,23 @@ impl SpanTable {
     }
 }
 
+/// One open span on this thread's stack.
+struct Frame {
+    /// Per-thread id, assigned at open.
+    id: u64,
+    /// Allocation baseline, when memprof was latched at open.
+    mem: Option<Baseline>,
+}
+
+/// This thread's open spans, innermost last, and the last id handed out.
+struct Stack {
+    open: Vec<Frame>,
+    last_id: u64,
+}
+
 thread_local! {
-    /// Stack of open span names on this thread (for parent/depth).
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The open spans on this thread.
+    static STACK: RefCell<Stack> = const { RefCell::new(Stack { open: Vec::new(), last_id: 0 }) };
     /// Optional per-scope sink for closed-span records (phase attribution).
     static COLLECTOR: RefCell<Option<Vec<PhaseRecord>>> = const { RefCell::new(None) };
 }
@@ -152,48 +170,41 @@ pub fn phase_secs(records: &[PhaseRecord], name: &str) -> f64 {
     records.iter().filter(|r| r.name == name).map(|r| r.nanos).sum::<u64>() as f64 * 1e-9
 }
 
-/// The span context a new span (or an externally timed
-/// [`crate::Telemetry::span_record`]) would be attributed to on this
-/// thread right now: the innermost open span's name and the nesting
-/// depth. `(None, 0)` outside any span.
-pub fn current_context() -> (Option<&'static str>, u32) {
-    STACK.with(|s| {
-        let s = s.borrow();
-        (s.last().copied(), s.len() as u32)
-    })
+/// The monotonic clock every span duration and start offset is read from.
+#[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timing is the telemetry layer's job; durations and offsets never reach a results payload"
+)]
+pub(crate) fn now() -> Instant {
+    Instant::now()
 }
 
 /// RAII timer for one span; see the module docs for close semantics.
+/// A guard closes on the thread that opened it (it is not `Send`), so
+/// its frame is on that thread's stack.
 #[must_use = "a span measures the scope of its guard"]
 pub struct SpanGuard<'a> {
     name: &'static str,
-    parent: Option<&'static str>,
-    depth: u32,
+    id: u64,
     start: Instant,
     stats: Arc<SpanStats>,
     journal: &'a Journal,
-    /// Whether a memprof attribution frame was opened for this span
-    /// (only when the latch was already on at open — keeps the frame
-    /// stack aligned with the span stack across a mid-span latch flip).
-    mem_frame: bool,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl<'a> SpanGuard<'a> {
     /// Opens a span (called by [`crate::Telemetry::span`]).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "span timing is the telemetry layer's job; durations never reach a results payload"
-    )]
     pub(crate) fn open(name: &'static str, stats: Arc<SpanStats>, journal: &'a Journal) -> Self {
-        let (parent, depth) = STACK.with(|s| {
+        let mem = Baseline::take();
+        let id = STACK.with(|s| {
             let mut s = s.borrow_mut();
-            let parent = s.last().copied();
-            let depth = s.len() as u32;
-            s.push(name);
-            (parent, depth)
+            s.last_id += 1;
+            let id = s.last_id;
+            s.open.push(Frame { id, mem });
+            id
         });
-        let mem_frame = crate::memprof::frame_open();
-        Self { name, parent, depth, start: Instant::now(), stats, journal, mem_frame }
+        Self { name, id, start: now(), stats, journal, _not_send: PhantomData }
     }
 
     /// The span's name.
@@ -205,12 +216,21 @@ impl<'a> SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let nanos = self.start.elapsed().as_nanos() as u64;
-        // Close the attribution frame before anything below allocates,
-        // so journal-emission overhead lands on the parent span.
-        let mem = if self.mem_frame { Some(crate::memprof::frame_close(self.name)) } else { None };
-        STACK.with(|s| {
-            let popped = s.borrow_mut().pop();
-            debug_assert_eq!(popped, Some(self.name), "span guards must close LIFO");
+        // Pop the frame and close its allocation baseline before anything
+        // below allocates, so journal-emission overhead lands on the
+        // parent span. The pop stays a closure of its own, small enough to
+        // inline; a profiled span then folds its total into the parent's
+        // baseline.
+        let (frame, parent_id) = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            (s.open.pop(), s.open.last().map(|p| p.id))
+        });
+        debug_assert_eq!(frame.as_ref().map(|f| f.id), Some(self.id), "span guards close LIFO");
+        let mem = frame.and_then(|f| f.mem).map(|b| {
+            STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                b.close(s.open.last_mut().and_then(|p| p.mem.as_mut()), self.name)
+            })
         });
         self.stats.record(nanos);
         COLLECTOR.with(|c| {
@@ -222,25 +242,14 @@ impl Drop for SpanGuard<'_> {
         if self.journal.is_enabled() {
             self.journal.emit(TraceEvent::Span {
                 name: self.name.to_string(),
-                parent: self.parent.map(str::to_string),
-                depth: self.depth,
+                id: self.id,
+                parent_id,
+                start_nanos: self.journal.offset_nanos(self.start),
                 dur_nanos: nanos,
                 thread: crate::journal::thread_ordinal(),
+                mem,
                 seq: 0, // assigned by the journal
             });
-            if let Some(d) = mem {
-                self.journal.emit(TraceEvent::Mem {
-                    name: self.name.to_string(),
-                    parent: self.parent.map(str::to_string),
-                    depth: self.depth,
-                    self_bytes: d.self_bytes,
-                    self_allocs: d.self_allocs,
-                    total_bytes: d.total_bytes,
-                    total_allocs: d.total_allocs,
-                    thread: crate::journal::thread_ordinal(),
-                    seq: 0, // assigned by the journal
-                });
-            }
         }
     }
 }
@@ -334,16 +343,17 @@ mod tests {
     }
 
     #[test]
-    fn guards_track_parent_and_depth() {
+    fn guards_take_increasing_ids_on_one_stack() {
         let tele = crate::Telemetry::new();
+        let depth = || STACK.with(|s| s.borrow().open.len());
+        let before = depth();
         let a = tele.span("parent_span");
         let b = tele.span("child_span");
-        assert_eq!(a.depth, 0);
-        assert_eq!(a.parent, None);
-        assert_eq!(b.depth, 1);
-        assert_eq!(b.parent, Some("parent_span"));
+        assert_eq!(b.id, a.id + 1);
+        assert_eq!(depth(), before + 2);
         drop(b);
         drop(a);
+        assert_eq!(depth(), before);
         let names: Vec<&str> = tele.spans.snapshot().iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"parent_span") && names.contains(&"child_span"));
     }

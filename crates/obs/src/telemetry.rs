@@ -44,27 +44,6 @@ impl Telemetry {
         SpanGuard::open(name, self.spans.stats(name), &self.journal)
     }
 
-    /// Records an externally measured duration under `name` — same
-    /// aggregation and journal event as a guard, without the RAII scope
-    /// (used where the measured region already has its own timer). The
-    /// journal event is attributed to the calling thread's current span
-    /// context, so externally timed regions nest correctly in
-    /// reconstructed trees instead of appearing as extra roots.
-    pub fn span_record(&self, name: &'static str, nanos: u64) {
-        self.spans.stats(name).record(nanos);
-        if self.journal.is_enabled() {
-            let (parent, depth) = crate::span::current_context();
-            self.journal.emit(TraceEvent::Span {
-                name: name.to_string(),
-                parent: parent.map(str::to_string),
-                depth,
-                dur_nanos: nanos,
-                thread: crate::journal::thread_ordinal(),
-                seq: 0,
-            });
-        }
-    }
-
     /// Starts the JSONL journal at `path` (see [`Journal::enable`]).
     pub fn enable_journal(&self, path: &Path, source: &str) -> std::io::Result<()> {
         self.journal.enable(path, source)
@@ -165,11 +144,6 @@ pub fn span(name: &'static str) -> SpanGuard<'static> {
     global().span(name)
 }
 
-/// Records an externally measured duration on the global instance.
-pub fn span_record(name: &'static str, nanos: u64) {
-    global().span_record(name, nanos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +155,7 @@ mod tests {
             let _a = t.span("unit_a");
             let _b = t.span("unit_b");
         }
-        t.span_record("unit_a", 500);
+        t.spans.stats("unit_a").record(500);
         t.metrics.counter("unit.count").add(3);
         t.metrics.gauge("unit.depth").set(2);
         let report = t.report();

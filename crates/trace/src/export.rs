@@ -1,48 +1,52 @@
 //! Exporters: collapsed-stack lines for flamegraph tooling and Chrome
 //! `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
-//! The journal records durations and nesting but no absolute
-//! timestamps (telemetry keeps wall-clock epochs out of artifacts on
-//! purpose), so the Chrome export synthesizes a timeline per thread:
-//! root spans are laid end to end in close order, and children are
-//! packed from their parent's start in close order. Durations and
-//! nesting — the things the viewer is for — are exact; only the gaps
-//! between siblings (the parent's self time) are repositioned.
+//! The Chrome export places every span at its recorded start offset
+//! (monotonic, from the journal's epoch — no wall-clock date), so idle
+//! gaps between siblings and the overlap of worker threads show as they
+//! happened.
 
 use crate::tree::{MergedNode, SpanNode, ThreadTree};
 use std::fmt::Write as _;
 
 /// Renders the merged path tree as collapsed-stack lines:
-/// `root;child;leaf <self_nanos>`, one line per path with nonzero self
-/// time, sorted by path (BTreeMap order) so output is diffable. The
-/// value is **self** time — flamegraph frame widths then sum correctly
-/// up the stack, and the total flame width equals instrumented wall
-/// time.
-pub fn collapsed_stacks(merged: &MergedNode) -> String {
+/// `root;child;leaf <value>`, one line per path with a nonzero value,
+/// sorted by path (BTreeMap order) so output is diffable. `self_value`
+/// picks the weight — `|n| n.self_nanos` for time, `|n| n.self_bytes`
+/// for allocated bytes. Self values make flamegraph frame widths sum
+/// correctly up the stack, so the total flame width is the roots' total.
+pub fn collapsed_stacks(merged: &MergedNode, self_value: fn(&MergedNode) -> u64) -> String {
     let mut out = String::new();
     let mut path = Vec::new();
-    fold_into(&mut out, &mut path, merged);
+    fold_into(&mut out, &mut path, merged, self_value);
     out
 }
 
-fn fold_into(out: &mut String, path: &mut Vec<String>, node: &MergedNode) {
+fn fold_into(
+    out: &mut String,
+    path: &mut Vec<String>,
+    node: &MergedNode,
+    self_value: fn(&MergedNode) -> u64,
+) {
     for (name, child) in &node.children {
         // Semicolons separate stack frames in the collapsed format;
         // span names are a fixed taxonomy that never contains one, but a
         // hand-written journal could.
         path.push(name.replace(';', ":"));
-        if child.self_nanos > 0 {
-            let _ = writeln!(out, "{} {}", path.join(";"), child.self_nanos);
+        let value = self_value(child);
+        if value > 0 {
+            let _ = writeln!(out, "{} {value}", path.join(";"));
         }
-        fold_into(out, path, child);
+        fold_into(out, path, child, self_value);
         path.pop();
     }
 }
 
 /// Renders per-thread trees as Chrome `trace_event` JSON (the
 /// "JSON object format": a `traceEvents` array of complete `"ph":"X"`
-/// events plus thread-name metadata). Timestamps are synthetic — see
-/// the module docs. `source` labels the process.
+/// events plus thread-name metadata). Each event's `ts` is its span's
+/// recorded start offset, and its `args` carry the span's id and parent
+/// id. `source` labels the process.
 pub fn chrome_trace(trees: &[ThreadTree], source: &str) -> String {
     let mut events = Vec::new();
     for tree in trees {
@@ -55,10 +59,8 @@ pub fn chrome_trace(trees: &[ThreadTree], source: &str) -> String {
         json_string(&mut meta, &format!("thread {}", tree.thread));
         meta.push_str("}}");
         events.push(meta);
-        let mut cursor = 0u64;
         for root in &tree.roots {
-            emit_span(&mut events, root, cursor, tree.thread);
-            cursor += root.dur_nanos;
+            emit_span(&mut events, root, None, tree.thread);
         }
     }
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -69,23 +71,25 @@ pub fn chrome_trace(trees: &[ThreadTree], source: &str) -> String {
     out
 }
 
-/// Writes one complete event for `node` starting at `start_nanos`, then
-/// packs its children from the same origin.
-fn emit_span(events: &mut Vec<String>, node: &SpanNode, start_nanos: u64, tid: u64) {
-    let mut line = String::with_capacity(96);
+/// Writes one complete event for `node`, then one for each descendant.
+fn emit_span(events: &mut Vec<String>, node: &SpanNode, parent_id: Option<u64>, tid: u64) {
+    let mut line = String::with_capacity(128);
     line.push_str("{\"name\":");
     json_string(&mut line, &node.name);
     let _ = write!(
         line,
-        r#","cat":"span","ph":"X","ts":{},"dur":{},"pid":0,"tid":{tid}}}"#,
-        micros(start_nanos),
+        r#","cat":"span","ph":"X","ts":{},"dur":{},"pid":0,"tid":{tid},"args":{{"id":{}"#,
+        micros(node.start_nanos),
         micros(node.dur_nanos),
+        node.id,
     );
+    let _ = match parent_id {
+        Some(p) => write!(line, r#","parent_id":{p}}}}}"#),
+        None => write!(line, r#","parent_id":null}}}}"#),
+    };
     events.push(line);
-    let mut cursor = start_nanos;
     for child in &node.children {
-        emit_span(events, child, cursor, tid);
-        cursor += child.dur_nanos;
+        emit_span(events, child, Some(node.id), tid);
     }
 }
 
@@ -126,25 +130,27 @@ mod tests {
     use super::*;
     use crate::tree::merge_paths;
 
+    fn node(name: &str, id: u64, start: u64, dur: u64, children: Vec<SpanNode>) -> SpanNode {
+        SpanNode { name: name.into(), id, start_nanos: start, dur_nanos: dur, mem: None, children }
+    }
+
     fn sample_trees() -> Vec<ThreadTree> {
         vec![ThreadTree {
             thread: 0,
-            roots: vec![SpanNode {
-                name: "session".into(),
-                dur_nanos: 100,
-                seq: 3,
-                children: vec![
-                    SpanNode { name: "suggest".into(), dur_nanos: 60, seq: 1, children: vec![] },
-                    SpanNode { name: "evaluate".into(), dur_nanos: 30, seq: 2, children: vec![] },
-                ],
-            }],
+            roots: vec![node(
+                "session",
+                1,
+                1_000,
+                100,
+                vec![node("suggest", 2, 1_000, 60, vec![]), node("evaluate", 3, 1_070, 30, vec![])],
+            )],
         }]
     }
 
     #[test]
     fn collapsed_lines_carry_self_time_and_sum_to_wall() {
         let trees = sample_trees();
-        let folded = collapsed_stacks(&merge_paths(&trees));
+        let folded = collapsed_stacks(&merge_paths(&trees), |n| n.self_nanos);
         let mut lines: Vec<&str> = folded.lines().collect();
         lines.sort_unstable();
         assert_eq!(
@@ -169,24 +175,16 @@ mod tests {
     fn zero_self_time_paths_are_omitted() {
         let trees = vec![ThreadTree {
             thread: 0,
-            roots: vec![SpanNode {
-                name: "outer".into(),
-                dur_nanos: 10,
-                seq: 2,
-                children: vec![SpanNode {
-                    name: "inner".into(),
-                    dur_nanos: 10,
-                    seq: 1,
-                    children: vec![],
-                }],
-            }],
+            roots: vec![node("outer", 1, 0, 10, vec![node("inner", 2, 0, 10, vec![])])],
         }];
-        let folded = collapsed_stacks(&merge_paths(&trees));
+        let folded = collapsed_stacks(&merge_paths(&trees), |n| n.self_nanos);
         assert_eq!(folded, "outer;inner 10\n", "outer has zero self time");
+        // Nothing was profiled, so the bytes weighting has no lines.
+        assert_eq!(collapsed_stacks(&merge_paths(&trees), |n| n.self_bytes), "");
     }
 
     #[test]
-    fn chrome_export_packs_children_inside_parents() {
+    fn chrome_export_places_spans_at_their_recorded_offsets() {
         let json = chrome_trace(&sample_trees(), "unit");
         // Dev-dependency serde_json checks the output is valid JSON with
         // the documented top-level shape.
@@ -198,9 +196,16 @@ mod tests {
         };
         assert_eq!(events.len(), 4, "thread meta + three spans");
         assert!(json.contains(r#""name":"thread_name","ph":"M""#));
-        // session at ts=0 dur=0.1µs; suggest packed at 0; evaluate at 0.06.
-        assert!(json.contains(r#""name":"session","cat":"span","ph":"X","ts":0,"dur":0.1"#));
-        assert!(json.contains(r#""name":"evaluate","cat":"span","ph":"X","ts":0.06"#));
+        // session at 1µs for 0.1µs; evaluate at its own start, leaving the
+        // 10ns gap after suggest in place.
+        assert!(json.contains(concat!(
+            r#""name":"session","cat":"span","ph":"X","ts":1,"dur":0.1,"pid":0,"tid":0,"#,
+            r#""args":{"id":1,"parent_id":null}}"#
+        )));
+        assert!(json.contains(concat!(
+            r#""name":"evaluate","cat":"span","ph":"X","ts":1.07,"dur":0.03,"pid":0,"tid":0,"#,
+            r#""args":{"id":3,"parent_id":1}}"#
+        )));
         assert!(json.contains(r#""source":"unit""#));
     }
 

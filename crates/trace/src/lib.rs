@@ -5,21 +5,22 @@
 //! crate closes the loop by turning those journals into products a human
 //! (or a CI gate) can act on:
 //!
-//! * [`tree`] — reconstructs the hierarchical span tree per thread from
-//!   the close-ordered `span` event stream and computes **self time**
-//!   (a span's duration minus its children's) so hot paths show up where
-//!   the time is actually spent, not where it is merely enclosed.
+//! * [`tree`] — builds the span tree per thread by grouping `span`
+//!   records on their parent's id, and computes **self time** (a span's
+//!   duration minus its children's) so hot paths show up where the time
+//!   is actually spent, not where it is merely enclosed.
 //! * [`export`] — renders trees as collapsed-stack lines
-//!   (`a;b;c <nanos>`, flamegraph-compatible) and as Chrome
-//!   `trace_event` JSON that opens directly in `chrome://tracing` or
+//!   (`a;b;c <value>`, flamegraph-compatible, weighted by self time or by
+//!   self-allocated bytes) and as Chrome `trace_event` JSON on the
+//!   recorded timeline, which opens directly in `chrome://tracing` or
 //!   Perfetto.
 //! * [`summary`] / [`diff`] — folds a journal into a per-name summary
 //!   and aligns two runs by span name and metric key, flagging wall-time regressions with a noise-aware
 //!   threshold while holding deterministic counters (`exec.cache.*`,
 //!   `sim.evals`, span counts) to **exact** equality.
 //! * [`validate`] — structural invariants beyond line-level parsing:
-//!   consistent nesting per thread, parent attribution that matches the
-//!   tree, monotonic counters.
+//!   span trees that build (unique ids, closed parents, children inside
+//!   their parents), monotonic counters.
 //!
 //! The crate is std-only (its one dependency is `dbtune-obs`, itself
 //! dependency-free): journals must be analyzable on any machine,
@@ -36,9 +37,7 @@ pub mod validate;
 pub use diff::{diff_summaries, DiffConfig, DiffEntry, DiffKind};
 pub use export::{chrome_trace, collapsed_stacks};
 pub use summary::{summarize, MemSummary, RunSummary, SpanSummary};
-pub use tree::{
-    build_trees, mem_to_span_events, merge_paths, MergedNode, SpanNode, ThreadTree, TreeError,
-};
+pub use tree::{build_trees, merge_paths, MergedNode, SpanNode, ThreadTree, TreeError};
 pub use validate::{check_structure, Violation};
 
 use dbtune_obs::journal::{parse_journal, SCHEMA_VERSION};
@@ -115,13 +114,13 @@ mod tests {
     #[test]
     fn loads_a_minimal_journal() {
         let text = concat!(
-            "{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}\n",
-            "{\"type\":\"span\",\"name\":\"a\",\"parent\":null,\"depth\":0,",
-            "\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
+            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
+            "{\"type\":\"span\",\"name\":\"a\",\"id\":1,\"parent_id\":null,",
+            "\"start_nanos\":0,\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
         );
         let j = load_journal_str(text).expect("valid journal");
         assert_eq!(j.source, "unit");
-        assert_eq!(j.version, 1);
+        assert_eq!(j.version, 2);
         assert_eq!(j.events.len(), 1);
         assert_eq!(j.events[0].line, 2);
     }
@@ -131,7 +130,7 @@ mod tests {
         // Forward compatibility: a journal from a newer toolkit with an
         // extra event kind still loads; its known lines are kept.
         let text = concat!(
-            "{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}\n",
+            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
             "{\"type\":\"hologram\",\"name\":\"x\",\"seq\":1}\n",
             "{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":3,\"seq\":2}\n",
         );
@@ -142,7 +141,7 @@ mod tests {
         // The skip applies only to unknown *kinds*: a known kind with a
         // bad field still aborts with the line number.
         let bad_field = concat!(
-            "{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}\n",
+            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
             "{\"type\":\"counter\",\"name\":\"c\",\"value\":\"oops\",\"seq\":1}\n",
         );
         assert!(load_journal_str(bad_field).expect_err("must be rejected").contains("line 2"));
@@ -155,7 +154,7 @@ mod tests {
 
     #[test]
     fn meta_only_journal_loads_with_zero_events() {
-        let j = load_journal_str("{\"type\":\"meta\",\"version\":1,\"source\":\"unit\"}\n")
+        let j = load_journal_str("{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n")
             .expect("meta-only journal is valid");
         assert_eq!(j.source, "unit");
         assert!(j.events.is_empty());
@@ -166,9 +165,12 @@ mod tests {
         let no_meta = "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}";
         assert!(load_journal_str(no_meta).expect_err("must be rejected").contains("meta"));
         assert!(load_journal_str("").expect_err("must be rejected").contains("empty"));
-        let bad = "{\"type\":\"meta\",\"version\":1,\"source\":\"x\"}\nnope";
+        let bad = "{\"type\":\"meta\",\"version\":2,\"source\":\"x\"}\nnope";
         assert!(load_journal_str(bad).expect_err("must be rejected").contains("line 2"));
         let future = "{\"type\":\"meta\",\"version\":99,\"source\":\"x\"}";
         assert!(load_journal_str(future).expect_err("must be rejected").contains("version 99"));
+        // Version 1 journals recorded span parents by name, not by id.
+        let old = "{\"type\":\"meta\",\"version\":1,\"source\":\"x\"}";
+        assert!(load_journal_str(old).expect_err("must be rejected").contains("version 1"));
     }
 }

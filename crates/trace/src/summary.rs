@@ -25,14 +25,14 @@ pub struct SpanSummary {
     pub p99_nanos: u64,
 }
 
-/// Aggregate of every `mem` event of one span name across the run —
-/// allocation churn attributed to that span. Bytes and counts are
+/// Aggregate of the allocation fields of every profiled close of one
+/// span name across the run — allocation churn attributed to that span. Bytes and counts are
 /// deterministic for a fixed configuration at `workers=1` (allocation
 /// is a pure function of the code path), so the diff holds them to
 /// exact equality like other work counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemSummary {
-    /// `mem` events folded in (one per span close while latched).
+    /// Profiled closes folded in (spans opened while memprof was latched).
     pub closes: u64,
     /// Summed self-attributed bytes (total minus children).
     pub self_bytes: u64,
@@ -56,8 +56,8 @@ pub struct RunSummary {
     pub gauges: BTreeMap<String, i64>,
     /// Per-span-name aggregates.
     pub spans: BTreeMap<String, SpanSummary>,
-    /// Per-span-name allocation aggregates (`mem` events; empty unless
-    /// the run had memprof latched on).
+    /// Per-span-name allocation aggregates (empty unless the run had
+    /// memprof latched on).
     pub mem: BTreeMap<String, MemSummary>,
     /// Completed grid cells observed (`cell` events).
     pub cells: u64,
@@ -85,24 +85,22 @@ pub fn summarize(journal: &JournalData) -> RunSummary {
     let mut out = RunSummary { source: journal.source.clone(), ..Default::default() };
     for jl in &journal.events {
         match &jl.event {
-            TraceEvent::Span { name, dur_nanos, .. } => {
+            TraceEvent::Span { name, dur_nanos, mem, .. } => {
                 durs.entry(name.clone()).or_default().push(*dur_nanos);
+                if let Some(d) = mem {
+                    let m = out.mem.entry(name.clone()).or_default();
+                    m.closes += 1;
+                    m.self_bytes += d.self_bytes;
+                    m.self_allocs += d.self_allocs;
+                    m.total_bytes += d.total_bytes;
+                    m.total_allocs += d.total_allocs;
+                }
             }
             TraceEvent::Counter { name, value, .. } => {
                 out.counters.insert(name.clone(), *value);
             }
             TraceEvent::Gauge { name, value, .. } => {
                 out.gauges.insert(name.clone(), *value);
-            }
-            TraceEvent::Mem {
-                name, self_bytes, self_allocs, total_bytes, total_allocs, ..
-            } => {
-                let m = out.mem.entry(name.clone()).or_default();
-                m.closes += 1;
-                m.self_bytes += self_bytes;
-                m.self_allocs += self_allocs;
-                m.total_bytes += total_bytes;
-                m.total_allocs += total_allocs;
             }
             TraceEvent::Cell { .. } => out.cells += 1,
             TraceEvent::Diag { .. } => out.diag_records += 1,
@@ -129,41 +127,34 @@ pub fn summarize(journal: &JournalData) -> RunSummary {
 mod tests {
     use super::*;
     use crate::JournalLine;
+    use dbtune_obs::MemDelta;
 
     fn line(event: TraceEvent) -> JournalLine {
         JournalLine { line: 0, event }
+    }
+
+    fn span(name: &str, id: u64, dur: u64, thread: u64, mem: Option<MemDelta>) -> JournalLine {
+        line(TraceEvent::Span {
+            name: name.into(),
+            id,
+            parent_id: None,
+            start_nanos: 0,
+            dur_nanos: dur,
+            thread,
+            mem,
+            seq: id,
+        })
     }
 
     #[test]
     fn summarize_aggregates_spans_counters_and_cells() {
         let journal = JournalData {
             source: "unit".into(),
-            version: 1,
+            version: 2,
             events: vec![
-                line(TraceEvent::Span {
-                    name: "fit".into(),
-                    parent: None,
-                    depth: 0,
-                    dur_nanos: 30,
-                    thread: 0,
-                    seq: 1,
-                }),
-                line(TraceEvent::Span {
-                    name: "fit".into(),
-                    parent: None,
-                    depth: 0,
-                    dur_nanos: 10,
-                    thread: 0,
-                    seq: 2,
-                }),
-                line(TraceEvent::Span {
-                    name: "fit".into(),
-                    parent: None,
-                    depth: 0,
-                    dur_nanos: 20,
-                    thread: 1,
-                    seq: 3,
-                }),
+                span("fit", 1, 30, 0, None),
+                span("fit", 2, 10, 0, None),
+                span("fit", 3, 20, 1, None),
                 line(TraceEvent::Counter { name: "sim.evals".into(), value: 4, seq: 4 }),
                 line(TraceEvent::Counter { name: "sim.evals".into(), value: 9, seq: 5 }),
                 line(TraceEvent::Gauge { name: "exec.cache.entries".into(), value: 3, seq: 6 }),
@@ -202,30 +193,28 @@ mod tests {
         assert_eq!(fit.min_nanos, 10);
         assert_eq!(fit.p50_nanos, 20);
         assert_eq!(fit.p99_nanos, 30);
+        assert!(s.mem.is_empty(), "unprofiled spans add no allocation rows");
     }
 
     #[test]
-    fn mem_events_aggregate_per_span_name() {
-        let mem = |name: &str, self_b: u64, self_a: u64, total_b: u64, total_a: u64| {
-            line(TraceEvent::Mem {
-                name: name.into(),
-                parent: None,
-                depth: 0,
+    fn profiled_spans_aggregate_per_span_name() {
+        let mem = |name: &str, id: u64, self_b: u64, self_a: u64, total_b: u64, total_a: u64| {
+            let m = MemDelta {
                 self_bytes: self_b,
                 self_allocs: self_a,
                 total_bytes: total_b,
                 total_allocs: total_a,
-                thread: 0,
-                seq: 0,
-            })
+            };
+            span(name, id, 1, 0, Some(m))
         };
         let journal = JournalData {
             source: "unit".into(),
-            version: 1,
+            version: 2,
             events: vec![
-                mem("fit", 100, 2, 300, 5),
-                mem("fit", 50, 1, 60, 2),
-                mem("acq", 10, 1, 10, 1),
+                mem("fit", 1, 100, 2, 300, 5),
+                mem("fit", 2, 50, 1, 60, 2),
+                mem("acq", 3, 10, 1, 10, 1),
+                span("acq", 4, 1, 0, None),
             ],
         };
         let s = summarize(&journal);
@@ -235,8 +224,8 @@ mod tests {
         assert_eq!(fit.self_allocs, 3);
         assert_eq!(fit.total_bytes, 360);
         assert_eq!(fit.total_allocs, 7);
-        assert_eq!(s.mem["acq"].closes, 1);
-        assert!(s.spans.is_empty(), "mem events do not create span summaries");
+        assert_eq!(s.mem["acq"].closes, 1, "only profiled closes count");
+        assert_eq!(s.spans["acq"].count, 2);
     }
 
     #[test]

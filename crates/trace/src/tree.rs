@@ -1,27 +1,27 @@
-//! Span-tree reconstruction from close-ordered journal events.
+//! Span trees from the journal's span records.
 //!
 //! The journal records one `span` event per *close* (there are no open
 //! events — a disabled journal must cost one atomic load, and opens
-//! would double the line count for no analytical gain). Closes on one
-//! thread arrive in LIFO order: every child closes before its parent,
-//! and each event carries its nesting `depth` and `parent` name. That is
-//! exactly enough to rebuild the tree per thread:
+//! would double the line count for no analytical gain). Each event
+//! carries its per-thread `id`, the `parent_id` of the span that
+//! enclosed it, and its real `[start, start + dur]` interval, so a tree
+//! is a group-by: the children of span `p` on thread `t` are the events
+//! with `(thread, parent_id) == (t, p)`, in close (= chronological)
+//! order.
 //!
-//! * keep a stack of *pending* sibling lists indexed by depth;
-//! * when a span closes at depth `d`, everything pending at depth `d+1`
-//!   is its (in-order) children — claim them, then park the new node at
-//!   depth `d`;
-//! * when the stream ends, the pending depth-0 list holds the roots.
+//! [`build_trees`] checks what a well-behaved writer guarantees, and names
+//! the offending line when a journal breaks it:
 //!
-//! Any sequence that cannot be explained by a matched open — a root with
-//! a parent, a child whose recorded parent is not the span that actually
-//! closed above it, grandchildren left stranded, or a truncated journal
-//! whose enclosing spans never close — is a structural error naming the
-//! offending line, which is how `trace_validate` turns "every span-close
-//! has a matching open" into a checkable invariant.
+//! * every `(thread, id)` closes once;
+//! * a child's parent closes after it — the last spans of a truncated
+//!   journal have parents that never closed;
+//! * a child's interval lies inside its parent's.
+//!
+//! That is how `trace_validate` turns "every span close has a matching
+//! open" into a checkable invariant.
 
 use crate::JournalLine;
-use dbtune_obs::TraceEvent;
+use dbtune_obs::{MemDelta, TraceEvent};
 use std::collections::BTreeMap;
 
 /// One reconstructed span occurrence.
@@ -29,23 +29,32 @@ use std::collections::BTreeMap;
 pub struct SpanNode {
     /// Span name.
     pub name: String,
+    /// Per-thread id from the journal.
+    pub id: u64,
+    /// Open time, as an offset from the journal's epoch.
+    pub start_nanos: u64,
     /// Recorded monotonic duration.
     pub dur_nanos: u64,
-    /// Journal sequence number of the close event.
-    pub seq: u64,
+    /// Allocation attribution, when the span was profiled.
+    pub mem: Option<MemDelta>,
     /// Child spans, in close (= chronological) order.
     pub children: Vec<SpanNode>,
 }
 
 impl SpanNode {
+    /// Close time, as an offset from the journal's epoch.
+    pub fn end_nanos(&self) -> u64 {
+        self.start_nanos.saturating_add(self.dur_nanos)
+    }
+
     /// Summed duration of direct children.
     pub fn child_nanos(&self) -> u64 {
         self.children.iter().map(|c| c.dur_nanos).sum()
     }
 
-    /// Time spent in this span but not in any child (saturating: a
-    /// child's measured duration can exceed its parent's by scheduler
-    /// jitter at nanosecond scale).
+    /// Time spent in this span but not in any child. Children lie inside
+    /// their parent and one thread runs them one after another, so this
+    /// never saturates on a journal [`build_trees`] accepts.
     pub fn self_nanos(&self) -> u64 {
         self.dur_nanos.saturating_sub(self.child_nanos())
     }
@@ -73,10 +82,10 @@ impl ThreadTree {
     }
 }
 
-/// A structural violation found while rebuilding the tree.
+/// A structural violation found while building the trees.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeError {
-    /// 1-based journal line of the violating event (0 = end of journal).
+    /// 1-based journal line of the violating span event.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -84,126 +93,88 @@ pub struct TreeError {
 
 impl std::fmt::Display for TreeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "end of journal: {}", self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
+        write!(f, "line {}: {}", self.line, self.message)
     }
 }
 
-/// A reconstructed span still waiting for its parent to close, plus the
-/// parent name its close event recorded (so attribution can be verified
-/// when the parent finally closes).
-struct PendingNode {
+/// A closed span whose parent has not closed yet, with its line.
+struct Waiting {
+    line: usize,
     node: SpanNode,
-    parent: Option<String>,
 }
 
-/// Per-thread reconstruction state: `pending[d]` holds spans closed at
-/// depth `d` whose parent has not closed yet.
-#[derive(Default)]
-struct ThreadState {
-    pending: Vec<Vec<PendingNode>>,
-}
-
-/// Rebuilds the span trees of every thread from a journal's events
+/// Builds the span trees of every thread from a journal's events
 /// (non-`span` events are ignored). Returns one [`ThreadTree`] per
-/// thread ordinal, sorted by ordinal, or the first structural violation.
+/// thread ordinal that closed a span, sorted by ordinal, or the first
+/// structural violation.
 pub fn build_trees(events: &[JournalLine]) -> Result<Vec<ThreadTree>, TreeError> {
-    let mut threads: BTreeMap<u64, ThreadState> = BTreeMap::new();
+    // Line of every close so far, by (thread, id).
+    let mut closed: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    // Closed spans whose parent has not closed yet, by (thread, parent id).
+    let mut waiting: BTreeMap<(u64, u64), Vec<Waiting>> = BTreeMap::new();
+    let mut roots: BTreeMap<u64, Vec<SpanNode>> = BTreeMap::new();
     for jl in events {
-        let TraceEvent::Span { name, parent, depth, dur_nanos, thread, seq } = &jl.event else {
+        let TraceEvent::Span { name, id, parent_id, start_nanos, dur_nanos, thread, mem, .. } =
+            &jl.event
+        else {
             continue;
         };
-        let depth = *depth as usize;
-        let state = threads.entry(*thread).or_default();
-        if state.pending.len() <= depth + 1 {
-            state.pending.resize_with(depth + 2, Vec::new);
+        if let Some(first) = closed.insert((*thread, *id), jl.line) {
+            return Err(TreeError {
+                line: jl.line,
+                message: format!(
+                    "span '{name}' reuses id {id} of thread {thread} (closed on line {first})"
+                ),
+            });
         }
-
-        // Consistency between depth and parent attribution.
-        match (depth, parent) {
-            (0, Some(p)) => {
+        let mut node = SpanNode {
+            name: name.clone(),
+            id: *id,
+            start_nanos: *start_nanos,
+            dur_nanos: *dur_nanos,
+            mem: *mem,
+            children: Vec::new(),
+        };
+        for child in waiting.remove(&(*thread, *id)).unwrap_or_default() {
+            let c = &child.node;
+            if c.start_nanos < node.start_nanos || c.end_nanos() > node.end_nanos() {
                 return Err(TreeError {
-                    line: jl.line,
-                    message: format!("root span '{name}' (depth 0) claims parent '{p}'"),
-                })
-            }
-            (d, None) if d > 0 => {
-                return Err(TreeError {
-                    line: jl.line,
-                    message: format!("span '{name}' at depth {d} has no parent"),
-                })
-            }
-            _ => {}
-        }
-
-        // A close at depth d can only happen once everything below its
-        // children's level has been claimed: spans stranded deeper than
-        // d+1 would mean their own parents never closed — an unmatched
-        // open (e.g. a truncated or interleaved journal).
-        for deeper in (depth + 2)..state.pending.len() {
-            if let Some(orphan) = state.pending[deeper].first() {
-                return Err(TreeError {
-                    line: jl.line,
+                    line: child.line,
                     message: format!(
-                        "span '{name}' closed at depth {depth} on thread {thread} while \
-                         '{}' (depth {deeper}, seq {}) still awaits its depth-{} parent",
-                        orphan.node.name,
-                        orphan.node.seq,
-                        deeper - 1
+                        "span '{}' [{}, {}] lies outside its parent '{name}' [{}, {}] (line {})",
+                        c.name,
+                        c.start_nanos,
+                        c.end_nanos(),
+                        node.start_nanos,
+                        node.end_nanos(),
+                        jl.line
                     ),
                 });
             }
+            node.children.push(child.node);
         }
-
-        // Claim the children, verifying the parent each one recorded at
-        // emit time is the span that actually closed above it — a
-        // corrupted or hand-edited journal must not silently produce a
-        // plausible-looking tree.
-        let claimed = std::mem::take(&mut state.pending[depth + 1]);
-        let mut children = Vec::with_capacity(claimed.len());
-        for child in claimed {
-            if let Some(recorded) = &child.parent {
-                if recorded != name {
-                    return Err(TreeError {
-                        line: jl.line,
-                        message: format!(
-                            "span '{}' (seq {}) records parent '{recorded}' but closed under \
-                             '{name}'",
-                            child.node.name, child.node.seq
-                        ),
-                    });
-                }
+        match parent_id {
+            None => roots.entry(*thread).or_default().push(node),
+            Some(parent) => {
+                waiting.entry((*thread, *parent)).or_default().push(Waiting { line: jl.line, node })
             }
-            children.push(child.node);
         }
-        state.pending[depth].push(PendingNode {
-            node: SpanNode { name: name.clone(), dur_nanos: *dur_nanos, seq: *seq, children },
-            parent: parent.clone(),
+    }
+    // Whatever still waits has a parent that never closed after it: the
+    // journal was cut short, or the id names no span that could enclose
+    // it.
+    let orphan = waiting.iter().flat_map(|(&key, w)| w.iter().map(move |w| (key, w)));
+    if let Some(((thread, parent), w)) = orphan.min_by_key(|(_, w)| w.line) {
+        return Err(TreeError {
+            line: w.line,
+            message: format!(
+                "span '{}' has parent id {parent} on thread {thread}, which never closed \
+                 after it — journal truncated?",
+                w.node.name
+            ),
         });
     }
-
-    let mut out = Vec::new();
-    for (thread, state) in threads {
-        for (depth, pending) in state.pending.iter().enumerate().skip(1) {
-            if let Some(orphan) = pending.first() {
-                return Err(TreeError {
-                    line: 0,
-                    message: format!(
-                        "thread {thread}: span '{}' (depth {depth}, seq {}) closed but its \
-                         parent never did — journal truncated?",
-                        orphan.node.name, orphan.node.seq
-                    ),
-                });
-            }
-        }
-        let roots =
-            state.pending.into_iter().next().unwrap_or_default().into_iter().map(|p| p.node);
-        out.push(ThreadTree { thread, roots: roots.collect() });
-    }
-    Ok(out)
+    Ok(roots.into_iter().map(|(thread, roots)| ThreadTree { thread, roots }).collect())
 }
 
 /// One node of the *merged* tree: all occurrences of the same span path
@@ -216,6 +187,8 @@ pub struct MergedNode {
     pub total_nanos: u64,
     /// Summed self time over all occurrences.
     pub self_nanos: u64,
+    /// Summed recorded self bytes over the profiled occurrences.
+    pub self_bytes: u64,
     /// Children keyed by span name (sorted — BTreeMap order).
     pub children: BTreeMap<String, MergedNode>,
 }
@@ -226,6 +199,7 @@ impl MergedNode {
         slot.count += 1;
         slot.total_nanos += node.dur_nanos;
         slot.self_nanos += node.self_nanos();
+        slot.self_bytes += node.mem.map_or(0, |m| m.self_bytes);
         for child in &node.children {
             slot.fold(child);
         }
@@ -249,50 +223,27 @@ pub fn merge_paths(trees: &[ThreadTree]) -> MergedNode {
     root
 }
 
-/// Projects a journal's `mem` events onto synthetic `span` events whose
-/// duration is the span's **total allocated bytes**. `mem` events carry
-/// the same name/parent/depth/thread fields and arrive in the same
-/// close order as their spans, so the whole span pipeline —
-/// [`build_trees`] → [`merge_paths`] → `collapsed_stacks` — applies
-/// unchanged, and its self-value arithmetic (total minus children)
-/// reproduces exactly the `self_bytes` the profiler recorded per event.
-/// The result: a bytes-weighted tree/flamegraph for free.
-///
-/// Returns an empty vec when the journal has no `mem` events (memprof
-/// was not latched).
-pub fn mem_to_span_events(events: &[JournalLine]) -> Vec<JournalLine> {
-    events
-        .iter()
-        .filter_map(|jl| match &jl.event {
-            TraceEvent::Mem { name, parent, depth, total_bytes, thread, seq, .. } => {
-                Some(JournalLine {
-                    line: jl.line,
-                    event: TraceEvent::Span {
-                        name: name.clone(),
-                        parent: parent.clone(),
-                        depth: *depth,
-                        dur_nanos: *total_bytes,
-                        thread: *thread,
-                        seq: *seq,
-                    },
-                })
-            }
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(name: &str, parent: Option<&str>, depth: u32, dur: u64, thread: u64) -> TraceEvent {
+    /// A span close on `thread`: `[start, start + dur]`, under `parent`.
+    fn span(
+        name: &str,
+        id: u64,
+        parent_id: Option<u64>,
+        start: u64,
+        dur: u64,
+        thread: u64,
+    ) -> TraceEvent {
         TraceEvent::Span {
             name: name.to_string(),
-            parent: parent.map(str::to_string),
-            depth,
+            id,
+            parent_id,
+            start_nanos: start,
             dur_nanos: dur,
             thread,
+            mem: None,
             seq: 0,
         }
     }
@@ -301,79 +252,18 @@ mod tests {
         events
             .into_iter()
             .enumerate()
-            .map(|(i, event)| {
-                let event = match event {
-                    TraceEvent::Span { name, parent, depth, dur_nanos, thread, .. } => {
-                        TraceEvent::Span {
-                            name,
-                            parent,
-                            depth,
-                            dur_nanos,
-                            thread,
-                            seq: i as u64 + 1,
-                        }
-                    }
-                    other => other,
-                };
-                JournalLine { line: i + 2, event }
-            })
+            .map(|(i, event)| JournalLine { line: i + 2, event })
             .collect()
     }
 
     #[test]
-    fn mem_events_project_onto_a_bytes_weighted_span_tree() {
-        let mem = |name: &str, parent: Option<&str>, depth: u32, self_b: u64, total_b: u64| {
-            TraceEvent::Mem {
-                name: name.to_string(),
-                parent: parent.map(str::to_string),
-                depth,
-                self_bytes: self_b,
-                self_allocs: 1,
-                total_bytes: total_b,
-                total_allocs: 2,
-                thread: 0,
-                seq: 0,
-            }
-        };
-        // session { fit(400 self) ; acq(100 self) ; 500 self } — close
-        // order: fit, acq, session. A stray span event rides along to
-        // prove the projection drops non-mem kinds.
-        let events: Vec<JournalLine> = vec![
-            JournalLine { line: 2, event: mem("fit", Some("session"), 1, 400, 400) },
-            JournalLine {
-                line: 3,
-                event: TraceEvent::Span {
-                    name: "fit".into(),
-                    parent: Some("session".into()),
-                    depth: 1,
-                    dur_nanos: 999,
-                    thread: 0,
-                    seq: 2,
-                },
-            },
-            JournalLine { line: 4, event: mem("acq", Some("session"), 1, 100, 100) },
-            JournalLine { line: 5, event: mem("session", None, 0, 500, 1000) },
-        ];
-        let projected = mem_to_span_events(&events);
-        assert_eq!(projected.len(), 3, "span events are dropped from the projection");
-        let trees = build_trees(&projected).expect("mem stream rebuilds like spans");
-        let merged = merge_paths(&trees);
-        let session = &merged.children["session"];
-        assert_eq!(session.total_nanos, 1000, "synthetic duration = total bytes");
-        assert_eq!(session.self_nanos, 500, "tree self = recorded self_bytes");
-        assert_eq!(session.children["fit"].self_nanos, 400);
-        assert_eq!(session.children["acq"].self_nanos, 100);
-        assert!(mem_to_span_events(&[]).is_empty());
-    }
-
-    #[test]
-    fn rebuilds_nesting_from_close_order() {
-        // open a; open b; close b; open c; open d; close d; close c; close a
+    fn rebuilds_nesting_from_parent_ids() {
+        // a [0,100] { b [5,15], c [20,40] { d [25,30] } }, closes in order.
         let events = journal(vec![
-            span("b", Some("a"), 1, 10, 0),
-            span("d", Some("c"), 2, 5, 0),
-            span("c", Some("a"), 1, 20, 0),
-            span("a", None, 0, 100, 0),
+            span("b", 2, Some(1), 5, 10, 0),
+            span("d", 4, Some(3), 25, 5, 0),
+            span("c", 3, Some(1), 20, 20, 0),
+            span("a", 1, None, 0, 100, 0),
         ]);
         let trees = build_trees(&events).expect("valid");
         assert_eq!(trees.len(), 1);
@@ -382,6 +272,7 @@ mod tests {
         assert_eq!(a.children.len(), 2);
         assert_eq!(a.children[0].name, "b");
         assert_eq!(a.children[1].name, "c");
+        assert_eq!(a.children[1].start_nanos, 20);
         assert_eq!(a.children[1].children[0].name, "d");
         assert_eq!(a.child_nanos(), 30);
         assert_eq!(a.self_nanos(), 70);
@@ -391,10 +282,11 @@ mod tests {
 
     #[test]
     fn threads_are_reconstructed_independently() {
+        // Both threads use id 1: ids are per thread.
         let events = journal(vec![
-            span("inner", Some("outer"), 1, 3, 1),
-            span("solo", None, 0, 7, 2),
-            span("outer", None, 0, 9, 1),
+            span("inner", 2, Some(1), 1, 3, 1),
+            span("solo", 1, None, 0, 7, 2),
+            span("outer", 1, None, 0, 9, 1),
         ]);
         let trees = build_trees(&events).expect("valid");
         assert_eq!(trees.len(), 2);
@@ -407,10 +299,10 @@ mod tests {
     #[test]
     fn self_time_sums_to_root_time() {
         let events = journal(vec![
-            span("fit", Some("suggest"), 1, 40, 0),
-            span("acq", Some("suggest"), 1, 25, 0),
-            span("suggest", None, 0, 80, 0),
-            span("evaluate", None, 0, 50, 0),
+            span("fit", 2, Some(1), 0, 40, 0),
+            span("acq", 3, Some(1), 50, 25, 0),
+            span("suggest", 1, None, 0, 80, 0),
+            span("evaluate", 4, None, 80, 50, 0),
         ]);
         let trees = build_trees(&events).expect("valid");
         let merged = merge_paths(&trees);
@@ -422,10 +314,10 @@ mod tests {
     #[test]
     fn merge_folds_repeated_paths() {
         let events = journal(vec![
-            span("fit", Some("suggest"), 1, 10, 0),
-            span("suggest", None, 0, 30, 0),
-            span("fit", Some("suggest"), 1, 20, 1),
-            span("suggest", None, 0, 50, 1),
+            span("fit", 2, Some(1), 0, 10, 0),
+            span("suggest", 1, None, 0, 30, 0),
+            span("fit", 2, Some(1), 0, 20, 1),
+            span("suggest", 1, None, 0, 50, 1),
         ]);
         let merged = merge_paths(&build_trees(&events).expect("valid"));
         let suggest = &merged.children["suggest"];
@@ -436,40 +328,80 @@ mod tests {
     }
 
     #[test]
-    fn rejects_root_with_parent_and_orphan_depth() {
-        let bad_root = journal(vec![span("a", Some("ghost"), 0, 1, 0)]);
-        let err = build_trees(&bad_root).expect_err("must be rejected");
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("claims parent"));
-
-        let no_parent = journal(vec![span("child", None, 1, 1, 0)]);
-        let err = build_trees(&no_parent).expect_err("must be rejected");
-        assert!(err.message.contains("has no parent"), "{err}");
+    fn merged_self_bytes_sum_the_recorded_self_bytes() {
+        let profiled = |event: TraceEvent, self_bytes: u64, total_bytes: u64| match event {
+            TraceEvent::Span {
+                name, id, parent_id, start_nanos, dur_nanos, thread, seq, ..
+            } => TraceEvent::Span {
+                name,
+                id,
+                parent_id,
+                start_nanos,
+                dur_nanos,
+                thread,
+                mem: Some(MemDelta { self_bytes, self_allocs: 1, total_bytes, total_allocs: 2 }),
+                seq,
+            },
+            other => other,
+        };
+        // session { fit (400 B) ; acq (100 B) ; 500 B of its own }, run
+        // twice; one unprofiled span adds no bytes.
+        let events = journal(vec![
+            profiled(span("fit", 2, Some(1), 0, 1, 0), 400, 400),
+            profiled(span("acq", 3, Some(1), 1, 1, 0), 100, 100),
+            profiled(span("session", 1, None, 0, 3, 0), 500, 1000),
+            profiled(span("fit", 5, Some(4), 3, 1, 0), 400, 400),
+            span("acq", 6, Some(4), 4, 1, 0),
+            profiled(span("session", 4, None, 3, 3, 0), 500, 900),
+        ]);
+        let merged = merge_paths(&build_trees(&events).expect("valid"));
+        let session = &merged.children["session"];
+        assert_eq!(session.self_bytes, 1000);
+        assert_eq!(session.children["fit"].self_bytes, 800);
+        assert_eq!(session.children["acq"].self_bytes, 100);
     }
 
     #[test]
-    fn rejects_parent_name_mismatch() {
-        let events =
-            journal(vec![span("child", Some("expected"), 1, 1, 0), span("actual", None, 0, 2, 0)]);
+    fn rejects_duplicate_ids() {
+        let events = journal(vec![span("a", 1, None, 0, 1, 0), span("b", 1, None, 2, 1, 0)]);
         let err = build_trees(&events).expect_err("must be rejected");
-        assert!(err.message.contains("records parent 'expected'"), "{err}");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("reuses id 1 of thread 0 (closed on line 2)"), "{err}");
+        // The same id on another thread is another span.
+        let events = journal(vec![span("a", 1, None, 0, 1, 0), span("b", 1, None, 2, 1, 1)]);
+        assert!(build_trees(&events).is_ok());
+    }
+
+    #[test]
+    fn rejects_children_outside_their_parent() {
+        for (start, dur) in [(4, 2), (9, 2), (12, 1)] {
+            let events = journal(vec![
+                span("child", 2, Some(1), start, dur, 0),
+                span("top", 1, None, 5, 5, 0),
+            ]);
+            let err = build_trees(&events).expect_err("must be rejected");
+            assert_eq!(err.line, 2, "the child's line is named");
+            assert!(err.message.contains("lies outside its parent 'top' [5, 10]"), "{err}");
+        }
+        // Touching both ends is inside.
+        let events =
+            journal(vec![span("child", 2, Some(1), 5, 5, 0), span("top", 1, None, 5, 5, 0)]);
+        assert!(build_trees(&events).is_ok());
     }
 
     #[test]
     fn rejects_truncated_journal_with_unclosed_parent() {
-        // A depth-1 close whose depth-0 parent never closes (truncation).
-        let events = journal(vec![span("child", Some("outer"), 1, 1, 0)]);
-        let err = build_trees(&events).expect_err("must be rejected");
-        assert_eq!(err.line, 0, "reported at end of journal");
-        assert!(err.message.contains("parent never did"), "{err}");
-    }
-
-    #[test]
-    fn rejects_stranded_grandchildren() {
-        // depth-2 close, then a depth-0 close without the depth-1 parent
-        // ever closing: the grandchild can never be attached.
-        let events = journal(vec![span("grand", Some("mid"), 2, 1, 0), span("top", None, 0, 9, 0)]);
-        let err = build_trees(&events).expect_err("must be rejected");
-        assert!(err.message.contains("awaits its depth-1 parent"), "{err}");
+        // A child close whose parent never closes (truncation), and one
+        // whose parent closed on an earlier line.
+        for parent in [2, 1] {
+            let events = journal(vec![
+                span("root", 1, None, 0, 9, 0),
+                span("child", 3, Some(parent), 1, 1, 0),
+            ]);
+            let err = build_trees(&events).expect_err("must be rejected");
+            assert_eq!(err.line, 3, "the waiting child's line is named");
+            let expected = format!("parent id {parent} on thread 0, which never closed after it");
+            assert!(err.message.contains(&expected), "{err}");
+        }
     }
 }

@@ -3,16 +3,16 @@
 //! `TraceEvent::parse_line` catches malformed lines; this module checks
 //! the properties that hold *across* lines when the writer behaved:
 //!
-//! * the span stream per thread reconstructs into a tree — every close
-//!   is explained by a matched open (delegated to
-//!   [`crate::tree::build_trees`], which names the first violating
-//!   line);
+//! * the span records per thread build into trees — ids are unique,
+//!   every parent closes after its children, and every child lies inside
+//!   its parent's interval (delegated to [`crate::tree::build_trees`],
+//!   which names the first violating line);
 //! * counters are cumulative, so successive flushes of the same name
 //!   are monotonically non-decreasing;
 //! * histogram flushes satisfy `p50 <= p99` and report quantiles only
 //!   when `count > 0`;
 //! * histogram counts, like counters, never decrease across flushes;
-//! * `mem` events satisfy `self <= total` for both bytes and counts
+//! * profiled spans satisfy `self <= total` for both bytes and counts
 //!   (self is total minus children — negative deltas cannot be encoded
 //!   at all, `u64` fields reject them at parse time), and when both
 //!   memory gauges are flushed, `mem.peak_bytes >= mem.live_bytes`.
@@ -27,10 +27,10 @@ use dbtune_obs::TraceEvent;
 use std::collections::BTreeMap;
 
 /// One structural violation, anchored to the journal line that
-/// exhibited it (0 = end of journal, e.g. truncation).
+/// exhibited it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// 1-based journal line (0 = end of journal).
+    /// 1-based journal line.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -38,11 +38,7 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "end of journal: {}", self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
+        write!(f, "line {}: {}", self.line, self.message)
     }
 }
 
@@ -86,23 +82,22 @@ pub fn check_structure(events: &[JournalLine]) -> Vec<Violation> {
                 "mem.live_bytes" => mem_live = Some((jl.line, *value)),
                 _ => {}
             },
-            TraceEvent::Mem {
-                name, self_bytes, self_allocs, total_bytes, total_allocs, ..
-            } => {
-                if self_bytes > total_bytes {
+            TraceEvent::Span { name, mem: Some(m), .. } => {
+                if m.self_bytes > m.total_bytes {
                     out.push(Violation {
                         line: jl.line,
                         message: format!(
-                            "mem '{name}' has self_bytes {self_bytes} > total_bytes {total_bytes}"
+                            "span '{name}' has self_bytes {} > total_bytes {}",
+                            m.self_bytes, m.total_bytes
                         ),
                     });
                 }
-                if self_allocs > total_allocs {
+                if m.self_allocs > m.total_allocs {
                     out.push(Violation {
                         line: jl.line,
                         message: format!(
-                            "mem '{name}' has self_allocs {self_allocs} > total_allocs \
-                             {total_allocs}"
+                            "span '{name}' has self_allocs {} > total_allocs {}",
+                            m.self_allocs, m.total_allocs
                         ),
                     });
                 }
@@ -149,13 +144,14 @@ pub fn check_structure(events: &[JournalLine]) -> Vec<Violation> {
         }
     }
 
-    out.sort_by_key(|v| if v.line == 0 { usize::MAX } else { v.line });
+    out.sort_by_key(|v| v.line);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtune_obs::MemDelta;
 
     fn line(line: usize, event: TraceEvent) -> JournalLine {
         JournalLine { line, event }
@@ -181,28 +177,8 @@ mod tests {
     #[test]
     fn sound_journal_has_no_violations() {
         let events = vec![
-            line(
-                2,
-                TraceEvent::Span {
-                    name: "fit".into(),
-                    parent: Some("suggest".into()),
-                    depth: 1,
-                    dur_nanos: 5,
-                    thread: 0,
-                    seq: 1,
-                },
-            ),
-            line(
-                3,
-                TraceEvent::Span {
-                    name: "suggest".into(),
-                    parent: None,
-                    depth: 0,
-                    dur_nanos: 9,
-                    thread: 0,
-                    seq: 2,
-                },
-            ),
+            span(2, "fit", 2, Some(1), None),
+            span(3, "suggest", 1, None, None),
             counter(4, "sim.evals", 3),
             counter(5, "sim.evals", 8),
             hist(6, "span.fit", 1, 5, 5),
@@ -237,6 +213,30 @@ mod tests {
         assert!(v[0].message.contains("count went backwards"), "{}", v[0].message);
     }
 
+    /// A span close on thread 0 over `[0, 9 - id]`, so parents (lower
+    /// ids) enclose their children.
+    fn span(
+        l: usize,
+        name: &str,
+        id: u64,
+        parent_id: Option<u64>,
+        mem: Option<MemDelta>,
+    ) -> JournalLine {
+        line(
+            l,
+            TraceEvent::Span {
+                name: name.into(),
+                id,
+                parent_id,
+                start_nanos: 0,
+                dur_nanos: 9 - id,
+                thread: 0,
+                mem,
+                seq: l as u64,
+            },
+        )
+    }
+
     fn mem(
         l: usize,
         name: &str,
@@ -245,20 +245,13 @@ mod tests {
         total_b: u64,
         total_a: u64,
     ) -> JournalLine {
-        line(
-            l,
-            TraceEvent::Mem {
-                name: name.into(),
-                parent: None,
-                depth: 0,
-                self_bytes: self_b,
-                self_allocs: self_a,
-                total_bytes: total_b,
-                total_allocs: total_a,
-                thread: 0,
-                seq: l as u64,
-            },
-        )
+        let m = MemDelta {
+            self_bytes: self_b,
+            self_allocs: self_a,
+            total_bytes: total_b,
+            total_allocs: total_a,
+        };
+        span(l, name, l as u64, None, Some(m))
     }
 
     fn gauge(l: usize, name: &str, value: i64) -> JournalLine {
@@ -266,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn sound_mem_events_and_gauges_pass() {
+    fn sound_profiled_spans_and_gauges_pass() {
         let events = vec![
             mem(2, "fit", 100, 2, 300, 5),
             mem(3, "session", 0, 0, 300, 5),
@@ -277,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn flags_mem_self_exceeding_total() {
+    fn flags_profiled_self_exceeding_total() {
         let events = vec![mem(2, "fit", 400, 2, 300, 5), mem(3, "acq", 0, 9, 10, 5)];
         let v = check_structure(&events);
         assert_eq!(v.len(), 2);
@@ -304,24 +297,14 @@ mod tests {
         // A truncated journal (unclosed parent) *and* a backwards counter:
         // both must be reported, tree error sorted last (line 0 = EOF).
         let events = vec![
-            line(
-                2,
-                TraceEvent::Span {
-                    name: "child".into(),
-                    parent: Some("outer".into()),
-                    depth: 1,
-                    dur_nanos: 1,
-                    thread: 0,
-                    seq: 1,
-                },
-            ),
+            span(2, "child", 2, Some(1), None),
             counter(3, "sim.evals", 9),
             counter(4, "sim.evals", 2),
         ];
         let v = check_structure(&events);
         assert_eq!(v.len(), 2);
-        assert_eq!(v[0].line, 4, "metric violation first (by line)");
-        assert_eq!(v[1].line, 0, "tree truncation reported at end of journal");
-        assert!(v[1].message.contains("parent never did"), "{}", v[1].message);
+        assert_eq!(v[0].line, 2, "the truncated tree names the orphan's line");
+        assert!(v[0].message.contains("never closed"), "{}", v[0].message);
+        assert_eq!(v[1].line, 4, "the metric violation follows by line");
     }
 }
