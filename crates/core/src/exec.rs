@@ -390,15 +390,32 @@ impl RetryPolicy {
 // Cache keys
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a word stream.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// `FNV_PRIME^k` mod 2⁶⁴ for k = 0..=8: what k zero bytes do to an
+/// FNV-1a state.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds one word's little-endian bytes into the FNV-1a state `h`, with
+/// the same value as eight `h = (h ^ b) * P` steps. Its run of k low zero
+/// bytes comes first, and xor with a zero byte leaves `h` alone, so that
+/// run is one multiply by `P^k`; the other bytes fold one at a time.
 #[inline]
-fn fnv1a_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+fn fnv1a_fold(h: u64, word: u64) -> u64 {
+    let zeros = (word.trailing_zeros() / 8) as usize; // 8 for a zero word
+    let mut h = h.wrapping_mul(FNV_PRIME_POW[zeros]);
+    for &b in &word.to_le_bytes()[zeros..] {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -415,7 +432,9 @@ fn fnv1a_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
 /// The fingerprint is computed once, at quantization, and stored: the
 /// cache shard choice and the noise token both read it. It is a function
 /// of the first two fields, so as the last field it never changes how
-/// two keys compare.
+/// two keys compare. Its value is the byte-wise FNV-1a of the key; the
+/// fold that computes it skips each word's run of low zero bytes, which
+/// integer and categorical knobs produce (see `docs/execution.md`).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     domain: u64,
@@ -428,8 +447,12 @@ impl CacheKey {
     /// integer and categorical knobs round to their legal values, reals
     /// clamp to their range. Configurations that a DBMS could not tell
     /// apart therefore map to the same key.
+    ///
+    /// One pass: each quantized word is folded into the fingerprint as
+    /// it is produced, so the next knob's clamp overlaps the hash chain.
     pub fn quantize(domain: u64, specs: &[KnobSpec], cfg: &[f64]) -> Self {
         assert_eq!(specs.len(), cfg.len(), "configuration/spec length mismatch");
+        let mut fingerprint = fnv1a_fold(FNV_OFFSET, domain);
         let bits = specs
             .iter()
             .zip(cfg)
@@ -437,10 +460,11 @@ impl CacheKey {
                 let q = spec.domain.clamp(v);
                 // Normalize -0.0 so it cannot split a cache entry.
                 let q = if q == 0.0 { 0.0 } else { q };
-                q.to_bits()
+                let word = q.to_bits();
+                fingerprint = fnv1a_fold(fingerprint, word);
+                word
             })
             .collect::<Vec<u64>>();
-        let fingerprint = fnv1a_words(std::iter::once(domain).chain(bits.iter().copied()));
         Self { domain, bits, fingerprint }
     }
 
@@ -464,14 +488,14 @@ impl CacheKey {
     /// Tags a domain from its identifying parts (e.g. workload name,
     /// hardware label, objective direction).
     pub fn domain_tag<'a, I: IntoIterator<Item = &'a str>>(parts: I) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = FNV_OFFSET;
         for part in parts {
             for b in part.as_bytes() {
                 h ^= *b as u64;
-                h = h.wrapping_mul(0x100000001b3);
+                h = h.wrapping_mul(FNV_PRIME);
             }
             h ^= 0xff; // separator: ("ab","c") != ("a","bc")
-            h = h.wrapping_mul(0x100000001b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h
     }

@@ -2,10 +2,12 @@
 //! quantization must be idempotent, sub-resolution jitter must collapse
 //! to one key, domain tags must separate response surfaces, and the
 //! fingerprint stored at quantization must be the byte-wise FNV-1a of the
-//! key that every noise token is mixed from.
+//! key that every noise token is mixed from, both for catalog
+//! configurations and for words of every zero-byte shape the fold
+//! special-cases.
 
 use dbtune_core::exec::CacheKey;
-use dbtune_dbsim::{Domain, Hardware, KnobCatalog, Workload};
+use dbtune_dbsim::{Domain, Hardware, KnobCatalog, KnobSpec, Workload};
 use proptest::prelude::*;
 
 const DOMAIN: u64 = 0x5eed;
@@ -51,6 +53,41 @@ fn reference_fingerprint(key: &CacheKey) -> u64 {
         bytes.extend_from_slice(&w.to_le_bytes());
     }
     fnv1a_bytes(&bytes)
+}
+
+/// Clears `w`'s low `k` bytes and, for `k < 8`, makes byte `k` non-zero,
+/// so the word has exactly `k` low zero bytes (`k = 8` is the zero word).
+fn with_low_zero_bytes(w: u64, k: u32) -> u64 {
+    if k >= 8 {
+        return 0;
+    }
+    let w = w & (u64::MAX << (8 * k));
+    if (w >> (8 * k)) & 0xff == 0 {
+        w | (1 << (8 * k))
+    } else {
+        w
+    }
+}
+
+/// A word in one of the shapes the fingerprint's fold treats apart:
+/// arbitrary; exactly `k` low zero bytes for k = 0..=8; a non-zero low
+/// byte with zero bytes only among the middle and top bytes; a NaN whose
+/// payload has up to six low zero bytes; or a signed zero or infinity,
+/// which quantization rewrites.
+fn shaped_word() -> impl Strategy<Value = u64> {
+    (0u32..=4, 0..=u64::MAX, 0u32..=8, 0..=u64::MAX).prop_map(|(shape, raw, k, aux)| match shape {
+        0 => raw,
+        1 => with_low_zero_bytes(raw, k),
+        2 => (1..8u32)
+            .filter(|byte| (aux >> byte) & 1 == 1)
+            .fold(raw | 1, |w, byte| w & !(0xff << (8 * byte))),
+        3 => {
+            let sign = raw & (1 << 63);
+            let payload = with_low_zero_bytes(raw & 0x000f_ffff_ffff_ffff, k.min(6));
+            sign | 0x7ff0_0000_0000_0000 | payload
+        }
+        _ => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][(aux % 4) as usize].to_bits(),
+    })
 }
 
 proptest! {
@@ -135,6 +172,30 @@ proptest! {
                 seen.push((tag, key.fingerprint()));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The same equality over every zero-byte shape a word can take,
+    /// domain tag included. A knob spanning all finite doubles passes
+    /// each drawn word through unchanged, apart from the signed zeros and
+    /// infinities that quantization rewrites.
+    #[test]
+    fn fingerprint_is_fnv1a_for_every_zero_byte_shape(
+        domain in shaped_word(),
+        words in proptest::collection::vec(shaped_word(), 0..=24),
+    ) {
+        let spec = KnobSpec::real("word", f64::MIN, f64::MAX, false, 0.0);
+        let specs = vec![spec; words.len()];
+        let cfg: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+        let key = CacheKey::quantize(domain, &specs, &cfg);
+        for (&w, &b) in words.iter().zip(key.bits()) {
+            let rewritten = f64::from_bits(w) == 0.0 || f64::from_bits(w).is_infinite();
+            prop_assert!(w == b || rewritten, "{w:#018x} quantized to {b:#018x}");
+        }
+        prop_assert_eq!(key.fingerprint(), reference_fingerprint(&key));
     }
 }
 

@@ -224,12 +224,18 @@ impl Args {
         })
     }
 
-    /// `pin=knob1,knob2,...` resolved against the catalog.
+    /// `pin=knob1,knob2,...` resolved against the catalog. A knob named
+    /// twice is an error: both coordinates would write one slot of the
+    /// full configuration, so the first could never reach the simulator.
     fn pinned_knobs(&self, catalog: &KnobCatalog) -> Result<Option<Vec<usize>>, String> {
         let Some(list) = self.str_opt("pin") else { return Ok(None) };
         let mut idx = Vec::new();
         for name in list.split(',').filter(|s| !s.is_empty()) {
-            idx.push(catalog.index_of(name).ok_or_else(|| format!("pin: unknown knob `{name}`"))?);
+            let i = catalog.index_of(name).ok_or_else(|| format!("pin: unknown knob `{name}`"))?;
+            if idx.contains(&i) {
+                return Err(format!("pin: duplicate knob `{name}`"));
+            }
+            idx.push(i);
         }
         if idx.is_empty() {
             return Err("pin=: empty knob list".into());
@@ -546,5 +552,37 @@ mod tests {
         );
         let err = run(&["rebuild".to_string()]).expect_err("unknown command");
         assert!(err.starts_with("unknown command `rebuild`"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_pins_are_rejected_before_any_work() {
+        let catalog = KnobCatalog::mysql57();
+        for pin in
+            ["pin=sync_binlog,sync_binlog", "pin=sync_binlog,innodb_buffer_pool_size,sync_binlog"]
+        {
+            let args = parse(&["TPC-C", pin]).expect("parses");
+            assert_eq!(
+                args.pinned_knobs(&catalog),
+                Err("pin: duplicate knob `sync_binlog`".into())
+            );
+        }
+        // `tune` resolves its pins before it runs or records anything.
+        let history = std::env::temp_dir().join("dbtune-duplicate-pin-history.json");
+        let _ = std::fs::remove_file(&history);
+        let raw: Vec<String> = [
+            "tune",
+            "TPC-C",
+            "pin=sync_binlog,sync_binlog",
+            "iters=4",
+            "init=2",
+            &format!("history={}", history.display()),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        assert_eq!(run(&raw), Err("pin: duplicate knob `sync_binlog`".into()));
+        assert!(!history.exists(), "a rejected command must not write its history file");
+        let args = parse(&["TPC-C", "pin=sync_binlog,innodb_buffer_pool_size"]).expect("parses");
+        assert_eq!(args.pinned_knobs(&catalog).map(|p| p.map(|p| p.len())), Ok(Some(2)));
     }
 }
