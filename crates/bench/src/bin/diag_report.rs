@@ -31,7 +31,7 @@ fn main() -> ExitCode {
         eprintln!("usage: diag_report <journal.jsonl> [out=<report.md>]");
         return ExitCode::from(2);
     };
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(&["out"]);
     let out_path = args.get_str("out", "");
 
     let journal = match load_journal(Path::new(&path)) {

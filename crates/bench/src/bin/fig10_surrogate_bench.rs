@@ -8,31 +8,27 @@
 //! random-forest surrogate), runs every optimizer against it for several
 //! sessions, and reports (a) best-performance-over-iteration series that
 //! should reproduce the live ordering (SMAC and mixed-kernel BO on top),
-//! and (b) the replay-vs-surrogate speedup ledger (paper: 150–311×).
+//! and (b) the replay-vs-surrogate speedup (paper: 150–311×).
 //!
 //! Arguments: `samples=1200 iters=120 runs=5 workers= cache=on`
-//! (paper: 6250/200/10). The offline collection stays sequential (it
-//! consumes the live simulator); the tuning sessions then share one
-//! trained surrogate — immutably, via the executor — so the speedup
-//! ledger is computed from the cache counters and the grid's wall
-//! clock rather than from mutable per-benchmark accounting.
+//! (paper: 6250/200/10). The offline collection runs on the live
+//! simulator; the tuning sessions then share one trained surrogate,
+//! immutably, via the executor. The speedup report counts the sessions'
+//! evaluations and the evaluation time their loops measured.
 
 use dbtune_bench::{
     full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
     GridOpts,
 };
 use dbtune_benchmark::collect::{collect_samples, Dataset};
-use dbtune_benchmark::objective::SurrogateBenchmark;
+use dbtune_benchmark::objective::{SpeedupReport, SurrogateBenchmark};
 use dbtune_core::exec::run_grid;
 use dbtune_core::importance::MeasureKind;
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::tuner::{run_session, SessionConfig};
-use dbtune_dbsim::{
-    DbSimulator, Hardware, Objective, Workload, EVAL_SECONDS, METRICS_DIM, RESTART_SECONDS,
-};
+use dbtune_dbsim::{DbSimulator, Hardware, Objective, Workload, METRICS_DIM};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Run {
@@ -43,7 +39,7 @@ struct Run {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "iters", "runs"]);
     let samples = args.get_size("samples", 1200);
     let iters = args.get_size("iters", 120);
     let runs = args.get_size("runs", 5);
@@ -59,8 +55,8 @@ fn main() {
     let bench = SurrogateBenchmark::train(space.clone(), Objective::Throughput, &ds, 1);
     println!(
         "offline collection: {} evaluations = {:.1} simulated hours of workload replay",
-        sim.n_evals(),
-        sim.total_simulated_secs() / 3600.0
+        ds.len(),
+        SpeedupReport::new(ds.len(), 0.0).replay_secs / 3600.0
     );
 
     // Grid: (optimizer × run); every cell borrows the one trained
@@ -73,11 +69,6 @@ fn main() {
         }
     }
     let cache = opts.make_cache();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall-clock benchmark report — timing is the deliverable"
-    )]
-    let t0 = Instant::now();
     let sessions = run_grid(&grid, opts.workers, |index, &(opt_kind, seed)| {
         let mut opt = opt_kind.build(space.space(), METRICS_DIM, seed);
         let mut obj = opts.cell_objective(&bench, cache.clone(), index);
@@ -88,7 +79,6 @@ fn main() {
             &SessionConfig { iterations: iters, lhs_init: 10, seed, ..Default::default() },
         )
     });
-    let grid_wall_secs = t0.elapsed().as_secs_f64();
     let exec = opts.report(cache.as_ref());
 
     let mut results: Vec<Run> = Vec::new();
@@ -128,28 +118,18 @@ fn main() {
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     print_table(&header_refs, &rows);
 
-    // Speedup ledger from the executor's counters: sessions × iterations
-    // evaluations would each have cost a full replay + restart on the
-    // live system; on the surrogate the whole grid took `grid_wall_secs`
-    // (which also includes optimizer overhead, so the ratio is
-    // conservative). Wall clock goes to stdout only — the JSON stays
-    // byte-reproducible.
-    let n_evals = {
-        let counted = exec.cache.hits + exec.cache.misses;
-        if counted > 0 {
-            counted as usize
-        } else {
-            grid.len() * iters
-        }
-    };
-    let replay_secs = n_evals as f64 * (EVAL_SECONDS + RESTART_SECONDS);
+    // Every session evaluation would have cost a full replay + restart on
+    // the live system; on the surrogate it cost the evaluation time the
+    // session loop measured. Wall time goes to stdout only, so the JSON
+    // stays byte-reproducible.
+    let speedup = SpeedupReport::of_sessions(&sessions);
     println!(
-        "\nSpeedup ledger: {} surrogate evaluations ({} unique after caching) in {:.2}s vs {:.0}s of simulated replay -> {:.0}x (paper: 150-311x end-to-end)",
-        n_evals,
+        "\nSpeedup: {} surrogate evaluations ({} unique after caching) in {:.3}s vs {:.0}s of simulated replay -> {:.0}x (paper: 150-311x end-to-end)",
+        speedup.n_evals,
         exec.cache.entries,
-        grid_wall_secs,
-        replay_secs,
-        if grid_wall_secs > 0.0 { replay_secs / grid_wall_secs } else { f64::INFINITY }
+        speedup.surrogate_secs,
+        speedup.replay_secs,
+        speedup.speedup
     );
     print_exec_summary(&exec);
 

@@ -43,7 +43,7 @@ struct Run {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["iters", "seeds"]);
     let iters = args.get_size("iters", 60);
     let seeds = args.get_size("seeds", 2);
 

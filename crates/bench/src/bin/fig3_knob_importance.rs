@@ -38,7 +38,7 @@ struct Cell {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "iters", "seeds"]);
     let samples = args.get_size("samples", 6250);
     let iters = args.get_size("iters", 120);
     let seeds = args.get_size("seeds", 2);

@@ -90,7 +90,7 @@ fn surrogate_r2(
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "repeats"]);
     let samples = args.get_size("samples", 1500);
     let repeats = args.get_size("repeats", 5);
 
@@ -133,7 +133,6 @@ fn main() {
         idx.shuffle(&mut rng);
         let (train, test) = idx.split_at(cell.n_sub);
         let sub = Pool {
-            workload: pool.workload.clone(),
             x: train.iter().map(|&i| pool.x[i].clone()).collect(),
             y: train.iter().map(|&i| pool.y[i]).collect(),
             default_cfg: pool.default_cfg.clone(),

@@ -33,7 +33,7 @@ struct Run {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "iters", "seeds"]);
     let samples = args.get_size("samples", 6250);
     let iters = args.get_size("iters", 120);
     let seeds = args.get_size("seeds", 1);

@@ -5,8 +5,9 @@
 //! Figure 9: algorithm overhead — the wall-clock time each optimizer
 //! spends choosing the next configuration, as the iteration count grows
 //! (JOB, medium space), decomposed into surrogate-fit, acquisition, and
-//! bookkeeping phases. The global GP methods show the cubic blow-up; the
-//! forest/heuristic methods stay flat.
+//! bookkeeping phases. In the paper the global GP methods show the cubic
+//! blow-up and the forest/heuristic methods stay flat; EXPERIMENTS.md
+//! compares the measured curves.
 //!
 //! Arguments: `samples=6250 iters=400 workers= cache=on trace=` (paper:
 //! 6250/400). Sessions run on the parallel executor. The `"results"`
@@ -61,7 +62,7 @@ impl PhaseSeries {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "iters"]);
     let samples = args.get_size("samples", 6250);
     let iters = args.get_size("iters", 400);
 

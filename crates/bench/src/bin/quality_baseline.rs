@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(&["repeats", "iters", "workers", "write", "against", "mode"]);
     let repeats = args.get_usize("repeats", 2).max(1);
     let iters = args.get_size("iters", quality::DEFAULT_ITERS);
     let workers = args.get_usize("workers", 1);

@@ -75,7 +75,7 @@ fn session(
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "iters", "pretrain"]);
     let samples = args.get_size("samples", 6250);
     let iters = args.get_size("iters", 120);
     let pretrain = args.get_usize("pretrain", 150);

@@ -32,7 +32,7 @@ struct Entry {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&["samples", "folds"]);
     let samples = args.get_size("samples", 1200);
     let folds = args.get_size("folds", 10);
 

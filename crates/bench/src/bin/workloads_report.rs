@@ -29,7 +29,7 @@ struct Anchor {
 
 fn main() {
     let _trace_flush = dbtune_bench::flush_guard();
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse_grid(&[]);
     let opts = GridOpts::from_args("workloads_report", &args, 42);
 
     println!("== Table 4: Profile information for workloads ==");

@@ -21,7 +21,7 @@ use dbtune_core::tuner::{lhs_pool, run_session, SessionConfig, SessionResult};
 use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METRICS_DIM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -62,10 +62,16 @@ pub fn flush_guard() -> TraceFlushGuard {
     TraceFlushGuard(())
 }
 
-/// `key=value` command-line arguments with typed getters.
+/// `key=value` command-line arguments with typed getters. A driver names
+/// every key it reads when it parses them, so a mistyped flag stops it
+/// instead of running silently with a default.
 pub struct ExpArgs {
     map: BTreeMap<String, String>,
+    known: Vec<&'static str>,
 }
+
+/// The keys [`GridOpts::from_args`] reads.
+const GRID_KEYS: &[&str] = &["workers", "cache", "trace", "diag", "mem", "faults", "retries"];
 
 /// Size arguments and the least value a driver can do anything with:
 /// no iterations, samples, seeds, repeats or runs leave nothing to report,
@@ -73,20 +79,49 @@ pub struct ExpArgs {
 const MIN_SIZES: &[(&str, usize)] =
     &[("iters", 1), ("samples", 1), ("seeds", 1), ("repeats", 1), ("runs", 1), ("folds", 2)];
 
+/// Ends a driver before any work: prints `error: {msg}` and exits with
+/// status 1, as the CLI does.
+fn exit_with(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
+}
+
 impl ExpArgs {
-    /// Parses `std::env::args`.
-    pub fn parse() -> Self {
-        Self::from_strs(std::env::args().skip(1))
+    /// Parses `std::env::args` for a driver that reads the keys in `known`.
+    /// Any other key ends the driver here, before any work: it prints
+    /// ``error: unknown argument `workrs=` (known: …)`` and exits with
+    /// status 1. Arguments without `=` are left to the driver.
+    pub fn parse(known: &[&'static str]) -> Self {
+        Self::from_strs(std::env::args().skip(1), known).unwrap_or_else(|msg| exit_with(msg))
     }
 
-    fn from_strs(args: impl IntoIterator<Item = String>) -> Self {
+    /// [`Self::parse`] for a driver that runs a grid: its own keys plus
+    /// the keys [`GridOpts::from_args`] reads.
+    pub fn parse_grid(known: &[&'static str]) -> Self {
+        Self::parse(&[known, GRID_KEYS].concat())
+    }
+
+    fn from_strs(
+        args: impl IntoIterator<Item = String>,
+        known: &[&'static str],
+    ) -> Result<Self, String> {
         let mut map = BTreeMap::new();
         for arg in args {
             if let Some((k, v)) = arg.split_once('=') {
-                map.insert(k.trim_start_matches('-').to_string(), v.to_string());
+                let k = k.trim_start_matches('-');
+                if !known.contains(&k) {
+                    return Err(format!("unknown argument `{k}=` (known: {})", known.join(", ")));
+                }
+                map.insert(k.to_string(), v.to_string());
             }
         }
-        Self { map }
+        Ok(Self { map, known: known.to_vec() })
+    }
+
+    /// The raw value of `key`, which the driver must have declared.
+    fn value(&self, key: &str) -> Option<&String> {
+        assert!(self.known.contains(&key), "argument `{key}` is read but was never declared");
+        self.map.get(key)
     }
 
     /// Size argument with default (`iters`, `samples`, `seeds`, `repeats`,
@@ -94,10 +129,7 @@ impl ExpArgs {
     /// size too small to report anything ends the driver here: it prints
     /// `error: iters=0: must be at least 1` and exits with status 1.
     pub fn get_size(&self, key: &str, default: usize) -> usize {
-        self.size(key, default).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}");
-            std::process::exit(1)
-        })
+        self.size(key, default).unwrap_or_else(|msg| exit_with(msg))
     }
 
     /// [`Self::get_size`]'s check, as a value.
@@ -116,29 +148,18 @@ impl ExpArgs {
 
     /// Integer argument with default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.map
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {key}: {v}")))
-            .unwrap_or(default)
-    }
-
-    /// u64 argument with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.map
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {key}: {v}")))
-            .unwrap_or(default)
+        self.opt_usize(key).unwrap_or(default)
     }
 
     /// String argument with default.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.map.get(key).cloned().unwrap_or_else(|| default.to_string())
+        self.value(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
     /// Optional integer argument (no default — e.g. `workers=`, which
     /// falls back to the executor's own resolution chain when absent).
     pub fn opt_usize(&self, key: &str) -> Option<usize> {
-        self.map.get(key).map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {key}: {v}")))
+        self.value(key).map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {key}: {v}")))
     }
 }
 
@@ -550,10 +571,8 @@ pub fn save_json_with_telemetry<T: Serialize>(
 
 /// An LHS observation pool over the full 197-knob catalog for one
 /// workload: configurations and maximize-oriented scores.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Pool {
-    /// Workload name (for cache-file identification).
-    pub workload: String,
     /// Full-catalog raw configurations.
     pub x: Vec<Vec<f64>>,
     /// Maximize-oriented scores (failures scored by the pool rule, see
@@ -563,37 +582,18 @@ pub struct Pool {
     pub default_cfg: Vec<f64>,
 }
 
-/// Collects (or loads from `results/`) an LHS pool of `n` observations of
-/// `workload` on instance B — the §5.1 sample-collection step.
+/// Collects an LHS pool of `n` observations of `workload` on instance B
+/// — the §5.1 sample-collection step. Collecting is cheap (a 6250-sample
+/// pool takes tens of milliseconds in a release build), so every driver
+/// run collects its pools afresh.
 pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
-    let cache = results_dir().join(format!(
-        "pool_{}_{}_{}.json",
-        workload.name().replace('-', ""),
-        n,
-        seed
-    ));
-    if let Ok(file) = std::fs::File::open(&cache) {
-        if let Ok(pool) = serde_json::from_reader::<_, Pool>(std::io::BufReader::new(file)) {
-            if pool.x.len() == n {
-                println!("[pool cache hit: {}]", cache.display());
-                return pool;
-            }
-        }
-    }
-
     let mut sim = DbSimulator::new(workload, Hardware::B, seed);
     let catalog = sim.catalog().clone();
     let default_cfg = catalog.default_config(Hardware::B);
     let all: Vec<usize> = (0..catalog.len()).collect();
     let space = TuningSpace::new(&catalog, all, default_cfg.clone());
     let (x, y) = lhs_pool(&mut sim, &space, n, &mut StdRng::seed_from_u64(seed ^ 0x9001));
-    let pool = Pool { workload: workload.name().to_string(), x, y, default_cfg };
-
-    if let Ok(file) = std::fs::File::create(&cache) {
-        let _ = serde_json::to_writer(std::io::BufWriter::new(file), &pool);
-        println!("[pool cached: {}]", cache.display());
-    }
-    pool
+    Pool { x, y, default_cfg }
 }
 
 /// Runs one importance measurement over a pool, returning per-knob scores.
@@ -686,8 +686,11 @@ mod tests {
         assert_eq!(pct(-0.015), "-1.50%");
     }
 
+    const KEYS: &[&str] = &["iters", "samples", "seeds", "repeats", "runs", "folds", "pretrain"];
+
     fn args(raw: &[&str]) -> ExpArgs {
-        ExpArgs::from_strs(raw.iter().map(|s| s.to_string()))
+        ExpArgs::from_strs(raw.iter().map(|s| s.to_string()), &[KEYS, GRID_KEYS].concat())
+            .expect("declared keys")
     }
 
     #[test]
@@ -695,8 +698,21 @@ mod tests {
         let args = args(&["iters=42", "--cache=off", "positional"]);
         assert_eq!(args.get_usize("iters", 7), 42);
         assert_eq!(args.get_usize("seeds", 7), 7);
-        assert_eq!(args.get_u64("seed", 3), 3);
+        assert_eq!(args.opt_usize("workers"), None);
         assert_eq!(args.get_str("cache", "on"), "off", "leading dashes are trimmed");
+    }
+
+    #[test]
+    fn undeclared_keys_are_rejected() {
+        let raw = ["samples=120", "workrs=1"].map(String::from);
+        let err = ExpArgs::from_strs(raw, &["samples", "workers"]).err().expect("typo must fail");
+        assert_eq!(err, "unknown argument `workrs=` (known: samples, workers)");
+    }
+
+    #[test]
+    #[should_panic(expected = "argument `seed` is read but was never declared")]
+    fn reading_an_undeclared_key_panics() {
+        args(&[]).get_usize("seed", 3);
     }
 
     #[test]

@@ -4,34 +4,26 @@
 //! and telemetry layer established.
 //!
 //! Each binary gets its own scratch CWD under the system temp dir, so
-//! pool caches and result files never collide across (parallel) tests.
+//! result files never collide across (parallel) tests.
 
 use dbtune_bench::artifact::lookup;
 use serde::Value;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Tiny but non-degenerate scale; unknown keys are ignored by ExpArgs,
-/// so one flag set serves all thirteen drivers.
-const TINY: &[&str] = &[
-    "samples=120",
-    "iters=6",
-    "seeds=1",
-    "repeats=2",
-    "runs=2",
-    "pretrain=8",
-    "folds=3",
-    "workers=2",
-    "cache=on",
-];
+/// Flags every driver takes: two workers, cache on.
+const GRID: &[&str] = &["workers=2", "cache=on"];
 
-fn run_smoke(exe: &str, json_name: &str) {
+/// Runs one driver at a tiny but non-degenerate scale: `sizes` are the
+/// size flags it declares (a driver rejects any flag it does not read).
+fn run_smoke(exe: &str, json_name: &str, sizes: &[&str]) {
     let name = Path::new(exe).file_name().expect("exe name").to_string_lossy().to_string();
     let dir = std::env::temp_dir().join(format!("dbtune_smoke_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 
-    let out = Command::new(exe).args(TINY).current_dir(&dir).output().expect("spawn driver");
+    let out =
+        Command::new(exe).args(sizes).args(GRID).current_dir(&dir).output().expect("spawn driver");
     assert!(
         out.status.success(),
         "{name} exited with {:?}\n--- stderr ---\n{}",
@@ -64,50 +56,83 @@ fn run_smoke(exe: &str, json_name: &str) {
 }
 
 macro_rules! smoke {
-    ($test:ident, $bin:literal, $json:literal) => {
+    ($test:ident, $bin:literal, $json:literal, $sizes:expr) => {
         #[test]
         fn $test() {
-            run_smoke(env!(concat!("CARGO_BIN_EXE_", $bin)), $json);
+            run_smoke(env!(concat!("CARGO_BIN_EXE_", $bin)), $json, $sizes);
         }
     };
 }
 
-smoke!(fig3_runs, "fig3_knob_importance", "fig3_table6");
-smoke!(fig4_runs, "fig4_sensitivity", "fig4_sensitivity");
-smoke!(fig5_runs, "fig5_num_knobs", "fig5_num_knobs");
-smoke!(fig6_runs, "fig6_incremental", "fig6_incremental");
-smoke!(fig7_runs, "fig7_optimizers", "fig7_table7");
-smoke!(fig8_runs, "fig8_heterogeneity", "fig8_heterogeneity");
-smoke!(fig9_runs, "fig9_overhead", "fig9_overhead");
-smoke!(fig10_runs, "fig10_surrogate_bench", "fig10_surrogate_bench");
-smoke!(ablations_runs, "ablations", "ablations");
-smoke!(table8_runs, "table8_transfer", "table8_transfer");
-smoke!(table9_runs, "table9_surrogate_models", "table9_surrogates");
-smoke!(workloads_report_runs, "workloads_report", "workloads_report");
-smoke!(fig11_runs, "fig11_resilience", "fig11_resilience");
+/// Sessions of six iterations over 120-sample pools, on one seed.
+const SESSIONS: &[&str] = &["samples=120", "iters=6", "seeds=1"];
+
+smoke!(fig3_runs, "fig3_knob_importance", "fig3_table6", SESSIONS);
+smoke!(fig4_runs, "fig4_sensitivity", "fig4_sensitivity", &["samples=120", "repeats=2"]);
+smoke!(fig5_runs, "fig5_num_knobs", "fig5_num_knobs", SESSIONS);
+smoke!(fig6_runs, "fig6_incremental", "fig6_incremental", SESSIONS);
+smoke!(fig7_runs, "fig7_optimizers", "fig7_table7", SESSIONS);
+smoke!(fig8_runs, "fig8_heterogeneity", "fig8_heterogeneity", SESSIONS);
+smoke!(fig9_runs, "fig9_overhead", "fig9_overhead", &["samples=120", "iters=6"]);
+smoke!(
+    fig10_runs,
+    "fig10_surrogate_bench",
+    "fig10_surrogate_bench",
+    &["samples=120", "iters=6", "runs=2"]
+);
+smoke!(ablations_runs, "ablations", "ablations", SESSIONS);
+smoke!(
+    table8_runs,
+    "table8_transfer",
+    "table8_transfer",
+    &["samples=120", "iters=6", "pretrain=8"]
+);
+smoke!(table9_runs, "table9_surrogate_models", "table9_surrogates", &["samples=120", "folds=3"]);
+smoke!(workloads_report_runs, "workloads_report", "workloads_report", &[]);
+smoke!(fig11_runs, "fig11_resilience", "fig11_resilience", &["iters=6", "seeds=1"]);
+
+/// Runs `exe` with `args` in an empty scratch directory `name`; returns
+/// the exit code, stderr, and what the driver wrote there.
+fn run_rejected(exe: &str, name: &str, args: &[&str]) -> (Option<i32>, String, Vec<PathBuf>) {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(exe).args(args).current_dir(&dir).output().expect("spawn driver");
+    let written: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("read scratch dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned(), written)
+}
 
 /// A zero size is rejected before any work: the driver prints the CLI's
 /// message, exits 1 without panicking, and writes nothing — not even
 /// the observation pools it would collect first.
 #[test]
 fn zero_iterations_exit_before_any_work() {
-    let dir = std::env::temp_dir().join("dbtune_smoke_zero_iters");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_fig7_optimizers"))
-        .args(["samples=150", "iters=0", "seeds=1", "workers=1"])
-        .current_dir(&dir)
-        .output()
-        .expect("spawn driver");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "--- stderr ---\n{stderr}");
+    let (code, stderr, written) = run_rejected(
+        env!("CARGO_BIN_EXE_fig7_optimizers"),
+        "dbtune_smoke_zero_iters",
+        &["samples=150", "iters=0", "seeds=1", "workers=1"],
+    );
+    assert_eq!(code, Some(1), "--- stderr ---\n{stderr}");
     assert_eq!(stderr.trim_end(), "error: iters=0: must be at least 1");
-    let written: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read scratch dir")
-        .map(|e| e.expect("entry").path())
-        .collect();
     assert!(written.is_empty(), "wrote {written:?}");
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+/// A flag the driver never reads is rejected before any work, like the
+/// CLI's unknown options: a mistyped `workers=` must not run the default
+/// 400 iterations on the default worker count and exit 0.
+#[test]
+fn unknown_flags_exit_before_any_work() {
+    let (code, stderr, written) = run_rejected(
+        env!("CARGO_BIN_EXE_fig9_overhead"),
+        "dbtune_smoke_unknown_flag",
+        &["samples=120", "iter=3", "workers=1"],
+    );
+    assert_eq!(code, Some(1), "--- stderr ---\n{stderr}");
+    assert!(stderr.starts_with("error: unknown argument `iter=` (known: samples, iters, workers"));
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(written.is_empty(), "wrote {written:?}");
 }

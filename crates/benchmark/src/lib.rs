@@ -9,11 +9,12 @@
 //!    regions plus LHS coverage of the rest;
 //! 2. [`surrogate`] trains and cross-validates the Table 9 model zoo
 //!    (RF, GB, SVR, NuSVR, KNN, Ridge) and picks the winner;
-//! 3. [`objective`] wraps the chosen model as a drop-in
+//! 3. [`objective`] wraps the chosen model as a drop-in, noise-free
 //!    [`dbtune_core::tuner::SimObjective`], so every optimizer and
-//!    experiment driver runs unchanged against the cheap benchmark, and
-//!    tracks the wall-clock ledger behind the paper's 150–311× speedup
-//!    claim.
+//!    experiment driver runs unchanged against the cheap benchmark.
+//!    [`SpeedupReport`] sets the evaluation time a session measured
+//!    against the workload replay it replaced: the paper's 150–311×
+//!    speedup claim. The crate itself reads no clock.
 
 pub mod collect;
 pub mod objective;

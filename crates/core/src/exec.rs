@@ -3,12 +3,12 @@
 //!
 //! Every figure/table binary in `dbtune-bench` runs a *grid* of tuning
 //! sessions (workload × optimizer × seed × …). The sessions are
-//! independent, so they parallelize trivially — but naive parallelism
-//! would break reproducibility: the simulator draws its measurement
-//! noise from an internal RNG stream that advances per evaluation, so
-//! results would depend on which sessions shared a simulator and in what
-//! order threads ran. This module makes parallel execution bit-identical
-//! to sequential execution:
+//! independent, so they parallelize trivially, provided nothing a result
+//! depends on is shared mutable state. Every evaluation is a pure
+//! function of the configuration and a noise token,
+//! [`noise_token`]`(noise_seed, &cache_key)`, whether a session runs on a
+//! bare simulator or through [`CachedObjective`]; so this module can make
+//! parallel execution bit-identical to sequential execution:
 //!
 //! * [`run_grid`] executes one closure per grid cell on a fixed-size
 //!   worker pool and returns results **in grid order**. Each cell derives
@@ -17,14 +17,13 @@
 //!   so the output is independent of the worker count and of scheduling.
 //! * [`EvalCache`] memoizes evaluations across sessions. It is keyed by
 //!   the *quantized* configuration plus a domain tag
-//!   (workload/hardware/objective), and it is only sound because cached
-//!   objectives evaluate **purely**: [`DeterministicObjective`] derives
-//!   per-evaluation noise from a token mixed out of the cache key instead
-//!   of an advancing stream, so an evaluation's result is a function of
-//!   `(configuration, noise_seed)` alone. Cache hits return the stored
-//!   result verbatim (including the simulated-time ledger entry), which
-//!   keeps every per-session account deterministic whether the cache is
-//!   on, off, shared, or thread-local.
+//!   (workload/hardware/objective), and it is sound because every
+//!   objective evaluates **purely**: [`DeterministicObjective`] draws
+//!   per-evaluation noise from a token mixed out of the cache key, so an
+//!   evaluation's result is a function of `(configuration, noise_seed)`
+//!   alone. Cache hits return the stored result verbatim (including its
+//!   simulated cost), which keeps every per-session account deterministic
+//!   whether the cache is on, off, shared, or thread-local.
 //!
 //! Worker-count selection: explicit flag > `DBTUNE_WORKERS` env var >
 //! `available_parallelism` capped at 8 (see [`resolve_workers`]).
@@ -68,6 +67,15 @@ fn splitmix64(mut z: u64) -> u64 {
 #[inline]
 fn mix2(a: u64, b: u64) -> u64 {
     splitmix64(splitmix64(a) ^ b.rotate_left(17))
+}
+
+/// The noise token of one evaluation: the grid-level `noise_seed` mixed
+/// with the configuration's cache key. Every evaluation path draws its
+/// measurement noise from this token: [`CachedObjective`], with or
+/// without a cache, and a session on a bare [`DbSimulator`], which uses
+/// the seed it was built with.
+pub fn noise_token(noise_seed: u64, key: &CacheKey) -> u64 {
+    mix2(noise_seed, key.fingerprint())
 }
 
 /// Derives the RNG seed for grid cell `index` from the experiment's base
@@ -529,14 +537,12 @@ pub struct CacheStats {
 /// thread computed them. [`DeterministicObjective`] provides exactly that
 /// purity.
 ///
-/// The hit/miss counters are instruments in a cache-private
-/// [`telemetry::Registry`] — per-instance (so [`CacheStats`] stays
-/// deterministic per grid) but with the same `Counter` semantics as the
-/// process-global registry the drivers snapshot.
+/// The hit/miss counters belong to the cache (so [`CacheStats`] stays
+/// deterministic per grid); `GridOpts::report` republishes them as
+/// `exec.cache.*` in the process-global registry the drivers snapshot.
 #[derive(Debug)]
 pub struct EvalCache {
     shards: Vec<Mutex<BTreeMap<CacheKey, EvalResult>>>,
-    metrics: telemetry::Registry,
     hits: telemetry::Counter,
     misses: telemetry::Counter,
 }
@@ -550,14 +556,10 @@ impl Default for EvalCache {
 impl EvalCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        let metrics = telemetry::Registry::new();
-        let hits = metrics.counter("hits"); // lint: allow(S1, S3) cache-private registry; republished as exec.cache.hits by GridOpts::report, which is the documented name
-        let misses = metrics.counter("misses"); // lint: allow(S1, S3) cache-private registry; republished as exec.cache.misses by GridOpts::report, which is the documented name
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            metrics,
-            hits,
-            misses,
+            hits: telemetry::Counter::new(),
+            misses: telemetry::Counter::new(),
         }
     }
 
@@ -565,11 +567,6 @@ impl EvalCache {
     /// worker pool.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// The cache's private metrics registry (`hits`/`misses` counters).
-    pub fn registry(&self) -> &telemetry::Registry {
-        &self.metrics
     }
 
     /// Returns the cached result for `key` (with a hit flag), or computes
@@ -717,13 +714,7 @@ impl DeterministicObjective for DbSimulator {
     }
 
     fn evaluate_pure(&self, full_cfg: &[f64], noise_token: u64) -> EvalResult {
-        let out = self.evaluate_seeded(full_cfg, noise_token);
-        EvalResult {
-            value: out.value,
-            failed: out.failed,
-            metrics: out.metrics,
-            simulated_secs: out.simulated_secs,
-        }
+        self.evaluate_seeded(full_cfg, noise_token)
     }
 
     fn objective_kind(&self) -> Objective {
@@ -743,11 +734,35 @@ impl DeterministicObjective for DbSimulator {
     }
 }
 
+/// A bare simulator is a session objective of its own, with no cache and
+/// no faults: each evaluation draws its noise from
+/// [`noise_token`]`(self.noise_seed(), &key)`, so a session on `&mut sim`
+/// equals one on `CachedObjective::new(&sim, None, sim.noise_seed())` bit
+/// for bit.
+impl SimObjective for DbSimulator {
+    fn evaluate(&mut self, full_cfg: &[f64]) -> EvalResult {
+        let token = noise_token(self.noise_seed(), &self.cache_key(full_cfg));
+        self.evaluate_seeded(full_cfg, token)
+    }
+
+    fn objective(&self) -> Objective {
+        DbSimulator::objective(self)
+    }
+
+    fn reference_value(&self, full_cfg: &[f64]) -> f64 {
+        self.reference(full_cfg)
+    }
+
+    fn optimum_value(&self, space: &TuningSpace) -> Option<f64> {
+        self.optimum(space)
+    }
+}
+
 /// Adapter plugging a [`DeterministicObjective`] into the session driver,
 /// optionally memoizing through a shared [`EvalCache`].
 ///
 /// With or without a cache, an evaluation's result is
-/// `evaluate_pure(cfg, mix(noise_seed, key.fingerprint()))` — the cache
+/// `evaluate_pure(cfg, noise_token(noise_seed, &key))` — the cache
 /// only short-circuits recomputation. Sessions running against the same
 /// `noise_seed` therefore agree bit-for-bit regardless of worker count,
 /// cache sharing, or cache presence.
@@ -857,7 +872,7 @@ impl<O: DeterministicObjective> CachedObjective<O> {
     /// publishes nothing.
     fn evaluate_faulty(&mut self, full_cfg: &[f64], plan: FaultPlan) -> EvalResult {
         let key = self.inner.cache_key(full_cfg);
-        let token = mix2(self.noise_seed, key.fingerprint());
+        let token = noise_token(self.noise_seed, &key);
         let metrics = &telemetry::global().metrics;
         let mut charged = 0.0; // simulated secs from failed attempts + backoff
         let mut attempt = 0u32;
@@ -927,7 +942,7 @@ impl<O: DeterministicObjective> SimObjective for CachedObjective<O> {
             Some(plan) => self.evaluate_faulty(full_cfg, plan),
             None => {
                 let key = self.inner.cache_key(full_cfg);
-                let token = mix2(self.noise_seed, key.fingerprint());
+                let token = noise_token(self.noise_seed, &key);
                 self.evaluate_clean(full_cfg, &key, token)
             }
         }
@@ -1158,7 +1173,7 @@ mod tests {
     fn concurrent_cache_is_deterministic() {
         let s = sim();
         let cfg = s.default_config().to_vec();
-        let serial = s.evaluate_pure(&cfg, mix2(9, s.cache_key(&cfg).fingerprint()));
+        let serial = s.evaluate_pure(&cfg, noise_token(9, &s.cache_key(&cfg)));
         let cache = EvalCache::shared();
         let values = run_grid(&[(); 32], 8, |_, _| {
             let mut obj = CachedObjective::new(sim(), Some(cache.clone()), 9);

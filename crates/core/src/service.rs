@@ -214,6 +214,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "knob `sync_binlog` is selected twice")]
+    fn repeated_override_knob_is_rejected() {
+        let mut sim = DbSimulator::new(Workload::Smallbank, Hardware::B, 92);
+        let sync = sim.catalog().expect_index("sync_binlog");
+        let mut service = TuningService::new(sim.catalog().clone());
+        let mut req = request("smallbank", false, 92);
+        req.knobs_override = Some(vec![sync, sync]);
+        service.tune(&mut sim, &req);
+    }
+
+    #[test]
     fn second_task_transfers_from_the_first_when_spaces_match() {
         let catalog = KnobCatalog::mysql57();
         let mut service = TuningService::new(catalog);

@@ -138,8 +138,17 @@ impl TuningSpace {
     /// Builds a tuning space over `selected` catalog knobs; unselected
     /// knobs stay at the values of `base` (usually the hardware-adjusted
     /// default configuration).
+    ///
+    /// Panics when a knob is selected twice: [`Self::full_config`] would
+    /// write both coordinates into one slot, so the optimizer would search
+    /// a dimension that never reaches the objective.
     pub fn new(catalog: &KnobCatalog, selected: Vec<usize>, base: Vec<f64>) -> Self {
         assert_eq!(base.len(), catalog.len());
+        let mut seen = vec![false; catalog.len()];
+        for &i in &selected {
+            let name = catalog.spec(i).name;
+            assert!(!std::mem::replace(&mut seen[i], true), "knob `{name}` is selected twice");
+        }
         let specs = selected.iter().map(|&i| catalog.spec(i).clone()).collect();
         Self { space: ConfigSpace::new(specs), selected, base }
     }
@@ -204,6 +213,15 @@ mod tests {
             KnobSpec::real("b", 0.0, 10.0, false, 5.0),
             KnobSpec::cat("c", vec!["x", "y", "z"], 0),
         ])
+    }
+
+    #[test]
+    #[should_panic(expected = "knob `sync_binlog` is selected twice")]
+    fn repeated_knob_is_rejected() {
+        let catalog = KnobCatalog::mysql57();
+        let sync = catalog.expect_index("sync_binlog");
+        let selected = vec![sync, catalog.expect_index("innodb_io_capacity"), sync];
+        TuningSpace::with_default_base(&catalog, selected, Hardware::B);
     }
 
     #[test]

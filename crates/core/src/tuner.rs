@@ -8,7 +8,8 @@
 //!   internally maximize-oriented);
 //! * per-iteration algorithm overhead read from the `suggest` and
 //!   `observe` spans (model fit + probe), which is what Figure 9 plots;
-//! * a simulated wall-clock ledger so speedups can be reported.
+//! * the session's simulated evaluation cost, summed from each
+//!   evaluation's `simulated_secs`.
 //!
 //! Observation pools (knob selection's LHS pools, the surrogate
 //! benchmark's offline collection) score through [`PoolScorer`], the
@@ -18,23 +19,11 @@ use crate::optimizer::Optimizer;
 use crate::sampling;
 use crate::space::TuningSpace;
 use crate::telemetry::{self, phase_secs, TraceEvent};
-use dbtune_dbsim::{DbSimulator, Objective};
+pub use dbtune_dbsim::EvalResult;
+use dbtune_dbsim::Objective;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Result of evaluating a full configuration on some objective backend.
-#[derive(Clone, Debug)]
-pub struct EvalResult {
-    /// Raw metric (tx/s or seconds).
-    pub value: f64,
-    /// Whether the DBMS crashed / failed to start.
-    pub failed: bool,
-    /// Internal metric vector (may be empty for surrogate backends).
-    pub metrics: Vec<f64>,
-    /// Simulated cost of this evaluation in seconds.
-    pub simulated_secs: f64,
-}
 
 /// Anything a tuning session can optimize against: the live simulator or
 /// the cheap surrogate benchmark of §8.
@@ -68,30 +57,6 @@ pub trait SimObjective {
     /// always report `false`.
     fn last_failure_was_transient(&self) -> bool {
         false
-    }
-}
-
-impl SimObjective for DbSimulator {
-    fn evaluate(&mut self, full_cfg: &[f64]) -> EvalResult {
-        let out = DbSimulator::evaluate(self, full_cfg);
-        EvalResult {
-            value: out.value,
-            failed: out.failed,
-            metrics: out.metrics,
-            simulated_secs: out.simulated_secs,
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        DbSimulator::objective(self)
-    }
-
-    fn reference_value(&self, full_cfg: &[f64]) -> f64 {
-        self.expected_value(full_cfg).expect("reference configuration must not crash")
-    }
-
-    fn optimum_value(&self, space: &TuningSpace) -> Option<f64> {
-        self.estimate_optimum_over(space.selected(), space.base())
     }
 }
 
@@ -842,7 +807,7 @@ pub fn run_session_resumable(
 mod tests {
     use super::*;
     use crate::optimizer::{OptimizerKind, RandomSearch};
-    use dbtune_dbsim::{Hardware, Workload, METRICS_DIM};
+    use dbtune_dbsim::{DbSimulator, Hardware, Workload, METRICS_DIM};
 
     fn small_space(sim: &DbSimulator) -> TuningSpace {
         let cat = sim.catalog();
@@ -1104,9 +1069,11 @@ mod tests {
     fn lhs_pool_reproduces_the_inline_pool_collectors() {
         // JOB on instance B: the first LHS sample of this stream crashes,
         // so it takes the default − 1 anchor before any score exists. The
-        // digests were computed by the inline loop that knob selection,
-        // the drivers' pools and the CLI each carried before they shared
-        // this collector.
+        // configuration digest was computed by the inline loop that knob
+        // selection, the drivers' pools and the CLI each carried before
+        // they shared this collector; the score digest by this collector on
+        // a bare simulator, whose noise tokens mix its seed with each
+        // configuration's cache key.
         let mut sim = DbSimulator::new(Workload::Job, Hardware::B, 2);
         let catalog = sim.catalog().clone();
         let all: Vec<usize> = (0..catalog.len()).collect();
@@ -1114,7 +1081,7 @@ mod tests {
         let (x, y) = lhs_pool(&mut sim, &space, 24, &mut StdRng::seed_from_u64(2));
         let anchor = orient(Objective::Latency95, sim.reference_value(space.base())) - 1.0;
         assert_eq!(y[0].to_bits(), anchor.to_bits(), "a first crash takes the pool anchor");
-        assert_eq!(pool_digest(&x, &y), (0xa47b_59f3_57f1_ff8d, 0x21d2_af25_8dab_5dda));
+        assert_eq!(pool_digest(&x, &y), (0xa47b_59f3_57f1_ff8d, 0xea35_2d31_d00b_11ad));
     }
 
     #[test]

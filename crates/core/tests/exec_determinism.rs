@@ -3,7 +3,9 @@
 //! worker count, and with the shared evaluation cache on or off.
 //!
 //! These are the invariants every figure/table driver in `dbtune-bench`
-//! relies on when it accepts `workers=` / `cache=` flags.
+//! relies on when it accepts `workers=` / `cache=` flags. A session on a
+//! bare simulator is the same evaluation path: it equals one through the
+//! uncached adapter with the simulator's own seed.
 
 use dbtune_core::exec::{cell_seed, run_grid, CachedObjective, EvalCache};
 use dbtune_core::optimizer::OptimizerKind;
@@ -121,4 +123,28 @@ fn shared_and_private_caches_agree() {
         )
     }));
     assert_eq!(shared, private, "cache sharing must not change any session's results");
+}
+
+#[test]
+fn bare_simulator_session_equals_uncached_adapter_session() {
+    let run = |opt_kind: OptimizerKind, wl: Workload, seed: u64, bare: bool| {
+        let mut sim = DbSimulator::new(wl, Hardware::B, seed);
+        let catalog = sim.catalog().clone();
+        let space = TuningSpace::with_default_base(&catalog, vec![0, 1, 2, 3, 4], Hardware::B);
+        let mut opt = opt_kind.build(space.space(), METRICS_DIM, seed);
+        let session = SessionConfig { iterations: 14, lhs_init: 6, seed, ..Default::default() };
+        if bare {
+            run_session(&mut sim, &space, &mut opt, &session)
+        } else {
+            let mut obj = CachedObjective::new(&sim, None, sim.noise_seed());
+            run_session(&mut obj, &space, &mut opt, &session)
+        }
+    };
+    for (opt_kind, wl, seed) in
+        [(OptimizerKind::Smac, Workload::Sysbench, 3), (OptimizerKind::Ga, Workload::Job, 4)]
+    {
+        let bare = run(opt_kind, wl, seed, true);
+        let adapted = run(opt_kind, wl, seed, false);
+        assert_eq!(digest(&[bare]), digest(&[adapted]), "{opt_kind:?} on {wl:?}");
+    }
 }

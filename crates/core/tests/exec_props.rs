@@ -4,10 +4,12 @@
 //! fingerprint stored at quantization must be the byte-wise FNV-1a of the
 //! key that every noise token is mixed from, both for catalog
 //! configurations and for words of every zero-byte shape the fold
-//! special-cases.
+//! special-cases. A bare simulator's evaluation is a pure function of
+//! the configuration: nothing evaluated before it changes a bit.
 
-use dbtune_core::exec::CacheKey;
-use dbtune_dbsim::{Domain, Hardware, KnobCatalog, KnobSpec, Workload};
+use dbtune_core::exec::{noise_token, CacheKey, DeterministicObjective};
+use dbtune_core::tuner::{EvalResult, SimObjective};
+use dbtune_dbsim::{DbSimulator, Domain, Hardware, KnobCatalog, KnobSpec, Workload};
 use proptest::prelude::*;
 
 const DOMAIN: u64 = 0x5eed;
@@ -196,6 +198,46 @@ proptest! {
             prop_assert!(w == b || rewritten, "{w:#018x} quantized to {b:#018x}");
         }
         prop_assert_eq!(key.fingerprint(), reference_fingerprint(&key));
+    }
+}
+
+/// Every bit of an evaluation result.
+fn result_bits(r: &EvalResult) -> (u64, bool, Vec<u64>, u64) {
+    let metrics = r.metrics.iter().map(|m| m.to_bits()).collect();
+    (r.value.to_bits(), r.failed, metrics, r.simulated_secs.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `SimObjective::evaluate` on a bare simulator returns the same bits
+    /// for a configuration whatever was evaluated before it: the noise
+    /// token of `evaluate_seeded`, mixed from the simulator's seed and
+    /// the configuration's cache key.
+    #[test]
+    fn bare_simulator_evaluation_ignores_history(
+        target in proptest::collection::vec(0.0f64..=1.0, 197),
+        before in proptest::collection::vec(proptest::collection::vec(0.0f64..=1.0, 197), 0..4),
+        seed in 0..u64::MAX,
+    ) {
+        let decode = |sim: &DbSimulator, unit: &[f64]| -> Vec<f64> {
+            sim.catalog().specs().iter().zip(unit).map(|(s, &u)| s.domain.from_unit(u)).collect()
+        };
+        let mut fresh = DbSimulator::new(Workload::Tpcc, Hardware::C, seed);
+        let cfg = decode(&fresh, &target);
+        let first = fresh.evaluate(&cfg);
+
+        let mut used = DbSimulator::new(Workload::Tpcc, Hardware::C, seed);
+        for unit in &before {
+            let other = decode(&used, unit);
+            used.evaluate(&other);
+        }
+        used.evaluate(&cfg);
+        let again = used.evaluate(&cfg);
+        prop_assert_eq!(result_bits(&first), result_bits(&again));
+
+        let token = noise_token(seed, &fresh.cache_key(&cfg));
+        prop_assert_eq!(result_bits(&first), result_bits(&fresh.evaluate_seeded(&cfg, token)));
     }
 }
 

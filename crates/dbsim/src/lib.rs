@@ -20,9 +20,11 @@
 //!   types** (Table 5) that move the optimum;
 //! * a 40-dimensional vector of simulated **internal metrics** (the state
 //!   input of DDPG and the distance space of workload mapping);
-//! * multiplicative log-normal **measurement noise** and a simulated
-//!   wall-clock **cost ledger** (3-minute stress tests + restart) so the
-//!   surrogate benchmark can report paper-style speedups;
+//! * multiplicative log-normal **measurement noise**, drawn from a token
+//!   the caller passes in so every evaluation is a pure function of
+//!   `(configuration, token)`, and a simulated **cost** per evaluation
+//!   (3-minute stress test + restart) so the surrogate benchmark can
+//!   report paper-style speedups;
 //! * seeded **fault plans** ([`fault`]) injecting transient evaluation
 //!   faults — timeouts, spurious crashes, corrupted metrics, stalls —
 //!   on a replayable per-attempt schedule (see `docs/robustness.md`).
@@ -38,5 +40,5 @@ pub use catalog::KnobCatalog;
 pub use fault::{FaultEvent, FaultPlan};
 pub use hardware::Hardware;
 pub use knob::{Domain, KnobSpec};
-pub use sim::{DbSimulator, Objective, Outcome, EVAL_SECONDS, METRICS_DIM, RESTART_SECONDS};
+pub use sim::{DbSimulator, EvalResult, Objective, EVAL_SECONDS, METRICS_DIM, RESTART_SECONDS};
 pub use workload::{Workload, WorkloadClass};

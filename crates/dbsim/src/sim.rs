@@ -1,5 +1,5 @@
 //! The analytic response surface: configuration → performance, metrics,
-//! failures, and the simulated wall-clock ledger.
+//! failures, and the simulated cost of each evaluation.
 //!
 //! The score of a configuration is a product of per-mechanism factors
 //! (buffer-pool hit rate, redo-log sizing, flush policy, concurrency peak,
@@ -7,7 +7,9 @@
 //! sensitivities, plus a memory-pressure interaction term coupling the
 //! buffer pool, per-thread buffers, and concurrency. Performance is the
 //! score normalized to the default configuration, times the hardware scale
-//! and base rate, times log-normal measurement noise.
+//! and base rate, times log-normal measurement noise. The noise is drawn
+//! from a token the caller passes in, so an evaluation is a pure function
+//! of the configuration and the token.
 //!
 //! Failures (§4.1): memory overcommit "crashes" the DBMS; the tuning
 //! driver substitutes the worst performance seen so far, exactly as the
@@ -37,14 +39,17 @@ pub enum Objective {
     Latency95,
 }
 
-/// Result of one simulated stress test.
+/// Result of evaluating a full configuration: one simulated stress test,
+/// or a prediction of any other objective backend (the surrogate
+/// benchmark of §8).
 #[derive(Clone, Debug)]
-pub struct Outcome {
+pub struct EvalResult {
     /// Raw performance: tx/s for throughput workloads, seconds for latency.
     pub value: f64,
     /// Whether the configuration crashed the DBMS (value is meaningless).
     pub failed: bool,
-    /// Simulated internal metrics (DDPG state / workload-mapping features).
+    /// Simulated internal metrics (DDPG state / workload-mapping features);
+    /// empty for backends without internal metrics.
     pub metrics: Vec<f64>,
     /// Simulated seconds this evaluation cost (stress test + restart).
     pub simulated_secs: f64,
@@ -60,12 +65,10 @@ pub struct DbSimulator {
     profile: WorkloadProfile,
     idx: Idx,
     noise_sigma: f64,
-    rng: StdRng,
+    noise_seed: u64,
     fillers: Vec<FillerEffect>,
     s_default: f64,
     default_cfg: Vec<f64>,
-    total_simulated_secs: f64,
-    n_evals: usize,
 }
 
 /// The micro-effect of one filler knob, tabulated once per simulator:
@@ -235,8 +238,9 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl DbSimulator {
-    /// Builds a simulator for `workload` on `hardware`, with noise driven
-    /// by `seed`.
+    /// Builds a simulator for `workload` on `hardware`. `seed` is the
+    /// noise seed a session on the bare simulator mixes into each
+    /// evaluation's noise token (see [`Self::noise_seed`]).
     pub fn new(workload: Workload, hardware: Hardware, seed: u64) -> Self {
         let catalog = KnobCatalog::mysql57();
         let idx = Idx::resolve(&catalog);
@@ -250,12 +254,10 @@ impl DbSimulator {
             profile,
             idx,
             noise_sigma: 0.02,
-            rng: StdRng::seed_from_u64(seed),
+            noise_seed: seed,
             fillers,
             s_default: 1.0,
             default_cfg,
-            total_simulated_secs: 0.0,
-            n_evals: 0,
         };
         sim.s_default = sim.score(&sim.default_cfg).expect("default configuration must not crash");
         sim
@@ -296,49 +298,29 @@ impl DbSimulator {
         self.noise_sigma = sigma;
     }
 
-    /// Total simulated wall-clock seconds spent in evaluations so far.
-    pub fn total_simulated_secs(&self) -> f64 {
-        self.total_simulated_secs
+    /// The seed given to [`Self::new`]. A session on the bare simulator
+    /// mixes it with each configuration's cache key into the noise token
+    /// of [`Self::evaluate_seeded`], exactly as a cache adapter built with
+    /// this seed does.
+    pub fn noise_seed(&self) -> u64 {
+        self.noise_seed
     }
 
-    /// Number of evaluations performed.
-    pub fn n_evals(&self) -> usize {
-        self.n_evals
-    }
-
-    /// Runs one simulated three-minute stress test (plus restart).
-    pub fn evaluate(&mut self, cfg: &[f64]) -> Outcome {
-        self.n_evals += 1;
-        self.total_simulated_secs += EVAL_SECONDS + RESTART_SECONDS;
-        // Temporarily take the internal RNG so the shared evaluation core
-        // can borrow `self` immutably; the stream advances exactly as the
-        // pre-refactor code did (noise draw, then one draw per metric).
-        let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
-        let out = self.evaluate_with_rng(cfg, &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// Pure variant of [`evaluate`]: measurement noise is drawn from a
-    /// fresh RNG seeded with `noise_seed` instead of the simulator's
-    /// advancing internal stream. The result is a pure function of
-    /// `(cfg, noise_seed)` — bit-identical no matter how many evaluations
-    /// happened before or on which thread it runs — which is what lets
-    /// the parallel executor's shared evaluation cache memoize outcomes
-    /// without changing results. Does not advance the internal RNG or the
-    /// ledger counters.
-    pub fn evaluate_seeded(&self, cfg: &[f64], noise_seed: u64) -> Outcome {
-        let mut rng = StdRng::seed_from_u64(noise_seed);
-        self.evaluate_with_rng(cfg, &mut rng)
-    }
-
-    /// Shared evaluation core: one stress test with noise drawn from
-    /// `rng` (draw order: one value for the performance noise, then one
-    /// per internal metric). Counts every evaluation (and every crash-region
-    /// hit) in the global metrics registry — observation only, so caching a
-    /// result elsewhere changes the counts but never the outcomes.
-    fn evaluate_with_rng(&self, cfg: &[f64], rng: &mut StdRng) -> Outcome {
+    /// Runs one simulated three-minute stress test (plus restart), with
+    /// measurement noise drawn from a fresh RNG seeded with `noise_token`
+    /// (draw order: one value for the performance noise, then one per
+    /// internal metric). The result is a pure function of
+    /// `(cfg, noise_token)`: bit-identical no matter what was evaluated
+    /// before or on which thread it runs, which is what lets the parallel
+    /// executor's shared evaluation cache memoize results without
+    /// changing them.
+    ///
+    /// Counts every evaluation (and every crash-region hit) in the global
+    /// metrics registry: observation only, so caching a result elsewhere
+    /// changes the counts but never the results.
+    pub fn evaluate_seeded(&self, cfg: &[f64], noise_token: u64) -> EvalResult {
         assert_eq!(cfg.len(), self.catalog.len(), "configuration length mismatch");
+        let mut rng = StdRng::seed_from_u64(noise_token);
         // Evaluations are the hot path; resolve the instrument handles once.
         static COUNTERS: std::sync::OnceLock<(dbtune_obs::Counter, dbtune_obs::Counter)> =
             std::sync::OnceLock::new();
@@ -350,7 +332,7 @@ impl DbSimulator {
         match self.score(cfg) {
             None => {
                 crashes.inc();
-                Outcome {
+                EvalResult {
                     value: f64::NAN,
                     failed: true,
                     metrics: vec![0.0; METRICS_DIM],
@@ -372,8 +354,8 @@ impl DbSimulator {
                     // Default JOB latency ≈ 200 s, matching §6.2.1.
                     Objective::Latency95 => 200.0 / ratio * noise,
                 };
-                let metrics = self.metrics(cfg, ratio, rng);
-                Outcome {
+                let metrics = self.metrics(cfg, ratio, &mut rng);
+                EvalResult {
                     value,
                     failed: false,
                     metrics,
@@ -727,7 +709,7 @@ mod tests {
         let mut s = sim(Workload::Sysbench);
         s.set_noise_sigma(0.0);
         let cfg = s.default_config().to_vec();
-        let out = s.evaluate(&cfg);
+        let out = s.evaluate_seeded(&cfg, 0);
         assert!(!out.failed);
         assert!(
             (out.value - 3200.0).abs() < 1.0,
@@ -741,23 +723,23 @@ mod tests {
         let mut s = sim(Workload::Job);
         s.set_noise_sigma(0.0);
         let cfg = s.default_config().to_vec();
-        let out = s.evaluate(&cfg);
+        let out = s.evaluate_seeded(&cfg, 0);
         assert_eq!(s.objective(), Objective::Latency95);
         assert!((out.value - 200.0).abs() < 1.0);
     }
 
     #[test]
     fn oversized_buffer_pool_crashes() {
-        let mut s = sim(Workload::Sysbench);
+        let s = sim(Workload::Sysbench);
         let mut cfg = s.default_config().to_vec();
         let bp = s.catalog().expect_index("innodb_buffer_pool_size");
         cfg[bp] = Hardware::B.ram_mb() * 5.0; // 5x RAM: OOM at startup
-        let out = s.evaluate(&cfg);
+        let out = s.evaluate_seeded(&cfg, 0);
         assert!(out.failed);
         // Moderate overcommit swaps instead of crashing, but gets slow.
         let mut cfg2 = s.default_config().to_vec();
         cfg2[bp] = Hardware::B.ram_mb() * 0.98;
-        let out2 = s.evaluate(&cfg2);
+        let out2 = s.evaluate_seeded(&cfg2, 1);
         assert!(!out2.failed);
         let dflt = s.expected_value(s.default_config()).expect("modelled config must evaluate");
         assert!(s.expected_value(&cfg2).expect("modelled config must evaluate") < dflt * 0.9);
@@ -765,13 +747,13 @@ mod tests {
 
     #[test]
     fn thread_times_tmp_table_memory_interaction_crashes() {
-        let mut s = sim(Workload::Sysbench);
+        let s = sim(Workload::Sysbench);
         let cat = s.catalog().clone();
         let mut cfg = s.default_config().to_vec();
         cfg[cat.expect_index("innodb_thread_concurrency")] = 512.0;
         cfg[cat.expect_index("tmp_table_size")] = 2048.0;
         cfg[cat.expect_index("max_heap_table_size")] = 2048.0;
-        let out = s.evaluate(&cfg);
+        let out = s.evaluate_seeded(&cfg, 0);
         assert!(out.failed, "512 threads × 2GB tmp tables must overcommit");
     }
 
@@ -876,68 +858,47 @@ mod tests {
         big.set_noise_sigma(0.0);
         let cfg_small = small.default_config().to_vec();
         let cfg_big = big.default_config().to_vec();
-        let v_small = small.evaluate(&cfg_small).value;
-        let v_big = big.evaluate(&cfg_big).value;
+        let v_small = small.evaluate_seeded(&cfg_small, 0).value;
+        let v_big = big.evaluate_seeded(&cfg_big, 0).value;
         assert!(v_big > v_small * 2.0);
     }
 
     #[test]
     fn metrics_have_stable_dimension_and_identify_workloads() {
-        let mut a = sim(Workload::Tpcc);
-        let mut b = sim(Workload::Twitter);
+        let a = sim(Workload::Tpcc);
+        let b = sim(Workload::Twitter);
         let cfg_a = a.default_config().to_vec();
         let cfg_b = b.default_config().to_vec();
-        let ma = a.evaluate(&cfg_a).metrics;
-        let mb = b.evaluate(&cfg_b).metrics;
+        let ma = a.evaluate_seeded(&cfg_a, 0).metrics;
+        let mb = b.evaluate_seeded(&cfg_b, 1).metrics;
         assert_eq!(ma.len(), METRICS_DIM);
         let dist: f64 = ma.iter().zip(&mb).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
         assert!(dist > 0.3, "different workloads should have distinct metric signatures");
     }
 
     #[test]
-    fn ledger_accumulates() {
-        let mut s = sim(Workload::Voter);
-        let cfg = s.default_config().to_vec();
-        s.evaluate(&cfg);
-        s.evaluate(&cfg);
-        assert_eq!(s.n_evals(), 2);
-        assert!((s.total_simulated_secs() - 2.0 * (EVAL_SECONDS + RESTART_SECONDS)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn evaluate_seeded_is_pure_and_stream_independent() {
-        let mut s = sim(Workload::Tpcc);
+    fn evaluate_seeded_is_pure() {
+        let s = sim(Workload::Tpcc);
         let cfg = s.default_config().to_vec();
         let a = s.evaluate_seeded(&cfg, 7);
-        s.evaluate(&cfg); // advance the internal stream
+        let mut other = cfg.clone();
+        other[s.catalog().expect_index("innodb_log_file_size")] = 2048.0;
+        s.evaluate_seeded(&other, 8);
         let b = s.evaluate_seeded(&cfg, 7);
-        assert_eq!(a.value.to_bits(), b.value.to_bits(), "seeded eval must ignore the stream");
+        assert_eq!(a.value.to_bits(), b.value.to_bits(), "same token, same value");
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(s.n_evals(), 1, "seeded evals must not touch the ledger");
-    }
-
-    #[test]
-    fn evaluate_stream_unchanged_by_refactor() {
-        // Two simulators with the same seed must produce identical values
-        // whether or not seeded evaluations are interleaved.
-        let mut a = sim(Workload::Twitter);
-        let mut b = sim(Workload::Twitter);
-        let cfg = a.default_config().to_vec();
-        b.evaluate_seeded(&cfg, 99);
-        for _ in 0..3 {
-            let va = a.evaluate(&cfg).value;
-            let vb = b.evaluate(&cfg).value;
-            assert_eq!(va.to_bits(), vb.to_bits());
-        }
+        assert_eq!(a.simulated_secs, EVAL_SECONDS + RESTART_SECONDS);
+        let c = s.evaluate_seeded(&cfg, 8);
+        assert_ne!(a.value.to_bits(), c.value.to_bits(), "the token draws the noise");
     }
 
     #[test]
     fn noise_is_multiplicative_and_bounded() {
-        let mut s = sim(Workload::Tatp);
+        let s = sim(Workload::Tatp);
         let cfg = s.default_config().to_vec();
         let expected = s.expected_value(&cfg).expect("modelled config must evaluate");
-        for _ in 0..50 {
-            let v = s.evaluate(&cfg).value;
+        for token in 0..50 {
+            let v = s.evaluate_seeded(&cfg, token).value;
             assert!((v / expected - 1.0).abs() < 0.15, "noise too large: {v} vs {expected}");
         }
     }

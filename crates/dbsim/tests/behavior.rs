@@ -107,13 +107,14 @@ fn trap_knobs_have_zero_tunability_everywhere() {
 
 #[test]
 fn metrics_distinguish_configurations_not_just_workloads() {
-    let mut sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 6);
+    let sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 6);
     let cfg_a = sim.default_config().to_vec();
     let mut cfg_b = cfg_a.clone();
     cfg_b[sim.catalog().expect_index("innodb_buffer_pool_size")] = 1024.0;
     cfg_b[sim.catalog().expect_index("innodb_thread_concurrency")] = 256.0;
-    let ma = sim.evaluate(&cfg_a).metrics;
-    let mb = sim.evaluate(&cfg_b).metrics;
+    // One noise token for both, so only the configuration differs.
+    let ma = sim.evaluate_seeded(&cfg_a, 6).metrics;
+    let mb = sim.evaluate_seeded(&cfg_b, 6).metrics;
     let dist: f64 = ma.iter().zip(&mb).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
     assert!(dist > 0.2, "metrics should respond to configuration changes: {dist}");
 }

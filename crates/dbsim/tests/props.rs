@@ -27,14 +27,14 @@ proptest! {
     fn any_legal_config_evaluates_cleanly(units in unit_config(),
                                           wl in workload_strategy(),
                                           hw in hardware_strategy()) {
-        let mut sim = DbSimulator::new(wl, hw, 7);
+        let sim = DbSimulator::new(wl, hw, 7);
         let catalog = sim.catalog().clone();
         let cfg: Vec<f64> = units
             .iter()
             .zip(catalog.specs())
             .map(|(u, s)| s.domain.from_unit(*u))
             .collect();
-        let out = sim.evaluate(&cfg);
+        let out = sim.evaluate_seeded(&cfg, 7);
         if out.failed {
             prop_assert!(out.value.is_nan());
         } else {
@@ -46,9 +46,9 @@ proptest! {
 
     #[test]
     fn default_config_never_crashes(wl in workload_strategy(), hw in hardware_strategy()) {
-        let mut sim = DbSimulator::new(wl, hw, 11);
+        let sim = DbSimulator::new(wl, hw, 11);
         let cfg = sim.default_config().to_vec();
-        let out = sim.evaluate(&cfg);
+        let out = sim.evaluate_seeded(&cfg, 11);
         prop_assert!(!out.failed);
         prop_assert!(sim.expected_value(&cfg).is_some());
     }

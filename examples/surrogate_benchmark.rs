@@ -30,11 +30,12 @@ fn main() {
     let ds = collect_samples(&mut sim, &space, 400, 5);
     println!(
         "  would have cost {:.1} simulated hours of workload replay",
-        sim.total_simulated_secs() / 3600.0
+        SpeedupReport::new(ds.len(), 0.0).replay_secs / 3600.0
     );
     let mut bench = SurrogateBenchmark::train(space.clone(), Objective::Throughput, &ds, 1);
 
     // --- Online: cheap optimizer evaluation ----------------------------
+    let mut sessions = Vec::new();
     for kind in [OptimizerKind::Smac, OptimizerKind::MixedKernelBo, OptimizerKind::Ga] {
         let mut opt = kind.build(space.space(), METRICS_DIM, 2);
         let r = run_session(
@@ -48,9 +49,10 @@ fn main() {
             kind.label(),
             r.best_improvement() * 100.0
         );
+        sessions.push(r);
     }
 
-    let report = bench.speedup_report();
+    let report = SpeedupReport::of_sessions(&sessions);
     println!(
         "\n{} surrogate evaluations took {:.3}s of wall clock; workload replay\n\
          would have taken {:.1} hours -> {:.0}x speedup (the paper reports\n\

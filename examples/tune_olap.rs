@@ -66,7 +66,8 @@ fn main() {
 
     println!(
         "\nThe Hamming kernel treats `innodb_flush_method` options as unordered\n\
-         identities; the RBF ordinal encoding pretends fsync < O_DSYNC < O_DIRECT,\n\
-         which is why mixed-kernel BO converges faster on heterogeneous spaces."
+         identities; the RBF ordinal encoding pretends fsync < O_DSYNC < O_DIRECT.\n\
+         The paper credits this for mixed-kernel BO's faster convergence on\n\
+         heterogeneous spaces; one seed on one space, as here, can go either way."
     );
 }

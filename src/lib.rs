@@ -31,6 +31,6 @@ pub mod prelude {
     };
     pub use dbtune_core::{ConfigSpace, TuningSpace};
     pub use dbtune_dbsim::{
-        DbSimulator, Hardware, KnobCatalog, Objective, Outcome, Workload, METRICS_DIM,
+        DbSimulator, EvalResult, Hardware, KnobCatalog, Objective, Workload, METRICS_DIM,
     };
 }

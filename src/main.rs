@@ -469,7 +469,7 @@ fn cmd_benchmark(args: &Args) -> Result<(), String> {
         optimizer.label(),
         result.best_improvement() * 100.0
     );
-    let report = bench.speedup_report();
+    let report = SpeedupReport::of_sessions([&result]);
     println!(
         "{} surrogate evaluations in {:.3}s; workload replay would have taken {:.1} h -> {:.0}x speedup",
         report.n_evals,
