@@ -19,8 +19,10 @@
 //! writing anything.
 //!
 //! Exit codes: 0 ok (including `mode=warn` with drift, and a missing
-//! `against=` file), 1 determinism failure or drift under `mode=gate`,
-//! 2 usage or I/O error.
+//! `against=` file); 1 determinism failure, drift under `mode=gate`, or
+//! a flag rejected before any work (an unknown key, a value that is not
+//! a number, `repeats=0` or `iters=0`); 2 a bad `mode=`, an unreadable
+//! baseline, or an I/O error.
 
 use dbtune_bench::artifact::{load_json_file, parse_quality_baseline};
 use dbtune_bench::{quality, run_tuning_grid, ExpArgs, GridOpts};
@@ -32,7 +34,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let _trace_flush = dbtune_bench::flush_guard();
     let args = ExpArgs::parse(&["repeats", "iters", "workers", "write", "against", "mode"]);
-    let repeats = args.get_usize("repeats", 2).max(1);
+    let repeats = args.get_size("repeats", 2);
     let iters = args.get_size("iters", quality::DEFAULT_ITERS);
     let workers = args.get_usize("workers", 1);
     let write = args.get_str("write", "BENCH_quality.json");

@@ -13,9 +13,7 @@
 //!    parent closing after its children — a truncated journal leaves
 //!    some unclosed — and every child inside its parent's interval),
 //!    profiled spans must claim no more self than total allocation,
-//!    counters and histogram counts must be monotonically
-//!    non-decreasing across flushes, and histogram quantiles must be
-//!    ordered.
+//!    and counters must be monotonically non-decreasing across flushes.
 //!
 //! Usage: `trace_validate <journal.jsonl>`. Exit codes: 0 valid,
 //! 1 invalid journal (violations are printed with line numbers), 2

@@ -139,7 +139,7 @@ impl ExpArgs {
             .find(|(k, _)| *k == key)
             .map(|&(_, min)| min)
             .unwrap_or_else(|| panic!("`{key}` is not a size argument"));
-        let n = self.get_usize(key, default);
+        let n = self.usize_value(key)?.unwrap_or(default);
         if n < min {
             return Err(format!("{key}={n}: must be at least {min}"));
         }
@@ -157,9 +157,33 @@ impl ExpArgs {
     }
 
     /// Optional integer argument (no default — e.g. `workers=`, which
-    /// falls back to the executor's own resolution chain when absent).
+    /// falls back to the executor's own resolution chain when absent). A
+    /// value that is not a non-negative integer ends the driver like an
+    /// unknown flag: it prints `error: bad value for workers: two
+    /// (expected a non-negative integer)` and exits with status 1.
     pub fn opt_usize(&self, key: &str) -> Option<usize> {
-        self.value(key).map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {key}: {v}")))
+        self.usize_value(key).unwrap_or_else(|msg| exit_with(msg))
+    }
+
+    /// [`Self::opt_usize`]'s parse, as a value.
+    fn usize_value(&self, key: &str) -> Result<Option<usize>, String> {
+        self.value(key)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    format!("bad value for {key}: {v} (expected a non-negative integer)")
+                })
+            })
+            .transpose()
+    }
+
+    /// An `on|off` switch, `default` when absent.
+    fn on_off(&self, key: &str, default: bool) -> Result<bool, String> {
+        match self.value(key).map(String::as_str) {
+            None => Ok(default),
+            Some("on") => Ok(true),
+            Some("off") => Ok(false),
+            Some(other) => Err(format!("bad value for {key}: {other} (expected on|off)")),
+        }
     }
 }
 
@@ -196,46 +220,53 @@ impl GridOpts {
     /// `trace=<path>` starts one (the `DBTUNE_TRACE` environment
     /// variable is handled by the telemetry global itself). `diag=on`
     /// latches the optimizer-quality recorder (see
-    /// docs/observability.md) — its records reach a file only when the
-    /// journal is also on. `mem=on` latches the memory profiler the
-    /// same way: span records carry their allocations (journal on)
-    /// and the `mem.*` metrics are published at report time; accounting
-    /// is read-only, so results stay byte-identical either way. Fault
-    /// injection defaults off; see `docs/robustness.md` for the flag
-    /// grammar.
+    /// docs/observability.md); its records go only to the journal, so it
+    /// needs `trace=` or `DBTUNE_TRACE`. `mem=on` latches the memory
+    /// profiler the same way: span records carry their allocations
+    /// (journal on) and the `mem.*` metrics are published at report time;
+    /// accounting is read-only, so results stay byte-identical either
+    /// way. Fault injection defaults off; see `docs/robustness.md` for
+    /// the flag grammar.
+    ///
+    /// A bad value, a journal that cannot be opened, or `diag=on` with no
+    /// journal ends the driver here, before any work: it prints
+    /// `error: bad value for cache: maybe (expected on|off)` (or the
+    /// matching message) and exits with status 1.
     pub fn from_args(driver: &str, args: &ExpArgs, noise_seed: u64) -> Self {
-        let cache = match args.get_str("cache", "on").as_str() {
-            "on" => true,
-            "off" => false,
-            other => panic!("bad value for cache: {other} (expected on|off)"),
-        };
+        Self::try_from_args(driver, args, noise_seed).unwrap_or_else(|msg| exit_with(msg))
+    }
+
+    /// [`Self::from_args`] as a value. Every value is checked before the
+    /// journal opens or an observer latches.
+    fn try_from_args(driver: &str, args: &ExpArgs, noise_seed: u64) -> Result<Self, String> {
+        let cache = args.on_off("cache", true)?;
+        let diag = args.on_off("diag", false)?;
+        let mem = args.on_off("mem", false)?;
+        let faults = FaultPlan::parse(&args.get_str("faults", "off"))
+            .map_err(|e| format!("bad value for faults: {e}"))?;
+        let retry = RetryPolicy::parse(&args.get_str("retries", ""))
+            .map_err(|e| format!("bad value for retries: {e}"))?;
+        let workers = resolve_workers(args.usize_value("workers")?);
+        let tele = telemetry::global();
         let trace = args.get_str("trace", "");
         if !trace.is_empty() {
-            telemetry::global()
-                .enable_journal(std::path::Path::new(&trace), driver)
-                .unwrap_or_else(|e| panic!("cannot open trace journal {trace}: {e}"));
+            tele.enable_journal(std::path::Path::new(&trace), driver)
+                .map_err(|e| format!("cannot open trace journal {trace}: {e}"))?;
         }
-        match args.get_str("diag", "off").as_str() {
-            "on" => telemetry::global().enable_diag(),
-            "off" => {}
-            other => panic!("bad value for diag: {other} (expected on|off)"),
+        if diag {
+            if !tele.journal.is_enabled() {
+                return Err(format!(
+                    "diag=on writes its records only to the trace journal; \
+                     add trace=<path> or set {}",
+                    telemetry::TRACE_ENV
+                ));
+            }
+            tele.enable_diag();
         }
-        match args.get_str("mem", "off").as_str() {
-            "on" => telemetry::global().enable_memprof(),
-            "off" => {}
-            other => panic!("bad value for mem: {other} (expected on|off)"),
+        if mem {
+            tele.enable_memprof();
         }
-        let faults = FaultPlan::parse(&args.get_str("faults", "off"))
-            .unwrap_or_else(|e| panic!("bad value for faults: {e}"));
-        let retry = RetryPolicy::parse(&args.get_str("retries", ""))
-            .unwrap_or_else(|e| panic!("bad value for retries: {e}"));
-        Self {
-            workers: resolve_workers(args.opt_usize("workers")),
-            cache,
-            noise_seed,
-            faults,
-            retry,
-        }
+        Ok(Self { workers, cache, noise_seed, faults, retry })
     }
 
     /// A fresh shared cache, or `None` when disabled.
@@ -290,13 +321,6 @@ impl GridOpts {
             let evals = metrics.counter("sim.evals").get();
             if let Some(per_eval) = mem.alloc_count.checked_div(evals) {
                 metrics.gauge("mem.allocs_per_eval").set(per_eval as i64);
-            }
-            for (span, agg) in dbtune_obs::memprof::table_snapshot() {
-                match span {
-                    "surrogate_fit" => metrics.counter("mem.fit.alloc_bytes").add(agg.self_bytes),
-                    "acquisition" => metrics.counter("mem.acq.alloc_bytes").add(agg.self_bytes),
-                    _ => {}
-                }
             }
         }
         ExecReport {
@@ -546,8 +570,7 @@ pub fn save_json_with_exec<T: Serialize>(name: &str, results: &T, exec: &ExecRep
 /// [`save_json_with_exec`] with an extra driver-specific value appended
 /// to the `"telemetry"` block under `"driver"` (e.g. fig9's per-phase
 /// overhead series). Flushes the metrics registry to the journal first,
-/// so a trace ends with one `counter`/`gauge`/`hist` event per
-/// instrument.
+/// so a trace ends with one `counter`/`gauge` event per instrument.
 pub fn save_json_with_telemetry<T: Serialize>(
     name: &str,
     results: &T,
@@ -731,5 +754,72 @@ mod tests {
         );
         // Zero is only checked where a driver reads the key as a size.
         assert_eq!(args(&["pretrain=0"]).get_usize("pretrain", 150), 0);
+        assert_eq!(
+            args(&["iters=ten"]).size("iters", 5),
+            Err("bad value for iters: ten (expected a non-negative integer)".to_string())
+        );
+    }
+
+    #[test]
+    fn integer_values_are_non_negative_integers() {
+        assert_eq!(
+            args(&["workers=two"]).usize_value("workers"),
+            Err("bad value for workers: two (expected a non-negative integer)".to_string())
+        );
+        assert_eq!(args(&["workers=-1"]).usize_value("workers").map_err(|_| ()), Err(()));
+        assert_eq!(args(&["workers="]).usize_value("workers").map_err(|_| ()), Err(()));
+        assert_eq!(args(&["workers=3"]).usize_value("workers"), Ok(Some(3)));
+        assert_eq!(args(&[]).usize_value("workers"), Ok(None));
+    }
+
+    #[test]
+    fn switches_take_on_or_off() {
+        for key in ["cache", "diag", "mem"] {
+            assert_eq!(
+                args(&[&format!("{key}=maybe")]).on_off(key, true),
+                Err(format!("bad value for {key}: maybe (expected on|off)"))
+            );
+            assert_eq!(args(&[&format!("{key}=off")]).on_off(key, true), Ok(false));
+            assert_eq!(args(&[&format!("{key}=on")]).on_off(key, false), Ok(true));
+            assert_eq!(args(&[]).on_off(key, true), Ok(true), "{key}: absent takes its default");
+        }
+    }
+
+    #[test]
+    fn grid_flags_are_checked_before_any_observer_latches() {
+        // Each bad value is reported as the driver would print it, and
+        // none of them opens the journal named next to it.
+        let journal = std::env::temp_dir().join("dbtune_bench_unopened.jsonl");
+        let _ = std::fs::remove_file(&journal);
+        let trace = format!("trace={}", journal.display());
+        for (bad, message) in [
+            ("cache=maybe", "bad value for cache: maybe (expected on|off)"),
+            ("diag=yes", "bad value for diag: yes (expected on|off)"),
+            ("mem=1", "bad value for mem: 1 (expected on|off)"),
+            ("workers=two", "bad value for workers: two (expected a non-negative integer)"),
+        ] {
+            let err = GridOpts::try_from_args("unit", &args(&[bad, &trace]), 7).err();
+            assert_eq!(err.as_deref(), Some(message), "{bad}");
+        }
+        for bad in ["faults=seed:x", "retries=lots"] {
+            let err = GridOpts::try_from_args("unit", &args(&[bad, &trace]), 7).err();
+            let key = bad.split_once('=').map(|(k, _)| k).unwrap_or(bad);
+            assert!(
+                err.as_deref().is_some_and(|e| e.starts_with(&format!("bad value for {key}: "))),
+                "{bad}: {err:?}"
+            );
+        }
+        assert!(!journal.exists(), "no journal opens while a flag is bad");
+        let unopenable = std::env::temp_dir().join("dbtune_bench_no_such_dir").join("j.jsonl");
+        let err = GridOpts::try_from_args(
+            "unit",
+            &args(&[&format!("trace={}", unopenable.display())]),
+            7,
+        )
+        .err();
+        assert!(
+            err.as_deref().is_some_and(|e| e.starts_with("cannot open trace journal ")),
+            "{err:?}"
+        );
     }
 }

@@ -48,8 +48,12 @@ fn run_smoke(exe: &str, json_name: &str, sizes: &[&str]) {
     }
     let tele = lookup(&value, "telemetry")
         .unwrap_or_else(|| panic!("{name}: missing top-level 'telemetry'"));
-    for key in ["spans", "counters", "gauges", "histograms"] {
+    for key in ["counters", "gauges"] {
         lookup(tele, key).unwrap_or_else(|| panic!("{name}: missing telemetry.{key}"));
+    }
+    // Span timings live in the trace journal only, one record per span.
+    for key in ["spans", "histograms"] {
+        assert!(lookup(tele, key).is_none(), "{name}: telemetry.{key} copies the journal");
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -91,13 +95,19 @@ smoke!(table9_runs, "table9_surrogate_models", "table9_surrogates", &["samples=1
 smoke!(workloads_report_runs, "workloads_report", "workloads_report", &[]);
 smoke!(fig11_runs, "fig11_resilience", "fig11_resilience", &["iters=6", "seeds=1"]);
 
-/// Runs `exe` with `args` in an empty scratch directory `name`; returns
-/// the exit code, stderr, and what the driver wrote there.
+/// Runs `exe` with `args` in an empty scratch directory `name`, with no
+/// `DBTUNE_TRACE` journal; returns the exit code, stderr, and what the
+/// driver wrote there.
 fn run_rejected(exe: &str, name: &str, args: &[&str]) -> (Option<i32>, String, Vec<PathBuf>) {
     let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let out = Command::new(exe).args(args).current_dir(&dir).output().expect("spawn driver");
+    let out = Command::new(exe)
+        .args(args)
+        .env_remove("DBTUNE_TRACE")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn driver");
     let written: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("read scratch dir")
         .map(|e| e.expect("entry").path())
@@ -133,6 +143,66 @@ fn unknown_flags_exit_before_any_work() {
     );
     assert_eq!(code, Some(1), "--- stderr ---\n{stderr}");
     assert!(stderr.starts_with("error: unknown argument `iter=` (known: samples, iters, workers"));
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(written.is_empty(), "wrote {written:?}");
+}
+
+/// A bad flag value ends the driver like an unknown flag: one `error:`
+/// line, status 1, nothing written, no panic.
+#[test]
+fn bad_flag_values_exit_before_any_work() {
+    for (i, (args, message)) in [
+        (&["iters=6", "cache=maybe"][..], "bad value for cache: maybe (expected on|off)"),
+        (
+            &["iters=6", "workers=two"],
+            "bad value for workers: two (expected a non-negative integer)",
+        ),
+        (&["iters=ten"], "bad value for iters: ten (expected a non-negative integer)"),
+        (&["iters=6", "mem=yes"], "bad value for mem: yes (expected on|off)"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (code, stderr, written) = run_rejected(
+            env!("CARGO_BIN_EXE_fig11_resilience"),
+            &format!("dbtune_smoke_bad_value_{i}"),
+            args,
+        );
+        assert_eq!(code, Some(1), "{args:?}\n--- stderr ---\n{stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {message}"), "{args:?}");
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+/// Diag records go only to the journal, so `diag=on` without `trace=`
+/// or `DBTUNE_TRACE` would pay for diagnostics nobody can read.
+#[test]
+fn diag_without_a_journal_exits_before_any_work() {
+    let (code, stderr, written) = run_rejected(
+        env!("CARGO_BIN_EXE_fig11_resilience"),
+        "dbtune_smoke_diag_no_journal",
+        &["iters=6", "seeds=1", "diag=on"],
+    );
+    assert_eq!(code, Some(1), "--- stderr ---\n{stderr}");
+    assert!(stderr.starts_with("error: diag=on writes its records only to the trace journal"));
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(written.is_empty(), "wrote {written:?}");
+}
+
+/// A journal that cannot be opened is a bad flag value too: the run
+/// would otherwise go ahead and record nothing.
+#[test]
+fn an_unopenable_trace_path_exits_before_any_work() {
+    let (code, stderr, written) = run_rejected(
+        env!("CARGO_BIN_EXE_fig11_resilience"),
+        "dbtune_smoke_unopenable_trace",
+        &["iters=6", "seeds=1", "trace=no_such_dir/journal.jsonl"],
+    );
+    assert_eq!(code, Some(1), "--- stderr ---\n{stderr}");
+    assert!(
+        stderr.starts_with("error: cannot open trace journal no_such_dir/journal.jsonl: "),
+        "{stderr}"
+    );
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(written.is_empty(), "wrote {written:?}");
 }

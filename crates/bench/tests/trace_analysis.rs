@@ -5,8 +5,9 @@
 //! These pin the acceptance criteria of the toolkit:
 //! * self time reconstructed from a `fig9_overhead` journal sums to the
 //!   instrumented wall time within 1%, the bytes-weighted flamegraph of
-//!   a `mem=on` journal sums to its root spans' allocated bytes, and
-//!   every Chrome trace event lies inside its parent's;
+//!   a `mem=on` journal sums to its root spans' allocated bytes, the
+//!   phase spans' self bytes sum from the journal alone, and every
+//!   Chrome trace event lies inside its parent's;
 //! * two identical-seed runs diff to zero deltas, span counts included;
 //! * structurally broken journals (truncation, backwards counters,
 //!   children outside their parents) fail validation with the offending
@@ -15,13 +16,15 @@
 //!   `BENCH_quality.json`, writes the same results block on every run
 //!   and at any worker count, and keeps its exit-code contract: 0 when
 //!   the diff is clean or drift is only warned about, 1 for drift under
-//!   `mode=gate`, 2 for usage and input errors.
+//!   `mode=gate` and for flags rejected before any work, 2 for a bad
+//!   mode and input errors.
 
 mod common;
 
 use common::scratch;
 use dbtune_bench::artifact::{load_journal, load_json_file, lookup, parse_quality_baseline};
 use dbtune_bench::quality;
+use dbtune_core::telemetry::SCHEMA_VERSION;
 use dbtune_trace::{build_trees, diff_summaries, merge_paths, summarize, DiffConfig};
 use serde::Value;
 use std::path::Path;
@@ -159,6 +162,31 @@ fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
     chrome_spans_nest(&dir.join("fig9_mem.chrome.json"));
 }
 
+/// The per-span allocation sums an in-process table used to keep are the
+/// journal's: `summarize` folds every profiled close. Twelve iterations
+/// run past the ten-point LHS design, so every model-based optimizer
+/// fits and acquires.
+#[test]
+fn profiled_phase_spans_sum_their_bytes_from_the_journal() {
+    let dir = scratch("trace_analysis_phase_bytes");
+    let journal = dir.join("fig9_phases.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9_overhead"))
+        .args(["samples=120", "iters=12", "workers=2", "mem=on"])
+        .arg(format!("trace={}", journal.display()))
+        .current_dir(&dir)
+        .output()
+        .expect("spawn fig9_overhead");
+    assert!(out.status.success(), "fig9 failed: {}", String::from_utf8_lossy(&out.stderr));
+    let summary = summarize(&load_journal(&journal).expect("profiled journal loads"));
+    for phase in ["surrogate_fit", "acquisition"] {
+        let mem = &summary.mem[phase];
+        assert!(mem.self_bytes > 0 && mem.self_allocs > 0, "{phase}: {mem:?}");
+        assert!(mem.self_bytes <= mem.total_bytes, "{phase}: {mem:?}");
+        assert_eq!(mem.closes, summary.spans[phase].count, "{phase}: every close is profiled");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn identical_seed_runs_diff_to_zero_counter_deltas() {
     let dir = scratch("trace_analysis_diff_clean");
@@ -193,13 +221,14 @@ fn trace_diff_gate_flags_an_artificially_slowed_span() {
     let mk = |path: &Path, fit_nanos: u64| {
         let text = format!(
             concat!(
-                "{{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}}\n",
+                "{{\"type\":\"meta\",\"version\":{version},\"source\":\"unit\"}}\n",
                 "{{\"type\":\"span\",\"name\":\"surrogate_fit\",\"id\":2,\"parent_id\":1,",
                 "\"start_nanos\":0,\"dur_nanos\":{fit},\"thread\":0,\"seq\":1}}\n",
                 "{{\"type\":\"span\",\"name\":\"session\",\"id\":1,\"parent_id\":null,",
                 "\"start_nanos\":0,\"dur_nanos\":{total},\"thread\":0,\"seq\":2}}\n",
                 "{{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":10,\"seq\":3}}\n"
             ),
+            version = SCHEMA_VERSION,
             fit = fit_nanos,
             total = fit_nanos + 1_000_000,
         );
@@ -247,7 +276,7 @@ fn trace_validate_rejects_structural_violations_with_line_numbers() {
         let out = Command::new(exe).arg(path.as_os_str()).output().expect("spawn trace_validate");
         (out.status.code(), String::from_utf8_lossy(&out.stderr).to_string())
     };
-    let meta = "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n";
+    let meta = format!("{{\"type\":\"meta\",\"version\":{SCHEMA_VERSION},\"source\":\"unit\"}}\n");
 
     // Truncation: a child closed but its parent never did.
     let (code, stderr) = run(
@@ -298,6 +327,42 @@ fn trace_validate_rejects_structural_violations_with_line_numbers() {
         ),
     );
     assert_eq!(code, Some(0), "sound journal must pass: {stderr}");
+}
+
+#[test]
+fn trace_validate_rejects_schema_2_journals_and_hist_lines() {
+    let dir = scratch("trace_analysis_schema");
+    let run = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write journal");
+        let out = Command::new(env!("CARGO_BIN_EXE_trace_validate"))
+            .arg(path.as_os_str())
+            .output()
+            .expect("spawn trace_validate");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).to_string())
+    };
+    let session = "{\"type\":\"span\",\"name\":\"session\",\"id\":1,\"parent_id\":null,\
+                   \"start_nanos\":0,\"dur_nanos\":9,\"thread\":0,\"seq\":1}\n";
+    let hist = "{\"type\":\"hist\",\"name\":\"exec.cell_nanos\",\"count\":1,\
+                \"p50_nanos\":5,\"p99_nanos\":5,\"seq\":2}\n";
+
+    // A sound journal under schema 2 is rejected by its version.
+    let (code, stderr) = run(
+        "version2.jsonl",
+        format!("{{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}}\n{session}"),
+    );
+    assert_eq!(code, Some(1), "a version-2 journal must fail: {stderr}");
+    assert!(
+        stderr.contains(&format!(":1: schema version 2 (validator supports {SCHEMA_VERSION})")),
+        "{stderr}"
+    );
+
+    // Schema 3 has no histogram kind: a `hist` line is an unknown event.
+    let meta = format!("{{\"type\":\"meta\",\"version\":{SCHEMA_VERSION},\"source\":\"unit\"}}\n");
+    let (code, stderr) = run("hist.jsonl", format!("{meta}{session}{hist}"));
+    assert_eq!(code, Some(1), "a hist line must fail: {stderr}");
+    assert!(stderr.contains(":3: unknown event type 'hist'"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -446,5 +511,30 @@ fn quality_baseline_usage_and_input_errors_exit_2() {
     );
     assert_eq!(code, Some(0), "a missing baseline is not an error:\n{out}");
     assert!(out.contains("nothing to compare"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quality_baseline_rejects_zero_repeats_before_any_work() {
+    let dir = scratch("trace_analysis_quality_zero_repeats");
+    let current = dir.join("current.json");
+    let (code, out) = run_quality_baseline(&dir, &["repeats=0".into(), write_flag(&current)]);
+    assert_eq!(code, Some(1), "repeats=0 must exit 1:\n{out}");
+    assert_eq!(out.trim_end(), "error: repeats=0: must be at least 1");
+    assert!(!current.exists(), "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quality_baseline_rejects_a_bad_worker_count_before_any_work() {
+    let dir = scratch("trace_analysis_quality_bad_workers");
+    let current = dir.join("current.json");
+    let (code, out) = run_quality_baseline(&dir, &["workers=two".into(), write_flag(&current)]);
+    assert_eq!(code, Some(1), "workers=two must exit 1:\n{out}");
+    assert_eq!(
+        out.trim_end(),
+        "error: bad value for workers: two (expected a non-negative integer)"
+    );
+    assert!(!current.exists(), "nothing is written");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -211,7 +211,7 @@ where
     let workers = workers.clamp(1, n);
 
     // Executor telemetry (docs/observability.md): per-cell `exec.cell`
-    // spans and duration histogram, per-worker busy/idle/steal ledgers,
+    // spans, per-worker busy/idle/steal ledgers,
     // and a queue-depth gauge sampled at each claim. Pure observation —
     // none of it feeds back into scheduling or results.
     let tele = telemetry::global();
@@ -220,7 +220,6 @@ where
     let idle_ctr = tele.metrics.counter("exec.worker.idle_nanos");
     let steal_ctr = tele.metrics.counter("exec.worker.steal_nanos");
     let depth_gauge = tele.metrics.gauge("exec.queue.depth");
-    let cell_hist = tele.metrics.histogram("exec.cell_nanos");
 
     if workers == 1 {
         // Serial fast path: the caller is the worker; it never idles.
@@ -240,7 +239,6 @@ where
                 };
                 let nanos = t.elapsed().as_nanos() as u64;
                 busy_ctr.add(nanos);
-                cell_hist.record(nanos);
                 cells_done.inc();
                 result
             })
@@ -253,13 +251,12 @@ where
     let (cursor_ref, slots_ref, f_ref) = (&cursor, &slots, &f);
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
-            let (cells_done, busy_ctr, idle_ctr, steal_ctr, depth_gauge, cell_hist) = (
+            let (cells_done, busy_ctr, idle_ctr, steal_ctr, depth_gauge) = (
                 cells_done.clone(),
                 busy_ctr.clone(),
                 idle_ctr.clone(),
                 steal_ctr.clone(),
                 depth_gauge.clone(),
-                cell_hist.clone(),
             );
             scope.spawn(move |_| {
                 let _worker = tele.span("exec.worker");
@@ -292,7 +289,6 @@ where
                     };
                     let nanos = t.elapsed().as_nanos() as u64;
                     busy += nanos;
-                    cell_hist.record(nanos);
                     cells_done.inc();
                     *slots_ref[i].lock() = Some(result);
                 }

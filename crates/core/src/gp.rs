@@ -378,7 +378,7 @@ impl GaussianProcess {
 
     /// Posterior mean and variance for every query row, in one pass.
     ///
-    /// Queries are processed in blocks of [`Self::LANES`]. The kernel
+    /// Queries are processed in blocks of eight (`LANES`). The kernel
     /// row and the mean dot-product run per lane with the exact scalar
     /// routines; the triangular solve runs through
     /// [`Cholesky::solve_lower_interleaved`], which gives each of the

@@ -124,10 +124,10 @@ const QUARANTINE_RESUGGEST: usize = 4;
 
 /// The crash sites a [`FailurePolicy::QuarantinePenalty`] session has
 /// seen, in the unit cube of the tuning space. A point is *quarantined*
-/// when it lies within L∞ distance [`QUARANTINE_RADIUS`] of a remembered
-/// crash — the session re-draws such suggestions (boundedly), steering
-/// samplers away from known cliffs without carving the region out of the
-/// space entirely.
+/// when it lies within L∞ distance 0.05 (`QUARANTINE_RADIUS`) of a
+/// remembered crash — the session re-draws such suggestions (boundedly),
+/// steering samplers away from known cliffs without carving the region
+/// out of the space entirely.
 #[derive(Clone, Debug, Default)]
 pub struct CrashRegionMemory {
     points: Vec<Vec<f64>>,

@@ -18,7 +18,7 @@
 //!   checkpoints, final simple/cumulative regret, outcome tallies,
 //!   novelty statistics — the regret-over-time view the paper's §6
 //!   ranking (and PAPERS.md's DOT) argue is the metric that matters.
-//! * **Calibration** ([`calibration`]): standardized residuals
+//! * **Calibration** ([`mod@calibration`]): standardized residuals
 //!   `z = (y - mu) / sigma` of the surrogate's one-step-ahead
 //!   predictions, negative log predictive density, z-score coverage of
 //!   the 1-sigma/2-sigma intervals, and the exploration/exploitation

@@ -52,7 +52,7 @@ impl Cholesky {
     /// thus starts as `a[(j, i)]`, loses the products `L[i][k]·L[j][k]` in
     /// ascending `k`, and is divided by `L[i][i]` last — the row-by-row
     /// recurrence's operations, so the factor and the verdict match it to
-    /// the bit. Pivots go in panels of [`BLOCK`]: a panel's rows are
+    /// the bit. Pivots go in panels of eight (`BLOCK`): a panel's rows are
     /// finished pivot by pivot, then every later row subtracts the panel's
     /// products from each element in one load–store pass, still in
     /// ascending `k`.

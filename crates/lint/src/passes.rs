@@ -11,8 +11,6 @@
 //! | R2   | same for ambient randomness                                     |
 //! | R3   | env read reachable from the results path                        |
 //! | R4   | thread-identity read reachable from the results path            |
-//! | R5   | iteration over a hash collection *returned by a call* on the    |
-//! |      | results path (e.g. a map handed out by the telemetry crate)     |
 //! | C2   | the same two locks are acquired in both orders somewhere in     |
 //! |      | the exec/obs call graph — a deadlock candidate                  |
 //! | S1   | telemetry name emitted but not documented in                    |
@@ -156,31 +154,6 @@ fn determinism_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
                         chain()
                     ),
                 });
-            }
-            // R5 — iterating a hash collection a call returned. Clippy's
-            // `disallowed_types` ban stops at the telemetry crate's
-            // exemption; resolving the callee's return type catches a
-            // telemetry map handed back to the results path.
-            for ic in &n.item.iter_calls {
-                let hash_ret = graph.named(&ic.callee).iter().any(|&c| {
-                    let ret = &graph.nodes[c].item.ret;
-                    ret.contains("HashMap") || ret.contains("HashSet")
-                });
-                if hash_ret {
-                    out.push(Finding {
-                        path: n.path.clone(),
-                        line: ic.line,
-                        rule: "R5".to_string(),
-                        message: format!(
-                            "iterating the hash collection returned by `{}()` has \
-                             nondeterministic order (reached via {}) — return a \
-                             BTreeMap/sorted Vec from the callee, sort before iterating, \
-                             or annotate `// lint: allow(R5) <why order cannot matter>`",
-                            ic.callee,
-                            chain()
-                        ),
-                    });
-                }
             }
         }
     }
@@ -487,24 +460,6 @@ mod tests {
         assert_eq!(r3.len(), 1, "{fs:?}");
         assert_eq!(r3[0].line, 2, "at the env::var line");
         assert!(r3[0].message.contains("run -> workers"), "{}", r3[0].message);
-    }
-
-    #[test]
-    fn r5_sees_hash_returns_across_files() {
-        let fs = run_graph(&[
-            (
-                "crates/core/src/pipeline.rs",
-                "pub fn plan() {\n    for t in snapshot() { use_table(t); }\n}\n",
-            ),
-            (
-                "crates/core/src/tables.rs",
-                "pub fn snapshot() -> HashMap<String, u32> { HashMap::new() }\n",
-            ),
-        ]);
-        let r5: Vec<&Finding> = fs.iter().filter(|f| f.rule == "R5").collect();
-        assert_eq!(r5.len(), 1, "{fs:?}");
-        assert_eq!(r5[0].path, "crates/core/src/pipeline.rs");
-        assert_eq!(r5[0].line, 2);
     }
 
     #[test]

@@ -28,21 +28,19 @@
 //! The workspace-level passes in [`crate::passes`] add three more
 //! families over the call graph ([`crate::graph`]): **R** (determinism
 //! taint reachable from results paths: R1 clock laundering, R2 RNG
-//! laundering, R3 env reads, R4 thread-id, R5 unordered iteration of a
-//! returned hash collection), **C2** (inconsistent lock-acquisition
-//! order across the call graph), and **S** (telemetry schema drift
-//! between code, `docs/observability.md`, and the `dbtune-trace::diff`
-//! policy table: S1 undocumented emitter, S2 documented-but-dead name,
-//! S3 policy entry with no emitter).
+//! laundering, R3 env reads, R4 thread-id), **C2** (inconsistent
+//! lock-acquisition order across the call graph), and **S** (telemetry
+//! schema drift between code, `docs/observability.md`, and the
+//! `dbtune-trace::diff` policy table: S1 undocumented emitter, S2
+//! documented-but-dead name, S3 policy entry with no emitter).
 
 use crate::pragma::{self, Pragma};
 use crate::report::{Finding, PragmaRecord};
 use crate::scanner::{self, is_ident_char};
 
 /// Every rule id the engine can emit (and `allow(..)` can name).
-pub const RULE_IDS: &[&str] = &[
-    "F1", "E1", "M1", "R1", "R2", "R3", "R4", "R5", "C1", "C2", "S1", "S2", "S3", "P1", "P2", "P3",
-];
+pub const RULE_IDS: &[&str] =
+    &["F1", "E1", "M1", "R1", "R2", "R3", "R4", "C1", "C2", "S1", "S2", "S3", "P1", "P2", "P3"];
 
 /// Where a file sits in the workspace, which decides rule applicability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,7 +68,7 @@ pub fn classify(rel: &str) -> FileClass {
 }
 
 /// Telemetry registration calls whose literal name argument M1 validates.
-const METRIC_CALLS: &[&str] = &["counter", "gauge", "histogram", "span"];
+const METRIC_CALLS: &[&str] = &["counter", "gauge", "span"];
 
 /// Scans one file's source and resolves its pragmas locally. `path` is
 /// recorded in findings verbatim. The workspace walker uses
@@ -523,7 +521,7 @@ mod tests {
     fn m1_applies_in_tests_and_telemetry_crates_and_takes_pragmas() {
         let src = "#[cfg(test)]\nmod tests {\n    fn f(t: &Telemetry) { t.metrics.gauge(\"Queue Depth\").set(1); }\n}\n";
         assert_eq!(findings("crates/obs/src/x.rs", src), vec![(3, "M1".into())]);
-        let allowed = "fn f(t: &Telemetry) {\n    t.metrics.histogram(\"legacy-latency\"); // lint: allow(M1) legacy dashboard key\n}\n";
+        let allowed = "fn f(t: &Telemetry) {\n    t.metrics.gauge(\"legacy-latency\"); // lint: allow(M1) legacy dashboard key\n}\n";
         assert!(findings("crates/core/src/x.rs", allowed).is_empty());
     }
 
@@ -568,6 +566,16 @@ mod tests {
         for id in ["D1", "D2", "D3", "E2", "E3"] {
             assert!(!RULE_IDS.contains(&id), "{id} is clippy's now");
         }
+    }
+
+    #[test]
+    fn r5_pragmas_are_retired() {
+        // R5 went with the telemetry crate's hash-map exemption: clippy's
+        // ban now covers every first-party crate, so an allow(R5) left
+        // behind names a rule that no longer exists.
+        let src = "fn f() {\n    for k in table() {} // lint: allow(R5) sorted by the callee\n}\n";
+        assert_eq!(findings("crates/core/src/x.rs", src), vec![(2, "P3".into())]);
+        assert!(!RULE_IDS.contains(&"R5"));
     }
 
     #[test]

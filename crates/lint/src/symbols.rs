@@ -9,12 +9,10 @@
 //!   at the site;
 //! * **taint sources** — wall-clock reads, unseeded RNG construction,
 //!   environment reads, thread-id reads (rule family R);
-//! * **iterated call results** — `helper().keys()` / `for x in helper()`
-//!   sites, for the cross-function unordered-iteration rule R5;
 //! * **lock events** — `let`-bound Mutex/RwLock guard acquisitions and
 //!   the held-then-acquired pairs they create (rule C2);
 //! * **telemetry emissions** — the literal names registered via
-//!   `counter("…")`, `gauge("…")`, `histogram("…")` and `span("…")`
+//!   `counter("…")`, `gauge("…")` and `span("…")`
 //!   (rule family S).
 //!
 //! Like the line rules, this is a heuristic token pass, not a type
@@ -71,7 +69,6 @@ pub struct LockPair {
 pub enum EmitKind {
     Counter,
     Gauge,
-    Histogram,
     Span,
 }
 
@@ -103,8 +100,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Forbidden determinism sources read directly in the body.
     pub taints: Vec<(TaintKind, usize)>,
-    /// Call results iterated with an unordered-iteration method.
-    pub iter_calls: Vec<CallSite>,
     /// Lock names acquired directly in the body.
     pub locks: Vec<String>,
     /// Held-then-acquired pairs observed in the body.
@@ -139,28 +134,13 @@ const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "rand::ra
 const ENV_READS: &[&str] = &["env::var", "env::vars", "env::var_os"];
 /// Thread-identity patterns (R4).
 const THREAD_READS: &[&str] = &["thread::current", "ThreadId"];
-/// Unordered-iteration methods (R5).
-const ITER_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".into_iter()",
-    ".drain(",
-    ".retain(",
-];
 /// Lock-acquisition methods (C2). `.read()`/`.write()` are also I/O
 /// method names; the concurrency pass only runs over the exec/obs scope,
 /// where every such receiver is a `Mutex`/`RwLock`.
 const LOCK_METHODS: &[&str] = &[".lock()", ".read()", ".write()"];
 /// Telemetry registration calls and their instrument kinds.
-const EMIT_CALLS: &[(&str, EmitKind)] = &[
-    ("counter", EmitKind::Counter),
-    ("gauge", EmitKind::Gauge),
-    ("histogram", EmitKind::Histogram),
-    ("span", EmitKind::Span),
-];
+const EMIT_CALLS: &[(&str, EmitKind)] =
+    &[("counter", EmitKind::Counter), ("gauge", EmitKind::Gauge), ("span", EmitKind::Span)];
 /// Identifiers that look like calls but are control flow or bindings.
 const KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "move", "ref", "else",
@@ -227,7 +207,6 @@ pub fn extract(source: &str) -> FileSymbols {
                                 ret,
                                 calls: Vec::new(),
                                 taints: Vec::new(),
-                                iter_calls: Vec::new(),
                                 locks: Vec::new(),
                                 lock_pairs: Vec::new(),
                             });
@@ -339,27 +318,6 @@ pub fn extract(source: &str) -> FileSymbols {
         for callee in call_names(code) {
             out.fns[fi].calls.push(CallSite { callee, line: lineno, held: held.clone() });
         }
-
-        // --- iterated call results: `…helper(…).keys()` — the chain
-        // immediately before the iteration method ends in `)`.
-        for m in ITER_METHODS {
-            let mut from = 0;
-            while let Some(rel) = code[from..].find(m) {
-                let pos = from + rel;
-                from = pos + m.len();
-                if let Some(callee) = call_before_paren(&code[..pos]) {
-                    out.fns[fi].iter_calls.push(CallSite {
-                        callee,
-                        line: lineno,
-                        held: Vec::new(),
-                    });
-                }
-            }
-        }
-        // `for x in helper(…) {` direct iteration of a call result.
-        if let Some(callee) = for_in_call(code) {
-            out.fns[fi].iter_calls.push(CallSite { callee, line: lineno, held: Vec::new() });
-        }
     }
 
     // Close any fn left open by a truncated file.
@@ -441,73 +399,6 @@ fn call_names(code: &str) -> Vec<String> {
 /// Byte offset of char index `ci` in `s`.
 fn byte_offset(s: &str, ci: usize) -> usize {
     s.char_indices().nth(ci).map(|(b, _)| b).unwrap_or(s.len())
-}
-
-/// When the text before an iteration method ends with `)`, walks back
-/// over the balanced parens and returns the identifier the call was made
-/// on (`tables::snapshot()` → `snapshot`, `helper(x)` → `helper`).
-fn call_before_paren(before: &str) -> Option<String> {
-    let chars: Vec<char> = before.chars().collect();
-    let mut i = chars.len();
-    if i == 0 || chars[i - 1] != ')' {
-        return None;
-    }
-    let mut depth = 0i32;
-    while i > 0 {
-        i -= 1;
-        match chars[i] {
-            ')' => depth += 1,
-            '(' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return None;
-    }
-    let name: String = chars[..i]
-        .iter()
-        .rev()
-        .take_while(|&&c| is_ident_char(c))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit())).then_some(name)
-}
-
-/// `for x in helper(…)` / `for x in mod::helper(…) {` — returns the
-/// callee when the iterated expression is a call.
-fn for_in_call(code: &str) -> Option<String> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find("for ") {
-        let pos = from + rel;
-        from = pos + 4;
-        if pos > 0 && is_ident_char(code[..pos].chars().next_back().unwrap_or(' ')) {
-            continue;
-        }
-        let Some(in_rel) = code[from..].find(" in ") else { continue };
-        let expr = code[from + in_rel + 4..].trim_start();
-        let expr = expr.trim_start_matches("&mut ").trim_start_matches(['&', '*']);
-        // identifier chain directly followed by `(`.
-        let chain_len = expr
-            .char_indices()
-            .take_while(|&(_, c)| is_ident_char(c) || c == ':' || c == '.')
-            .map(|(i, c)| i + c.len_utf8())
-            .last()
-            .unwrap_or(0);
-        if chain_len == 0 || !expr[chain_len..].starts_with('(') {
-            continue;
-        }
-        let chain = &expr[..chain_len];
-        let last = chain.rsplit(['.', ':']).next().filter(|s| !s.is_empty())?;
-        return Some(last.to_string());
-    }
-    None
 }
 
 /// The receiver chain ending at the given prefix (e.g. `self.counters`,
@@ -613,14 +504,6 @@ mod tests {
         assert_eq!(syms.fns[0].taints, vec![(TaintKind::Env, 2), (TaintKind::ThreadId, 3)]);
         assert!(!syms.fns[0].in_test);
         assert!(syms.fns[1].in_test, "{:?}", syms.fns[1]);
-    }
-
-    #[test]
-    fn iterated_call_results_are_recorded() {
-        let src = "fn f() {\n    for k in tables::snapshot() {}\n    helper().keys().count();\n}\n";
-        let syms = extract(src);
-        let callees: Vec<&str> = syms.fns[0].iter_calls.iter().map(|c| c.callee.as_str()).collect();
-        assert_eq!(callees, vec!["snapshot", "helper"]);
     }
 
     #[test]

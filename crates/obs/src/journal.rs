@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Version stamped into the journal's leading `meta` event.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One journal event. Field order in the serialized JSON is exactly the
 /// declaration order of each variant.
@@ -82,20 +82,6 @@ pub enum TraceEvent {
         name: String,
         /// Instantaneous value.
         value: i64,
-        /// Journal sequence number.
-        seq: u64,
-    },
-    /// A histogram's summary at flush:
-    /// `{"type":"hist","name":S,"count":N,"p50_nanos":N,"p99_nanos":N,"seq":N}`.
-    Hist {
-        /// Instrument name.
-        name: String,
-        /// Recorded values.
-        count: u64,
-        /// Approximate median.
-        p50_nanos: u64,
-        /// Approximate 99th percentile.
-        p99_nanos: u64,
         /// Journal sequence number.
         seq: u64,
     },
@@ -163,7 +149,6 @@ impl TraceEvent {
             TraceEvent::Span { .. } => "span",
             TraceEvent::Counter { .. } => "counter",
             TraceEvent::Gauge { .. } => "gauge",
-            TraceEvent::Hist { .. } => "hist",
             TraceEvent::Cell { .. } => "cell",
             TraceEvent::Diag { .. } => "diag",
         }
@@ -208,14 +193,6 @@ impl TraceEvent {
                 let _ = write!(s, r#"{{"type":"gauge","name":"#);
                 escape_into(&mut s, name);
                 let _ = write!(s, r#","value":{value},"seq":{seq}}}"#);
-            }
-            TraceEvent::Hist { name, count, p50_nanos, p99_nanos, seq } => {
-                let _ = write!(s, r#"{{"type":"hist","name":"#);
-                escape_into(&mut s, name);
-                let _ = write!(
-                    s,
-                    r#","count":{count},"p50_nanos":{p50_nanos},"p99_nanos":{p99_nanos},"seq":{seq}}}"#
-                );
             }
             TraceEvent::Cell { index, cache_hits, cache_misses, dur_nanos, thread, seq } => {
                 let _ = write!(
@@ -334,13 +311,6 @@ impl TraceEvent {
                 value: get_i64("value")?,
                 seq: get_u64("seq")?,
             }),
-            "hist" => Ok(TraceEvent::Hist {
-                name: get_str("name")?,
-                count: get_u64("count")?,
-                p50_nanos: get_u64("p50_nanos")?,
-                p99_nanos: get_u64("p99_nanos")?,
-                seq: get_u64("seq")?,
-            }),
             "cell" => Ok(TraceEvent::Cell {
                 index: get_u64("index")?,
                 cache_hits: get_u64("cache_hits")?,
@@ -373,7 +343,6 @@ impl TraceEvent {
             TraceEvent::Span { seq, .. }
             | TraceEvent::Counter { seq, .. }
             | TraceEvent::Gauge { seq, .. }
-            | TraceEvent::Hist { seq, .. }
             | TraceEvent::Cell { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq,
         }
@@ -385,7 +354,6 @@ impl TraceEvent {
             TraceEvent::Span { seq, .. }
             | TraceEvent::Counter { seq, .. }
             | TraceEvent::Gauge { seq, .. }
-            | TraceEvent::Hist { seq, .. }
             | TraceEvent::Cell { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq = n,
         }
@@ -696,13 +664,6 @@ mod tests {
         });
         round_trip(TraceEvent::Counter { name: "exec.cache.hits".into(), value: u64::MAX, seq: 2 });
         round_trip(TraceEvent::Gauge { name: "exec.queue.depth".into(), value: -5, seq: 3 });
-        round_trip(TraceEvent::Hist {
-            name: "exec.cell_nanos".into(),
-            count: 9,
-            p50_nanos: 100,
-            p99_nanos: 900,
-            seq: 4,
-        });
         round_trip(TraceEvent::Cell {
             index: 6,
             cache_hits: 40,
@@ -833,8 +794,11 @@ mod tests {
 
     #[test]
     fn parse_journal_yields_line_numbers_and_keeps_going_past_errors() {
-        let text = "{\"type\":\"meta\",\"version\":2,\"source\":\"t\"}\nnot json\n{\"type\":\"counter\",\"name\":\"c\",\"value\":3,\"seq\":1}";
-        let lines: Vec<(usize, Result<TraceEvent, String>)> = parse_journal(text).collect();
+        let text = format!(
+            "{}\nnot json\n{{\"type\":\"counter\",\"name\":\"c\",\"value\":3,\"seq\":1}}",
+            TraceEvent::Meta { version: SCHEMA_VERSION, source: "t".into() }.to_jsonl()
+        );
+        let lines: Vec<(usize, Result<TraceEvent, String>)> = parse_journal(&text).collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].0, 1);
         assert!(matches!(lines[0].1, Ok(TraceEvent::Meta { .. })));

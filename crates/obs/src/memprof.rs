@@ -18,14 +18,14 @@
 //! 2. **Global totals** ([`AtomicU64`]/[`AtomicI64`] statics):
 //!    process-wide counts, bytes, live bytes, and peak bytes
 //!    (`fetch_max` over live). [`global_stats`] snapshots them.
-//! 3. **Span attribution**: a span that opens while latched keeps a
-//!    [`Baseline`] of the thread's counters in its frame on the span
-//!    stack ([`crate::span`]). Closing it computes the span's *total*
-//!    allocation delta (everything allocated on the thread while it was
-//!    open) and its *self* delta (total minus what its children
-//!    claimed), folds the total into the parent's baseline, and
-//!    aggregates self/total per span name into a process-wide table
-//!    ([`table_snapshot`]).
+//! 3. **Span attribution**: a span that opens while latched keeps an
+//!    allocation baseline of the thread's counters in its frame on the
+//!    span stack ([`mod@crate::span`]). Closing it computes the span's
+//!    *total* allocation delta (everything allocated on the thread while
+//!    it was open) and its *self* delta (total minus what its children
+//!    claimed), folds the total into the parent's baseline, and hands the
+//!    [`MemDelta`] to the span's journal event. Per-name sums are read
+//!    from the journal (`dbtune_trace::summarize`, `trace_report`).
 //!
 //! **Re-entrancy rule**: the allocator hooks touch *only* the latch,
 //! the `Cell` counters, and the global atomics — never a `RefCell`, a
@@ -40,9 +40,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// One-way process latch; off at startup.
 static LATCHED: AtomicBool = AtomicBool::new(false);
@@ -246,7 +244,7 @@ pub struct MemDelta {
 }
 
 /// An open span's allocation baseline, held in its frame on the span
-/// stack (see [`crate::span`]).
+/// stack (see [`mod@crate::span`]).
 pub(crate) struct Baseline {
     /// Thread alloc count when the span opened.
     start_count: u64,
@@ -274,10 +272,9 @@ impl Baseline {
         })
     }
 
-    /// Closes the span: computes its deltas, folds its total into the
-    /// enclosing span's baseline, and aggregates under `name` in the
-    /// process-wide table.
-    pub(crate) fn close(self, parent: Option<&mut Baseline>, name: &'static str) -> MemDelta {
+    /// Closes the span: computes its deltas and folds its total into the
+    /// enclosing span's baseline.
+    pub(crate) fn close(self, parent: Option<&mut Baseline>) -> MemDelta {
         let total_allocs = T_ALLOC_COUNT.with(Cell::get) - self.start_count;
         let total_bytes = T_ALLOC_BYTES.with(Cell::get) - self.start_bytes;
         let delta = MemDelta {
@@ -290,48 +287,8 @@ impl Baseline {
             parent.child_count += total_allocs;
             parent.child_bytes += total_bytes;
         }
-        table().lock().expect("memprof table lock").entry(name).or_default().fold(delta);
         delta
     }
-}
-
-/// Per-span-name allocation aggregate (self and total sums over every
-/// close of that name).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemAgg {
-    /// Span closes folded in.
-    pub closes: u64,
-    /// Summed self allocations.
-    pub self_allocs: u64,
-    /// Summed self bytes.
-    pub self_bytes: u64,
-    /// Summed total allocations.
-    pub total_allocs: u64,
-    /// Summed total bytes.
-    pub total_bytes: u64,
-}
-
-impl MemAgg {
-    fn fold(&mut self, d: MemDelta) {
-        self.closes += 1;
-        self.self_allocs += d.self_allocs;
-        self.self_bytes += d.self_bytes;
-        self.total_allocs += d.total_allocs;
-        self.total_bytes += d.total_bytes;
-    }
-}
-
-fn table() -> &'static Mutex<HashMap<&'static str, MemAgg>> {
-    static TABLE: OnceLock<Mutex<HashMap<&'static str, MemAgg>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Per-name aggregates, sorted by name (the stable order reports use).
-pub fn table_snapshot() -> Vec<(&'static str, MemAgg)> {
-    let mut out: Vec<(&'static str, MemAgg)> =
-        table().lock().expect("memprof table lock").iter().map(|(&n, &a)| (n, a)).collect();
-    out.sort_by_key(|(name, _)| *name);
-    out
 }
 
 #[cfg(test)]
@@ -449,38 +406,70 @@ mod tests {
     #[test]
     fn frames_attribute_self_and_total_with_child_folding() {
         enable();
-        // Warm the profiler's own storage (table entries for both names)
-        // so the measured sequence below is free of profiler-internal
-        // allocations and stays exact.
-        let mut outer = Baseline::take().expect("latched");
-        let inner = Baseline::take().expect("latched");
-        inner.close(Some(&mut outer), "memprof_test_inner");
-        outer.close(None, "memprof_test_outer");
-
+        // Baselines live on the caller's stack and closing one touches
+        // only the thread's counters, so nothing below allocates behind
+        // the measured sequence's back.
         let mut outer = Baseline::take().expect("latched");
         let _outer_buf: Vec<u8> = Vec::with_capacity(300);
         let inner = Baseline::take().expect("latched");
         let inner_buf: Vec<u8> = Vec::with_capacity(1000);
         drop(inner_buf); // deallocs do not reduce alloc attribution
-        let inner = inner.close(Some(&mut outer), "memprof_test_inner");
+        let inner = inner.close(Some(&mut outer));
         assert_eq!(inner.total_allocs, 1);
         assert_eq!(inner.total_bytes, 1000);
         assert_eq!(inner.self_allocs, 1);
         assert_eq!(inner.self_bytes, 1000);
         let _outer_buf2: Vec<u8> = Vec::with_capacity(50);
-        let outer = outer.close(None, "memprof_test_outer");
+        let outer = outer.close(None);
         assert_eq!(outer.total_allocs, 3);
         assert_eq!(outer.total_bytes, 1350);
         assert_eq!(outer.self_allocs, 2, "inner span's alloc is claimed by the child");
         assert_eq!(outer.self_bytes, 350);
-        let table = table_snapshot();
-        let inner_agg = table
-            .iter()
-            .find(|(n, _)| *n == "memprof_test_inner")
-            .map(|(_, a)| *a)
-            .expect("inner aggregated");
-        assert!(inner_agg.closes >= 1);
-        assert!(inner_agg.self_bytes >= 1000);
+    }
+
+    /// Allocates `bytes` once, where the optimizer cannot elide it.
+    fn allocate(bytes: usize) {
+        drop(std::hint::black_box(Vec::<u8>::with_capacity(bytes)));
+    }
+
+    /// A delta as (self bytes, self allocs, total bytes, total allocs).
+    fn fields(d: MemDelta) -> (u64, u64, u64, u64) {
+        (d.self_bytes, d.self_allocs, d.total_bytes, d.total_allocs)
+    }
+
+    #[test]
+    fn sibling_children_both_fold_into_the_parent() {
+        enable();
+        let mut parent = Baseline::take().expect("latched");
+        let a = Baseline::take().expect("latched");
+        allocate(100);
+        let a = a.close(Some(&mut parent));
+        let b = Baseline::take().expect("latched");
+        allocate(40);
+        let b = b.close(Some(&mut parent));
+        allocate(7);
+        let parent = parent.close(None);
+        assert_eq!(fields(a), (100, 1, 100, 1));
+        assert_eq!(fields(b), (40, 1, 40, 1));
+        assert_eq!(fields(parent), (7, 1, 147, 3), "both children's bytes are claimed");
+    }
+
+    #[test]
+    fn grandchild_bytes_are_claimed_once_by_the_direct_parent() {
+        enable();
+        let mut top = Baseline::take().expect("latched");
+        let mut mid = Baseline::take().expect("latched");
+        let leaf = Baseline::take().expect("latched");
+        allocate(500);
+        let leaf = leaf.close(Some(&mut mid));
+        allocate(30);
+        let mid = mid.close(Some(&mut top));
+        let top = top.close(None);
+        assert_eq!(fields(leaf), (500, 1, 500, 1));
+        assert_eq!(fields(mid), (30, 1, 530, 2));
+        // The leaf's bytes reach the top through the middle span's total,
+        // and are subtracted there once.
+        assert_eq!(fields(top), (0, 0, 530, 2));
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! A registry of named counters, gauges, and histograms.
+//! A registry of named counters and gauges.
 //!
 //! Instruments are cheap cloneable handles over shared atomics, so hot
 //! paths grab a handle once and update it lock-free; the registry only
 //! takes a lock on handle creation and on snapshot. Names are dotted
 //! paths (`exec.cache.hits`) listed in docs/observability.md.
 //!
-//! Registries can be private — the evaluation cache owns one so its
-//! hit/miss counters are ordinary registry instruments while staying
-//! per-instance (and therefore deterministic per grid) — or the
-//! process-global one inside [`crate::Telemetry`], which is what the
-//! drivers snapshot into their `"telemetry"` JSON block.
+//! The registry that matters is the process-global one inside
+//! [`crate::Telemetry`]: the drivers snapshot it into their
+//! `"telemetry"` JSON block and flush it to the journal. A [`Counter`]
+//! or [`Gauge`] can also stand alone, outside any registry (the
+//! evaluation cache counts its hits and misses that way, per cache).
 
-use crate::hist::{HistSnapshot, LogHistogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -77,7 +76,6 @@ impl Gauge {
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
-    hists: RwLock<BTreeMap<String, Arc<LogHistogram>>>,
 }
 
 impl Registry {
@@ -104,15 +102,6 @@ impl Registry {
         w.entry(name.to_string()).or_default().clone()
     }
 
-    /// The histogram named `name`, created empty on first use.
-    pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        if let Some(h) = self.hists.read().expect("registry lock").get(name) {
-            return h.clone();
-        }
-        let mut w = self.hists.write().expect("registry lock");
-        w.entry(name.to_string()).or_insert_with(|| Arc::new(LogHistogram::new())).clone()
-    }
-
     /// All instruments at one instant, each list sorted by name (BTreeMap
     /// order — the stable ordering reports and journal flushes rely on).
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -131,13 +120,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            hists: self
-                .hists
-                .read()
-                .expect("registry lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
         }
     }
 }
@@ -149,8 +131,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values.
     pub gauges: Vec<(String, i64)>,
-    /// Histogram summaries.
-    pub hists: Vec<(String, HistSnapshot)>,
 }
 
 #[cfg(test)]
@@ -186,12 +166,9 @@ mod tests {
         r.counter("b.count").inc();
         r.counter("a.count").add(2);
         r.gauge("depth").set(-3);
-        r.histogram("lat").record(512);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("a.count".to_string(), 2), ("b.count".to_string(), 1)]);
         assert_eq!(snap.gauges, vec![("depth".to_string(), -3)]);
-        assert_eq!(snap.hists.len(), 1);
-        assert_eq!(snap.hists[0].1.count, 1);
     }
 
     #[test]

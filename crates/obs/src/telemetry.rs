@@ -1,6 +1,6 @@
-//! The assembled telemetry instance: span table + metrics registry +
-//! journal, plus the process-global singleton every crate in the stack
-//! shares.
+//! The assembled telemetry instance: metrics registry + journal + the
+//! diagnostics gate, plus the process-global singleton every crate in
+//! the stack shares.
 //!
 //! The global instance is initialized lazily; if the `DBTUNE_TRACE`
 //! environment variable names a path at first use, the journal starts
@@ -8,8 +8,8 @@
 //! [`Telemetry::enable_journal`] for the `trace=` flag).
 
 use crate::journal::{Journal, TraceEvent};
-use crate::metrics::{MetricsSnapshot, Registry};
-use crate::span::{SpanGuard, SpanSnapshot, SpanTable};
+use crate::metrics::Registry;
+use crate::span::SpanGuard;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -21,9 +21,7 @@ pub const TRACE_ENV: &str = "DBTUNE_TRACE";
 /// goes through [`global`].
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    /// Per-name span aggregates.
-    pub spans: SpanTable,
-    /// Named counters/gauges/histograms.
+    /// Named counters and gauges.
     pub metrics: Registry,
     /// Optional JSONL event sink.
     pub journal: Journal,
@@ -41,7 +39,7 @@ impl Telemetry {
 
     /// Opens a span; its guard closes it (see [`crate::span::SpanGuard`]).
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard::open(name, self.spans.stats(name), &self.journal)
+        SpanGuard::open(name, &self.journal)
     }
 
     /// Starts the JSONL journal at `path` (see [`Journal::enable`]).
@@ -77,9 +75,9 @@ impl Telemetry {
         crate::memprof::enabled()
     }
 
-    /// Writes one `counter`/`gauge`/`hist` event per registry instrument
-    /// to the journal (no-op when disabled), then flushes. Drivers call
-    /// this right before saving their JSON artifact.
+    /// Writes one `counter`/`gauge` event per registry instrument to the
+    /// journal (no-op when disabled), then flushes. Drivers call this
+    /// right before saving their JSON artifact.
     pub fn flush_metrics(&self) {
         if !self.journal.is_enabled() {
             return;
@@ -91,32 +89,8 @@ impl Telemetry {
         for (name, value) in snap.gauges {
             self.journal.emit(TraceEvent::Gauge { name, value, seq: 0 });
         }
-        for (name, h) in snap.hists {
-            self.journal.emit(TraceEvent::Hist {
-                name,
-                count: h.count,
-                p50_nanos: h.p50,
-                p99_nanos: h.p99,
-                seq: 0,
-            });
-        }
         self.journal.flush();
     }
-
-    /// Everything aggregated so far, sorted by name — the source of the
-    /// drivers' `"telemetry"` JSON block.
-    pub fn report(&self) -> TelemetryReport {
-        TelemetryReport { spans: self.spans.snapshot(), metrics: self.metrics.snapshot() }
-    }
-}
-
-/// Point-in-time view of a [`Telemetry`] instance.
-#[derive(Clone, Debug)]
-pub struct TelemetryReport {
-    /// Span aggregates, sorted by name.
-    pub spans: Vec<(&'static str, SpanSnapshot)>,
-    /// Metric values, each list sorted by name.
-    pub metrics: MetricsSnapshot,
 }
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
@@ -150,20 +124,36 @@ mod tests {
 
     #[test]
     fn spans_and_metrics_land_in_the_report() {
+        // The journal is an instance's one report: its span closes and
+        // its metric flush land there, and nothing else keeps them.
+        let dir = std::env::temp_dir().join("dbtune_obs_report_test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("report.jsonl");
         let t = Telemetry::new();
+        t.enable_journal(&path, "test").expect("enable");
         {
             let _a = t.span("unit_a");
             let _b = t.span("unit_b");
         }
-        t.spans.stats("unit_a").record(500);
         t.metrics.counter("unit.count").add(3);
         t.metrics.gauge("unit.depth").set(2);
-        let report = t.report();
-        let a = report.spans.iter().find(|(n, _)| *n == "unit_a").expect("unit_a present");
-        assert_eq!(a.1.count, 2);
-        assert!(a.1.total_nanos >= 500);
-        assert_eq!(report.metrics.counters, vec![("unit.count".to_string(), 3)]);
-        assert_eq!(report.metrics.gauges, vec![("unit.depth".to_string(), 2)]);
+        t.flush_metrics();
+        t.journal.disable();
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let rows: Vec<String> = text
+            .lines()
+            .skip(1)
+            .map(|l| match TraceEvent::parse_line(l).expect("valid line") {
+                TraceEvent::Span { name, .. } => format!("span {name}"),
+                TraceEvent::Counter { name, value, .. } => format!("counter {name}={value}"),
+                TraceEvent::Gauge { name, value, .. } => format!("gauge {name}={value}"),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            ["span unit_b", "span unit_a", "counter unit.count=3", "gauge unit.depth=2"]
+        );
     }
 
     #[test]
@@ -174,7 +164,6 @@ mod tests {
         let t = Telemetry::new();
         t.metrics.counter("c1").inc();
         t.metrics.gauge("g1").set(4);
-        t.metrics.histogram("h1").record(77);
         t.flush_metrics(); // disabled: no-op
         t.enable_journal(&path, "test").expect("enable");
         t.flush_metrics();
@@ -184,7 +173,7 @@ mod tests {
             .lines()
             .map(|l| TraceEvent::parse_line(l).expect("valid line").kind().to_string())
             .collect();
-        assert_eq!(kinds, vec!["meta", "counter", "gauge", "hist"]);
+        assert_eq!(kinds, vec!["meta", "counter", "gauge"]);
     }
 
     #[test]

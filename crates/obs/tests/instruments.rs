@@ -41,14 +41,13 @@ mod journal {
             },
             TraceEvent::Counter { name: "c".into(), value: 1, seq: 6 },
             TraceEvent::Gauge { name: "g".into(), value: -1, seq: 7 },
-            TraceEvent::Hist { name: "h".into(), count: 1, p50_nanos: 2, p99_nanos: 2, seq: 8 },
             TraceEvent::Cell {
                 index: 0,
                 cache_hits: 0,
                 cache_misses: 1,
                 dur_nanos: 9,
                 thread: 0,
-                seq: 9,
+                seq: 8,
             },
             TraceEvent::Diag {
                 session: "s".into(),
@@ -61,7 +60,7 @@ mod journal {
                 novelty_bits: None,
                 pred_mean_bits: None,
                 pred_var_bits: None,
-                seq: 10,
+                seq: 9,
             },
         ]
     }
@@ -69,7 +68,7 @@ mod journal {
     #[test]
     fn kind_is_the_serialized_type_tag() {
         let kinds: Vec<&str> = one_of_each().iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, ["meta", "span", "counter", "gauge", "hist", "cell", "diag"]);
+        assert_eq!(kinds, ["meta", "span", "counter", "gauge", "cell", "diag"]);
         for ev in one_of_each() {
             let tag = format!(r#"{{"type":"{}","#, ev.kind());
             assert!(ev.to_jsonl().starts_with(&tag), "{}", ev.to_jsonl());
@@ -79,7 +78,7 @@ mod journal {
     #[test]
     fn seq_reads_every_kind_and_emit_renumbers_in_write_order() {
         let seqs: Vec<u64> = one_of_each().iter().map(TraceEvent::seq).collect();
-        assert_eq!(seqs, [0, 5, 6, 7, 8, 9, 10], "meta carries no sequence number");
+        assert_eq!(seqs, [0, 5, 6, 7, 8, 9], "meta carries no sequence number");
         let path = temp_path("emit_seq.jsonl");
         let j = Journal::new();
         j.enable(&path, "unit").expect("enable");
@@ -95,15 +94,7 @@ mod journal {
             .collect();
         assert_eq!(
             written,
-            [
-                ("meta", 0),
-                ("diag", 1),
-                ("cell", 2),
-                ("hist", 3),
-                ("gauge", 4),
-                ("counter", 5),
-                ("span", 6)
-            ]
+            [("meta", 0), ("diag", 1), ("cell", 2), ("gauge", 3), ("counter", 4), ("span", 5)]
         );
     }
 
@@ -173,6 +164,14 @@ mod journal {
     }
 
     #[test]
+    fn hist_lines_are_not_an_event_kind() {
+        // Schema 2 flushed metric histograms as `hist` events; schema 3
+        // has no histogram kind, so the strict parser rejects the line.
+        let line = r#"{"type":"hist","name":"exec.cell_nanos","count":7,"p50_nanos":100,"p99_nanos":900,"seq":4}"#;
+        assert_eq!(TraceEvent::parse_line(line), Err("unknown event type 'hist'".to_string()));
+    }
+
+    #[test]
     fn span_parent_ids_are_unsigned_or_null() {
         let span = |parent: &str| {
             TraceEvent::parse_line(&format!(
@@ -196,8 +195,9 @@ mod journal {
 
     #[test]
     fn parse_journal_reports_empty_lines() {
-        let text = "{\"type\":\"meta\",\"version\":2,\"source\":\"t\"}\n\n\n";
-        let lines: Vec<(usize, Result<TraceEvent, String>)> = parse_journal(text).collect();
+        let meta = TraceEvent::Meta { version: SCHEMA_VERSION, source: "t".into() };
+        let text = format!("{}\n\n\n", meta.to_jsonl());
+        let lines: Vec<(usize, Result<TraceEvent, String>)> = parse_journal(&text).collect();
         assert_eq!(lines.len(), 3, "the final newline ends a line, it starts none");
         assert_eq!(lines[1], (2, Err("empty line".to_string())));
         assert_eq!(lines[2], (3, Err("empty line".to_string())));
@@ -232,9 +232,9 @@ mod journal {
         j.disable();
         assert_eq!(
             text,
-            concat!(
-                "{\"type\":\"meta\",\"version\":2,\"source\":\"second\"}\n",
-                "{\"type\":\"counter\",\"name\":\"c\",\"value\":7,\"seq\":1}\n"
+            format!(
+                "{{\"type\":\"meta\",\"version\":{SCHEMA_VERSION},\"source\":\"second\"}}\n{}\n",
+                "{\"type\":\"counter\",\"name\":\"c\",\"value\":7,\"seq\":1}"
             )
         );
     }
@@ -266,7 +266,7 @@ mod span {
     use super::temp_path;
     use dbtune_obs::journal::thread_ordinal;
     use dbtune_obs::span::phase_secs;
-    use dbtune_obs::{collect_phases, PhaseRecord, Telemetry, TraceEvent};
+    use dbtune_obs::{collect_phases, memprof, PhaseRecord, Telemetry, TraceEvent};
     use std::path::Path;
 
     /// One span record as the journal wrote it.
@@ -351,6 +351,21 @@ mod span {
     }
 
     #[test]
+    fn collectors_see_only_their_own_threads_spans() {
+        let tele = Telemetry::new();
+        let ((), records) = collect_phases(|| {
+            let _mine = tele.span("collector_own_thread");
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _theirs = tele.span("collector_other_thread");
+                });
+            });
+        });
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["collector_own_thread"]);
+    }
+
+    #[test]
     fn collectors_record_spans_in_close_order() {
         let tele = Telemetry::new();
         let ((), records) = collect_phases(|| {
@@ -404,49 +419,85 @@ mod span {
         let me = thread_ordinal();
         assert!(spans.iter().all(|s| s.5 == me), "{text}");
     }
+
+    #[test]
+    fn an_unobserved_span_allocates_nothing_after_warm_up() {
+        // No journal and no phase collector: an open and close is a frame
+        // push and pop and two clock reads. The memprof latch only counts
+        // allocations here (its baselines live in the frame itself).
+        memprof::enable();
+        let tele = Telemetry::new();
+        let churn = || {
+            for _ in 0..100 {
+                let _outer = tele.span("unobserved_outer");
+                let _inner = tele.span("unobserved_inner");
+            }
+        };
+        churn(); // grows this thread's frame stack once
+        let before = memprof::thread_stats();
+        churn();
+        let after = memprof::thread_stats();
+        assert_eq!(after.alloc_count, before.alloc_count, "{before:?} -> {after:?}");
+        assert_eq!(after.alloc_bytes, before.alloc_bytes);
+    }
 }
 
 mod memprof {
     use super::temp_path;
-    use dbtune_obs::{memprof, MemAgg, MemDelta, Telemetry, TraceEvent};
+    use dbtune_obs::{memprof, MemDelta, Telemetry, TraceEvent};
     use std::hint::black_box;
 
-    /// The process-wide allocation aggregate of span `name`.
-    fn agg(name: &str) -> MemAgg {
-        memprof::table_snapshot()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, a)| a)
-            .unwrap_or_default()
+    /// One profiled span record as the journal wrote it.
+    #[derive(Debug)]
+    struct Record {
+        name: String,
+        id: u64,
+        parent_id: Option<u64>,
+        mem: MemDelta,
     }
 
-    /// `after - before`, field by field, as (closes, self bytes, self
-    /// allocs, total bytes, total allocs).
-    fn delta(before: MemAgg, after: MemAgg) -> (u64, u64, u64, u64, u64) {
-        (
-            after.closes - before.closes,
-            after.self_bytes - before.self_bytes,
-            after.self_allocs - before.self_allocs,
-            after.total_bytes - before.total_bytes,
-            after.total_allocs - before.total_allocs,
-        )
-    }
-
-    /// Runs `scenario` once to warm every table it touches (span and
-    /// allocation entries for its names, the thread's span stack), then
-    /// again, and returns the allocation deltas of `names` over the
-    /// second run. With the journal off, nothing on the span path
-    /// allocates after the warm-up, so the deltas are exact.
-    fn measured<const N: usize>(
-        names: [&'static str; N],
-        scenario: impl Fn(),
-    ) -> [(u64, u64, u64, u64, u64); N] {
+    /// Latches memprof, runs `scenario` once without a journal to warm
+    /// the thread's span stack, then again with the journal at `file`, and
+    /// returns the second run's span records in close order.
+    fn journaled(file: &str, scenario: impl Fn(&Telemetry)) -> Vec<Record> {
+        let path = temp_path(file);
+        let tele = Telemetry::new();
         memprof::enable();
-        scenario();
-        let before = names.map(agg);
-        scenario();
-        let after = names.map(agg);
-        std::array::from_fn(|i| delta(before[i], after[i]))
+        scenario(&tele);
+        tele.enable_journal(&path, "unit").expect("enable");
+        scenario(&tele);
+        tele.journal.disable();
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        text.lines()
+            .skip(1)
+            .map(|l| match TraceEvent::parse_line(l).expect("valid line") {
+                TraceEvent::Span { name, id, parent_id, mem: Some(mem), .. } => {
+                    Record { name, id, parent_id, mem }
+                }
+                other => panic!("a span opened while latched is profiled: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A child's allocations as (self bytes, self allocs, total bytes,
+    /// total allocs). A child is held exactly: its baseline closes before
+    /// its journal event is built.
+    fn fields(r: &Record) -> (u64, u64, u64, u64) {
+        (r.mem.self_bytes, r.mem.self_allocs, r.mem.total_bytes, r.mem.total_allocs)
+    }
+
+    /// Checks a parent against its direct children: whatever the parent
+    /// allocated itself, including the children's journal emission (which
+    /// runs after each child's baseline closed), is its self part, and
+    /// the children's totals make up the rest.
+    fn holds_its_children(parent: &Record, records: &[Record]) {
+        let children: Vec<&Record> =
+            records.iter().filter(|r| r.parent_id == Some(parent.id)).collect();
+        assert!(!children.is_empty(), "{} has children", parent.name);
+        let bytes: u64 = children.iter().map(|c| c.mem.total_bytes).sum();
+        let allocs: u64 = children.iter().map(|c| c.mem.total_allocs).sum();
+        assert_eq!(parent.mem.total_bytes, parent.mem.self_bytes + bytes, "{parent:?}");
+        assert_eq!(parent.mem.total_allocs, parent.mem.self_allocs + allocs, "{parent:?}");
     }
 
     /// Allocates `bytes` once, where the optimizer cannot elide it.
@@ -456,58 +507,46 @@ mod memprof {
 
     #[test]
     fn sibling_children_both_fold_into_the_parent() {
-        let tele = Telemetry::new();
-        let [parent, a, b] =
-            measured(["memprof_sib_parent", "memprof_sib_a", "memprof_sib_b"], || {
-                let _parent = tele.span("memprof_sib_parent");
-                {
-                    let _a = tele.span("memprof_sib_a");
-                    allocate(100);
-                }
-                {
-                    let _b = tele.span("memprof_sib_b");
-                    allocate(40);
-                }
-                allocate(7);
-            });
-        // (closes, self bytes, self allocs, total bytes, total allocs)
-        assert_eq!(a, (1, 100, 1, 100, 1));
-        assert_eq!(b, (1, 40, 1, 40, 1));
-        assert_eq!(parent, (1, 7, 1, 147, 3), "both children's bytes are claimed");
+        let records = journaled("memprof_siblings.jsonl", |tele| {
+            let _parent = tele.span("memprof_sib_parent");
+            {
+                let _a = tele.span("memprof_sib_a");
+                allocate(100);
+            }
+            {
+                let _b = tele.span("memprof_sib_b");
+                allocate(40);
+            }
+            allocate(7);
+        });
+        let [a, b, parent] = &records[..] else { panic!("three spans expected: {records:?}") };
+        assert_eq!((a.name.as_str(), b.name.as_str()), ("memprof_sib_a", "memprof_sib_b"));
+        assert_eq!(fields(a), (100, 1, 100, 1));
+        assert_eq!(fields(b), (40, 1, 40, 1));
+        assert!(parent.mem.self_bytes >= 7 && parent.mem.self_allocs >= 1, "{parent:?}");
+        holds_its_children(parent, &records);
     }
 
     #[test]
     fn grandchild_bytes_are_claimed_once_by_the_direct_parent() {
-        let tele = Telemetry::new();
-        let [top, mid, leaf] =
-            measured(["memprof_gc_top", "memprof_gc_mid", "memprof_gc_leaf"], || {
-                let _top = tele.span("memprof_gc_top");
-                let _mid = tele.span("memprof_gc_mid");
-                {
-                    let _leaf = tele.span("memprof_gc_leaf");
-                    allocate(500);
-                }
-                allocate(30);
-            });
-        assert_eq!(leaf, (1, 500, 1, 500, 1));
-        assert_eq!(mid, (1, 30, 1, 530, 2));
+        let records = journaled("memprof_grandchild.jsonl", |tele| {
+            let _top = tele.span("memprof_gc_top");
+            let _mid = tele.span("memprof_gc_mid");
+            {
+                let _leaf = tele.span("memprof_gc_leaf");
+                allocate(500);
+            }
+            allocate(30);
+        });
+        let [leaf, mid, top] = &records[..] else { panic!("three spans expected: {records:?}") };
+        assert_eq!(leaf.name, "memprof_gc_leaf");
+        assert_eq!(fields(leaf), (500, 1, 500, 1));
+        assert!(mid.mem.self_bytes >= 30, "{mid:?}");
+        holds_its_children(mid, &records);
         // The leaf's bytes reach the top through the middle span's total,
         // and are subtracted there once.
-        assert_eq!(top, (1, 0, 0, 530, 2));
-    }
-
-    #[test]
-    fn repeated_closes_aggregate_every_field_per_name() {
-        let tele = Telemetry::new();
-        let [unit] = measured(["memprof_agg_unit"], || {
-            for bytes in [64, 32] {
-                let _span = tele.span("memprof_agg_unit");
-                allocate(bytes);
-            }
-        });
-        assert_eq!(unit, (2, 96, 2, 96, 2));
-        let names: Vec<&str> = memprof::table_snapshot().iter().map(|(n, _)| *n).collect();
-        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted by name: {names:?}");
+        holds_its_children(top, &records);
+        assert!(top.mem.total_bytes >= 530, "{top:?}");
     }
 
     #[test]
@@ -546,33 +585,17 @@ mod memprof {
 
 mod metrics {
     use dbtune_obs::{Counter, Gauge, Registry};
-    use std::sync::Arc;
 
     #[test]
     fn instrument_kinds_keep_separate_namespaces() {
         let r = Registry::new();
         r.counter("exec.cells").add(2);
         r.gauge("exec.cells").set(-4);
-        r.histogram("exec.cells").record(9);
         assert_eq!(r.counter("exec.cells").get(), 2);
         assert_eq!(r.gauge("exec.cells").get(), -4);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("exec.cells".to_string(), 2)]);
         assert_eq!(snap.gauges, vec![("exec.cells".to_string(), -4)]);
-        assert_eq!(snap.hists.len(), 1);
-        assert_eq!(snap.hists[0].1.count, 1);
-    }
-
-    #[test]
-    fn histogram_handles_share_state_by_name() {
-        let r = Registry::new();
-        let a = r.histogram("exec.cell_nanos");
-        r.histogram("exec.cell_nanos").record(100);
-        a.record(300);
-        assert!(Arc::ptr_eq(&a, &r.histogram("exec.cell_nanos")));
-        let snap = r.snapshot();
-        assert_eq!(snap.hists[0].0, "exec.cell_nanos");
-        assert_eq!(snap.hists[0].1.count, 2);
     }
 
     #[test]
@@ -592,7 +615,7 @@ mod metrics {
 
 mod telemetry {
     use super::temp_path;
-    use dbtune_obs::{global, span, Telemetry, TraceEvent};
+    use dbtune_obs::{collect_phases, span, Telemetry, TraceEvent};
 
     #[test]
     fn flush_metrics_writes_each_kind_sorted_by_name() {
@@ -602,9 +625,6 @@ mod telemetry {
         t.metrics.counter("exec.cells").add(2);
         t.metrics.gauge("mem.live_bytes").set(5);
         t.metrics.gauge("exec.queue.depth").set(-3);
-        t.metrics.histogram("exec.cell_nanos").record(1_000);
-        t.metrics.histogram("acq.batch_nanos").record(10);
-        t.metrics.histogram("acq.batch_nanos").record(20);
         t.enable_journal(&path, "test").expect("enable");
         t.flush_metrics();
         // A second flush appends the cumulative values again.
@@ -618,7 +638,6 @@ mod telemetry {
             .map(|l| match TraceEvent::parse_line(l).expect("valid line") {
                 TraceEvent::Counter { name, value, .. } => (name, value.to_string()),
                 TraceEvent::Gauge { name, value, .. } => (name, value.to_string()),
-                TraceEvent::Hist { name, count, .. } => (name, format!("n={count}")),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -628,27 +647,19 @@ mod telemetry {
                 ("sim.evals", evals),
                 ("exec.queue.depth", "-3"),
                 ("mem.live_bytes", "5"),
-                ("acq.batch_nanos", "n=2"),
-                ("exec.cell_nanos", "n=1"),
             ]
             .map(|(n, v)| (n.to_string(), v.to_string()))
         };
-        assert_eq!(rows[..6], expected("7"), "{text}");
-        assert_eq!(rows[6..], expected("8"), "{text}");
+        assert_eq!(rows[..4], expected("7"), "{text}");
+        assert_eq!(rows[4..], expected("8"), "{text}");
     }
 
     #[test]
-    fn the_span_shorthand_records_on_the_global_table() {
-        {
+    fn the_span_shorthand_reports_to_the_phase_collector() {
+        let ((), records) = collect_phases(|| {
             let _s = span("telemetry_global_shorthand");
-        }
-        let report = global().report();
-        let (_, stats) = report
-            .spans
-            .iter()
-            .find(|(n, _)| *n == "telemetry_global_shorthand")
-            .expect("recorded globally");
-        assert_eq!(stats.count, 1);
-        assert!(Telemetry::new().report().spans.is_empty(), "private instances start empty");
+        });
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["telemetry_global_shorthand"]);
     }
 }

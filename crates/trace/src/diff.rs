@@ -74,11 +74,9 @@ pub const METRIC_POLICY: &[(&str, MetricPolicy)] = &[
     ("exec.worker.busy_nanos", MetricPolicy::Noise),
     ("exec.worker.idle_nanos", MetricPolicy::Noise),
     ("exec.worker.steal_nanos", MetricPolicy::Noise),
-    ("mem.acq.alloc_bytes", MetricPolicy::Exact),
     ("mem.alloc_bytes", MetricPolicy::Exact),
     ("mem.alloc_count", MetricPolicy::Exact),
     ("mem.allocs_per_eval", MetricPolicy::Noise),
-    ("mem.fit.alloc_bytes", MetricPolicy::Exact),
     ("mem.live_bytes", MetricPolicy::Noise),
     ("mem.peak_bytes", MetricPolicy::Noise),
     ("sim.crashes", MetricPolicy::Exact),

@@ -111,16 +111,21 @@ pub fn load_journal_str(text: &str) -> Result<JournalData, String> {
 mod tests {
     use super::*;
 
+    /// The leading `meta` line of a current journal from `source`.
+    fn meta(source: &str) -> String {
+        TraceEvent::Meta { version: SCHEMA_VERSION, source: source.into() }.to_jsonl() + "\n"
+    }
+
     #[test]
     fn loads_a_minimal_journal() {
-        let text = concat!(
-            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
-            "{\"type\":\"span\",\"name\":\"a\",\"id\":1,\"parent_id\":null,",
-            "\"start_nanos\":0,\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
-        );
-        let j = load_journal_str(text).expect("valid journal");
+        let text = meta("unit")
+            + concat!(
+                "{\"type\":\"span\",\"name\":\"a\",\"id\":1,\"parent_id\":null,",
+                "\"start_nanos\":0,\"dur_nanos\":5,\"thread\":0,\"seq\":1}\n",
+            );
+        let j = load_journal_str(&text).expect("valid journal");
         assert_eq!(j.source, "unit");
-        assert_eq!(j.version, 2);
+        assert_eq!(j.version, SCHEMA_VERSION);
         assert_eq!(j.events.len(), 1);
         assert_eq!(j.events[0].line, 2);
     }
@@ -129,22 +134,20 @@ mod tests {
     fn skips_unknown_event_kinds_but_keeps_other_errors_fatal() {
         // Forward compatibility: a journal from a newer toolkit with an
         // extra event kind still loads; its known lines are kept.
-        let text = concat!(
-            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
-            "{\"type\":\"hologram\",\"name\":\"x\",\"seq\":1}\n",
-            "{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":3,\"seq\":2}\n",
-        );
-        let j = load_journal_str(text).expect("unknown kinds are skipped");
+        let text = meta("unit")
+            + concat!(
+                "{\"type\":\"hologram\",\"name\":\"x\",\"seq\":1}\n",
+                "{\"type\":\"counter\",\"name\":\"sim.evals\",\"value\":3,\"seq\":2}\n",
+            );
+        let j = load_journal_str(&text).expect("unknown kinds are skipped");
         assert_eq!(j.events.len(), 1);
         assert_eq!(j.events[0].line, 3);
 
         // The skip applies only to unknown *kinds*: a known kind with a
         // bad field still aborts with the line number.
-        let bad_field = concat!(
-            "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n",
-            "{\"type\":\"counter\",\"name\":\"c\",\"value\":\"oops\",\"seq\":1}\n",
-        );
-        assert!(load_journal_str(bad_field).expect_err("must be rejected").contains("line 2"));
+        let bad_field =
+            meta("unit") + "{\"type\":\"counter\",\"name\":\"c\",\"value\":\"oops\",\"seq\":1}\n";
+        assert!(load_journal_str(&bad_field).expect_err("must be rejected").contains("line 2"));
 
         // And the first line must still be a meta event, even if its
         // kind is unknown.
@@ -154,8 +157,7 @@ mod tests {
 
     #[test]
     fn meta_only_journal_loads_with_zero_events() {
-        let j = load_journal_str("{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n")
-            .expect("meta-only journal is valid");
+        let j = load_journal_str(&meta("unit")).expect("meta-only journal is valid");
         assert_eq!(j.source, "unit");
         assert!(j.events.is_empty());
     }
@@ -165,12 +167,28 @@ mod tests {
         let no_meta = "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}";
         assert!(load_journal_str(no_meta).expect_err("must be rejected").contains("meta"));
         assert!(load_journal_str("").expect_err("must be rejected").contains("empty"));
-        let bad = "{\"type\":\"meta\",\"version\":2,\"source\":\"x\"}\nnope";
-        assert!(load_journal_str(bad).expect_err("must be rejected").contains("line 2"));
+        let bad = meta("x") + "nope";
+        assert!(load_journal_str(&bad).expect_err("must be rejected").contains("line 2"));
         let future = "{\"type\":\"meta\",\"version\":99,\"source\":\"x\"}";
         assert!(load_journal_str(future).expect_err("must be rejected").contains("version 99"));
         // Version 1 journals recorded span parents by name, not by id.
         let old = "{\"type\":\"meta\",\"version\":1,\"source\":\"x\"}";
         assert!(load_journal_str(old).expect_err("must be rejected").contains("version 1"));
+    }
+
+    #[test]
+    fn rejects_version_2_journals_by_their_meta_line() {
+        // Version 2 journals could carry `hist` events, which schema 3
+        // dropped; the loader names the version instead of the first
+        // `hist` line it would otherwise skip.
+        let v2 = concat!(
+            "{\"type\":\"meta\",\"version\":2,\"source\":\"x\"}\n",
+            "{\"type\":\"hist\",\"name\":\"exec.cell_nanos\",\"count\":1,",
+            "\"p50_nanos\":5,\"p99_nanos\":5,\"seq\":1}\n",
+        );
+        assert_eq!(
+            load_journal_str(v2).expect_err("must be rejected"),
+            format!("line 1: schema version 2 (this toolkit supports {SCHEMA_VERSION})")
+        );
     }
 }

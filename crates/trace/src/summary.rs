@@ -68,8 +68,9 @@ pub struct RunSummary {
     pub diag_records: u64,
 }
 
-/// The `q`-quantile of sorted `values` (nearest-rank, matching the
-/// rank convention of `dbtune_obs::LogHistogram::quantile`, but exact).
+/// The `q`-quantile of sorted `values`: the nearest-rank definition, so
+/// the result is always one of the recorded values (the smallest whose
+/// rank reaches `q` of the count).
 fn quantile_sorted(values: &[u64], q: f64) -> u64 {
     if values.is_empty() {
         return 0;
@@ -104,7 +105,7 @@ pub fn summarize(journal: &JournalData) -> RunSummary {
             }
             TraceEvent::Cell { .. } => out.cells += 1,
             TraceEvent::Diag { .. } => out.diag_records += 1,
-            TraceEvent::Meta { .. } | TraceEvent::Hist { .. } => {}
+            TraceEvent::Meta { .. } => {}
         }
     }
     for (name, mut values) in durs {
@@ -127,6 +128,7 @@ pub fn summarize(journal: &JournalData) -> RunSummary {
 mod tests {
     use super::*;
     use crate::JournalLine;
+    use dbtune_obs::journal::SCHEMA_VERSION;
     use dbtune_obs::MemDelta;
 
     fn line(event: TraceEvent) -> JournalLine {
@@ -150,7 +152,7 @@ mod tests {
     fn summarize_aggregates_spans_counters_and_cells() {
         let journal = JournalData {
             source: "unit".into(),
-            version: 2,
+            version: SCHEMA_VERSION,
             events: vec![
                 span("fit", 1, 30, 0, None),
                 span("fit", 2, 10, 0, None),
@@ -209,7 +211,7 @@ mod tests {
         };
         let journal = JournalData {
             source: "unit".into(),
-            version: 2,
+            version: SCHEMA_VERSION,
             events: vec![
                 mem("fit", 1, 100, 2, 300, 5),
                 mem("fit", 2, 50, 1, 60, 2),

@@ -9,9 +9,6 @@
 //!   which names the first violating line);
 //! * counters are cumulative, so successive flushes of the same name
 //!   are monotonically non-decreasing;
-//! * histogram flushes satisfy `p50 <= p99` and report quantiles only
-//!   when `count > 0`;
-//! * histogram counts, like counters, never decrease across flushes;
 //! * profiled spans satisfy `self <= total` for both bytes and counts
 //!   (self is total minus children — negative deltas cannot be encoded
 //!   at all, `u64` fields reject them at parse time), and when both
@@ -54,10 +51,8 @@ pub fn check_structure(events: &[JournalLine]) -> Vec<Violation> {
         out.push(Violation { line: e.line, message: e.message });
     }
 
-    // Counters and histogram counts are cumulative: name -> (line of
-    // last flush, last value).
+    // Counters are cumulative: name -> (line of last flush, last value).
     let mut counters: BTreeMap<&str, (usize, u64)> = BTreeMap::new();
-    let mut hist_counts: BTreeMap<&str, (usize, u64)> = BTreeMap::new();
     // Last flushed memory gauges: (line, value).
     let mut mem_peak: Option<(usize, i64)> = None;
     let mut mem_live: Option<(usize, i64)> = None;
@@ -102,32 +97,6 @@ pub fn check_structure(events: &[JournalLine]) -> Vec<Violation> {
                     });
                 }
             }
-            TraceEvent::Hist { name, count, p50_nanos, p99_nanos, .. } => {
-                if p50_nanos > p99_nanos {
-                    out.push(Violation {
-                        line: jl.line,
-                        message: format!("hist '{name}' has p50 {p50_nanos} > p99 {p99_nanos}"),
-                    });
-                }
-                if *count == 0 && (*p50_nanos != 0 || *p99_nanos != 0) {
-                    out.push(Violation {
-                        line: jl.line,
-                        message: format!("hist '{name}' reports quantiles with zero samples"),
-                    });
-                }
-                if let Some((prev_line, prev)) = hist_counts.get(name.as_str()) {
-                    if count < prev {
-                        out.push(Violation {
-                            line: jl.line,
-                            message: format!(
-                                "hist '{name}' count went backwards: {prev} (line {prev_line}) \
-                                 -> {count}"
-                            ),
-                        });
-                    }
-                }
-                hist_counts.insert(name, (jl.line, *count));
-            }
             _ => {}
         }
     }
@@ -161,19 +130,6 @@ mod tests {
         line(l, TraceEvent::Counter { name: name.into(), value, seq: l as u64 })
     }
 
-    fn hist(l: usize, name: &str, count: u64, p50: u64, p99: u64) -> JournalLine {
-        line(
-            l,
-            TraceEvent::Hist {
-                name: name.into(),
-                count,
-                p50_nanos: p50,
-                p99_nanos: p99,
-                seq: l as u64,
-            },
-        )
-    }
-
     #[test]
     fn sound_journal_has_no_violations() {
         let events = vec![
@@ -181,8 +137,6 @@ mod tests {
             span(3, "suggest", 1, None, None),
             counter(4, "sim.evals", 3),
             counter(5, "sim.evals", 8),
-            hist(6, "span.fit", 1, 5, 5),
-            hist(7, "span.fit", 2, 5, 9),
         ];
         assert_eq!(check_structure(&events), vec![]);
     }
@@ -194,23 +148,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
         assert!(v[0].message.contains("went backwards: 8 (line 2) -> 3"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn flags_inverted_hist_quantiles_and_phantom_samples() {
-        let events = vec![hist(2, "span.fit", 3, 100, 50), hist(3, "span.acq", 0, 1, 1)];
-        let v = check_structure(&events);
-        assert_eq!(v.len(), 2);
-        assert!(v[0].message.contains("p50 100 > p99 50"), "{}", v[0].message);
-        assert!(v[1].message.contains("zero samples"), "{}", v[1].message);
-    }
-
-    #[test]
-    fn flags_backwards_hist_count() {
-        let events = vec![hist(2, "span.fit", 5, 1, 2), hist(3, "span.fit", 4, 1, 2)];
-        let v = check_structure(&events);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("count went backwards"), "{}", v[0].message);
     }
 
     /// A span close on thread 0 over `[0, 9 - id]`, so parents (lower

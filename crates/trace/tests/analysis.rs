@@ -309,14 +309,22 @@ mod export {
 }
 
 mod loader {
+    use dbtune_obs::journal::SCHEMA_VERSION;
+    use dbtune_obs::TraceEvent;
     use dbtune_trace::load_journal_str;
 
-    const META: &str = "{\"type\":\"meta\",\"version\":2,\"source\":\"unit\"}\n";
+    /// The leading `meta` line of a current journal.
+    fn meta() -> String {
+        TraceEvent::Meta { version: SCHEMA_VERSION, source: "unit".into() }.to_jsonl() + "\n"
+    }
 
     #[test]
     fn rejects_a_second_meta_line() {
-        let text =
-            format!("{META}{{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}}\n{META}");
+        let text = format!(
+            "{}{{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}}\n{}",
+            meta(),
+            meta()
+        );
         assert_eq!(
             load_journal_str(&text).expect_err("must be rejected"),
             "line 3: meta event must be the first line"
@@ -326,14 +334,15 @@ mod loader {
     #[test]
     fn a_blank_line_is_fatal_and_named() {
         let text =
-            format!("{META}\n{{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}}\n");
+            format!("{}\n{{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}}\n", meta());
         assert_eq!(load_journal_str(&text).expect_err("must be rejected"), "line 2: empty line");
     }
 
     #[test]
     fn a_partial_allocation_set_is_fatal_and_named() {
         let text = format!(
-            "{META}{}\n",
+            "{}{}\n",
+            meta(),
             concat!(
                 "{\"type\":\"span\",\"name\":\"a\",\"id\":1,\"parent_id\":null,",
                 "\"start_nanos\":0,\"dur_nanos\":5,\"thread\":0,\"self_bytes\":1,\"seq\":1}"
@@ -346,7 +355,8 @@ mod loader {
     #[test]
     fn events_keep_file_order_and_line_numbers() {
         let text = format!(
-            "{META}{}\n{}\n{}\n",
+            "{}{}\n{}\n{}\n",
+            meta(),
             "{\"type\":\"counter\",\"name\":\"b\",\"value\":1,\"seq\":1}",
             "{\"type\":\"unknown_kind\",\"seq\":2}",
             "{\"type\":\"counter\",\"name\":\"a\",\"value\":2,\"seq\":3}",
@@ -367,19 +377,6 @@ mod validate {
 
     fn counter(l: usize, name: &str, value: u64) -> JournalLine {
         line(l, TraceEvent::Counter { name: name.into(), value, seq: l as u64 })
-    }
-
-    fn hist(l: usize, name: &str, count: u64, p50: u64, p99: u64) -> JournalLine {
-        line(
-            l,
-            TraceEvent::Hist {
-                name: name.into(),
-                count,
-                p50_nanos: p50,
-                p99_nanos: p99,
-                seq: l as u64,
-            },
-        )
     }
 
     fn gauge(l: usize, name: &str, value: i64) -> JournalLine {
@@ -432,9 +429,6 @@ mod validate {
             counter(4, "sim.evals", 5),
             counter(5, "exec.cells", 3),
             counter(6, "sim.evals", 6),
-            hist(7, "span.fit", 4, 1, 2),
-            hist(8, "span.acq", 1, 1, 1),
-            hist(9, "span.fit", 4, 1, 2),
         ];
         assert_eq!(check_structure(&events), vec![]);
     }
@@ -471,7 +465,7 @@ mod validate {
             gauge(4, "mem.live_bytes", 2),
             counter(5, "sim.evals", 1),
             span(6, "orphan", 2, Some(1)),
-            hist(7, "span.fit", 2, 9, 1),
+            counter(7, "sim.evals", 0),
         ];
         let lines: Vec<usize> = check_structure(&events).iter().map(|v| v.line).collect();
         assert_eq!(lines, [4, 5, 6, 7]);
@@ -479,6 +473,7 @@ mod validate {
 }
 
 mod summary {
+    use dbtune_obs::journal::SCHEMA_VERSION;
     use dbtune_obs::TraceEvent;
     use dbtune_trace::{summarize, JournalData, JournalLine, SpanSummary};
 
@@ -500,25 +495,17 @@ mod summary {
     }
 
     #[test]
-    fn hist_and_meta_events_leave_the_summary_unchanged() {
+    fn meta_events_leave_the_summary_unchanged() {
         let base = vec![
             span("fit", 1, 5, 0),
             line(TraceEvent::Counter { name: "sim.evals".into(), value: 2, seq: 2 }),
         ];
         let mut noisy = base.clone();
-        noisy.insert(
-            1,
-            line(TraceEvent::Hist {
-                name: "span.fit".into(),
-                count: 9,
-                p50_nanos: 1,
-                p99_nanos: 2,
-                seq: 3,
-            }),
-        );
-        noisy.push(line(TraceEvent::Meta { version: 2, source: "other".into() }));
-        let summary =
-            |events| summarize(&JournalData { source: "unit".into(), version: 2, events });
+        noisy.insert(1, line(TraceEvent::Meta { version: SCHEMA_VERSION, source: "other".into() }));
+        noisy.push(line(TraceEvent::Meta { version: SCHEMA_VERSION, source: "other".into() }));
+        let summary = |events| {
+            summarize(&JournalData { source: "unit".into(), version: SCHEMA_VERSION, events })
+        };
         assert_eq!(summary(noisy), summary(base));
     }
 
@@ -528,7 +515,7 @@ mod summary {
             |name: &str, value| line(TraceEvent::Gauge { name: name.into(), value, seq: 0 });
         let journal = JournalData {
             source: "unit".into(),
-            version: 2,
+            version: SCHEMA_VERSION,
             events: vec![
                 span("evaluate", 1, 0, 0),
                 span("observe", 2, 42, 3),

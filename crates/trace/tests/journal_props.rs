@@ -47,7 +47,7 @@ fn tricky_string() -> impl Strategy<Value = String> {
 
 fn any_event() -> impl Strategy<Value = TraceEvent> {
     (
-        0..6u32,
+        0..5u32,
         (tricky_string(), 0..4u32),
         (0..u64::MAX, 0..u64::MAX, 1..u64::MAX),
         (0..16u64, i64::MIN..i64::MAX, 0..u64::MAX),
@@ -72,7 +72,6 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
             },
             2 => TraceEvent::Counter { name, value: a, seq },
             3 => TraceEvent::Gauge { name, value: signed, seq },
-            4 => TraceEvent::Hist { name, count: a, p50_nanos: b.min(c), p99_nanos: b.max(c), seq },
             _ => TraceEvent::Cell {
                 index: a,
                 cache_hits: b,
@@ -148,7 +147,7 @@ fn malformed_lines_report_errors_not_panics() {
         "{\"type\":\"meta\",\"version\":\"one\",\"source\":\"x\"}",
         "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}trailing",
         "not json at all",
-        "{\"type\":\"hist\",\"name\":\"h\",\"count\":1,\"p50_nanos\":1,\"p99_nanos\":",
+        "{\"type\":\"cell\",\"index\":1,\"cache_hits\":1,\"cache_misses\":",
     ];
     for case in cases {
         let result = TraceEvent::parse_line(case);

@@ -7,6 +7,6 @@ fn emit(tele: &Telemetry) {
     tele.metrics.counter("exec.cells").inc();
     tele.metrics.counter("Exec.Cells").inc(); // expect: M1 — uppercase segments
     let _s = span("suggest phase"); // expect: M1 — embedded space
-    let _h = tele.metrics.histogram("legacy-latency"); // lint: allow(M1) legacy dashboard key kept until the v2 rename
-    drop(_h);
+    let _g = tele.metrics.gauge("legacy-latency"); // lint: allow(M1) legacy dashboard key kept until the v2 rename
+    drop(_g);
 }

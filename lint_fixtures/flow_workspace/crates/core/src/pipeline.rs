@@ -13,16 +13,6 @@ pub fn current_shard() -> u64 {
     fold(id)
 }
 
-// expect: R5 — iterating the HashMap that `tables::snapshot` returns;
-// the pass resolves the callee's return type across files.
-pub fn plan() -> usize {
-    let mut total = 0;
-    for name in tables::snapshot() {
-        total += name.len();
-    }
-    total
-}
-
 // expect: no finding here — but calling into obs makes `ticks`/`draw`
 // reachable, so R1/R2 are reported over in obs/src/probe.rs.
 pub fn measure() -> u64 {

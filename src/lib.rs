@@ -5,14 +5,14 @@
 //! and offers a [`prelude`] for examples and downstream users. The heavy
 //! lifting lives in:
 //!
-//! * [`dbsim`](dbtune_dbsim) — the deterministic MySQL-5.7-style
+//! * [`dbsim`] — the deterministic MySQL-5.7-style
 //!   simulator (197-knob catalog, workloads, hardware, fault injection);
-//! * [`core`](dbtune_core) — knob importance, optimizers, transfer,
+//! * [`core`] — knob importance, optimizers, transfer,
 //!   the session driver, and the parallel grid executor with its shared
 //!   evaluation cache;
-//! * [`ml`](dbtune_ml) / [`linalg`](dbtune_linalg) — the model and
+//! * [`ml`] / [`linalg`] — the model and
 //!   numerics substrate;
-//! * [`benchmark`](dbtune_benchmark) — the §8 surrogate tuning benchmark.
+//! * [`benchmark`] — the §8 surrogate tuning benchmark.
 
 pub use dbtune_benchmark as benchmark;
 pub use dbtune_core as core;
