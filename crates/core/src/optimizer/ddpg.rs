@@ -196,19 +196,47 @@ impl Ddpg {
         s
     }
 
+    /// Stores the transition from the current state to the one `metrics`
+    /// describe, then moves the reward baselines and the current state on.
+    fn remember(&mut self, cfg: &[f64], score: f64, metrics: &[f64]) {
+        let next_state = self.to_state(metrics);
+        let action = self.space.to_unit(cfg);
+        let reward = self.reward(score);
+
+        if self.replay.len() == self.params.replay_capacity {
+            self.replay.pop_front();
+        }
+        self.replay.push_back(Transition {
+            state: self.last_state.clone(),
+            action,
+            reward,
+            next_state: next_state.clone(),
+        });
+
+        if self.first_score.is_none() {
+            self.first_score = Some(score);
+        }
+        self.prev_score = Some(score);
+        self.last_state = next_state;
+    }
+
     fn train_batch(&mut self, rng: &mut StdRng) {
         let n = self.replay.len();
         if n < self.params.batch_size {
             return;
         }
-        for _ in 0..self.params.batch_size {
-            let t = &self.replay[rng.gen_range(0..n)];
-            // Critic target: r + γ Q'(s', π'(s')).
-            let next_action = self.target_actor.forward(&t.next_state);
-            let mut next_in = t.next_state.clone();
-            next_in.extend_from_slice(&next_action);
-            let q_next = self.target_critic.forward(&next_in)[0];
-            let target = t.reward + self.params.gamma * q_next;
+        let batch: Vec<&Transition> =
+            (0..self.params.batch_size).map(|_| &self.replay[rng.gen_range(0..n)]).collect();
+        // Critic targets: r + γ Q'(s', π'(s')). The target networks change
+        // only in the soft update below, so one pass of each over the whole
+        // minibatch gives every sample's target.
+        let next_states: Vec<&[f64]> = batch.iter().map(|t| t.next_state.as_slice()).collect();
+        let next_actions = self.target_actor.forward_batch(&next_states);
+        let next_ins: Vec<Vec<f64>> =
+            next_states.iter().zip(&next_actions).map(|(s, a)| [*s, a].concat()).collect();
+        let q_next = self.target_critic.forward_batch(&next_ins);
+        for (t, q) in batch.into_iter().zip(q_next) {
+            let target = t.reward + self.params.gamma * q[0];
 
             let mut cur_in = t.state.clone();
             cur_in.extend_from_slice(&t.action);
@@ -249,25 +277,7 @@ impl Optimizer for Ddpg {
     }
 
     fn observe(&mut self, cfg: &[f64], score: f64, metrics: &[f64]) {
-        let next_state = self.to_state(metrics);
-        let action = self.space.to_unit(cfg);
-        let reward = self.reward(score);
-
-        if self.replay.len() == self.params.replay_capacity {
-            self.replay.pop_front();
-        }
-        self.replay.push_back(Transition {
-            state: self.last_state.clone(),
-            action,
-            reward,
-            next_state: next_state.clone(),
-        });
-
-        if self.first_score.is_none() {
-            self.first_score = Some(score);
-        }
-        self.prev_score = Some(score);
-        self.last_state = next_state;
+        self.remember(cfg, score, metrics);
 
         // Replay training with a deterministic stream derived from the
         // buffer size (observe has no RNG parameter). This is where DDPG
@@ -386,6 +396,84 @@ mod tests {
     fn import_rejects_larger_hidden_layers() {
         let w = Ddpg::new(space2(), 4, hidden(&[64, 64]), 7).export_weights();
         Ddpg::new(space2(), 4, hidden(&[32, 32]), 7).import_weights(&w);
+    }
+
+    /// `train_batch` as it ran before the minibatch target pass: each
+    /// sample's targets come from its own `forward` calls. Returns the
+    /// number of Adam steps each online network took.
+    fn train_batch_per_sample(agent: &mut Ddpg, rng: &mut StdRng) -> usize {
+        let n = agent.replay.len();
+        if n < agent.params.batch_size {
+            return 0;
+        }
+        for _ in 0..agent.params.batch_size {
+            let t = &agent.replay[rng.gen_range(0..n)];
+            let next_action = agent.target_actor.forward(&t.next_state);
+            let mut next_in = t.next_state.clone();
+            next_in.extend_from_slice(&next_action);
+            let q_next = agent.target_critic.forward(&next_in)[0];
+            let target = t.reward + agent.params.gamma * q_next;
+
+            let mut cur_in = t.state.clone();
+            cur_in.extend_from_slice(&t.action);
+            agent.critic.train_step(&cur_in, &[target]);
+
+            agent.actor.step_with(&t.state, |a_pred| {
+                let mut q_in = t.state.clone();
+                q_in.extend_from_slice(a_pred);
+                let grad = agent.critic.input_gradient(&q_in, &[1.0]);
+                grad[agent.state_dim..].iter().map(|g| -g).collect()
+            });
+        }
+        agent.target_actor.soft_update_from(&agent.actor, agent.params.tau);
+        agent.target_critic.soft_update_from(&agent.critic, agent.params.tau);
+        agent.params.batch_size
+    }
+
+    fn bits(w: &DdpgWeights) -> Vec<u64> {
+        w.actor.iter().chain(&w.critic).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn minibatch_target_pass_matches_per_sample_training_bitwise() {
+        // A batch of 13 fills one block of eight inputs and pads the next.
+        // Nine actions and a hidden layer of 20 cover the eight-output
+        // forward and its leftovers.
+        let params = DdpgParams {
+            hidden: vec![20, 9],
+            batch_size: 13,
+            updates_per_observe: 2,
+            ..Default::default()
+        };
+        let names = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"];
+        let space =
+            ConfigSpace::new(names.map(|n| KnobSpec::real(n, 0.0, 1.0, false, 0.5)).to_vec());
+        let mut agent = Ddpg::new(space.clone(), 6, params.clone(), 3);
+        let mut reference = Ddpg::new(space, 6, params, 3);
+        let initial = bits(&agent.export_weights());
+        let (mut rng, mut ref_rng) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let mut adam_steps = 0;
+        for i in 0..30 {
+            let cfg = agent.suggest(&mut rng);
+            assert_eq!(cfg, reference.suggest(&mut ref_rng), "suggestion {i}");
+            let score = cfg.iter().enumerate().map(|(k, c)| c * (k as f64 - 4.0)).sum::<f64>();
+            let metrics: Vec<f64> = (0..6).map(|m| cfg[m] * 4.0 - 2.0 + i as f64 * 0.1).collect();
+
+            agent.observe(&cfg, score, &metrics);
+            reference.remember(&cfg, score, &metrics);
+            let mut replay_rng = StdRng::seed_from_u64(0x5eed ^ reference.replay.len() as u64);
+            for _ in 0..reference.params.updates_per_observe {
+                adam_steps += train_batch_per_sample(&mut reference, &mut replay_rng);
+            }
+            assert_eq!(
+                bits(&agent.export_weights()),
+                bits(&reference.export_weights()),
+                "weights after observation {i}"
+            );
+        }
+        assert_ne!(bits(&agent.export_weights()), initial, "no training step ran");
+        // Past step 356 Adam's first bias correction is exactly 1.0.
+        assert!(adam_steps > 356, "Adam stopped at step {adam_steps}");
     }
 
     #[test]

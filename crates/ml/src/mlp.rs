@@ -5,9 +5,10 @@
 //! gradients with respect to the *inputs* (the deterministic policy
 //! gradient flows from the critic's Q-value back through the action
 //! inputs), single-sample Adam steps whose output gradient a closure
-//! computes from the step's own forward pass, Polyak soft updates between
-//! online and target networks, and flat weight export/import for the
-//! fine-tune transfer framework.
+//! computes from the step's own forward pass, a minibatch forward pass
+//! for the target networks, Polyak soft updates between online and target
+//! networks, and flat weight export/import for the fine-tune transfer
+//! framework.
 
 use crate::Regressor;
 use rand::rngs::StdRng;
@@ -90,6 +91,13 @@ impl MlpParams {
     }
 }
 
+/// Outputs per step of [`Layer::forward`] and inputs per step of
+/// [`Mlp::forward_batch`].
+const LANES: usize = 8;
+
+/// One value per lane.
+type Lanes = [f64; LANES];
+
 #[derive(Clone, Debug)]
 struct Layer {
     // Row-major weights: out_dim × in_dim.
@@ -124,27 +132,82 @@ impl Layer {
         }
     }
 
+    /// Row `o` of the weights.
+    fn row(&self, o: usize) -> &[f64] {
+        &self.w[o * self.in_dim..(o + 1) * self.in_dim]
+    }
+
+    /// `act(b[o] + dot(row o, input))` for every output, [`LANES`]
+    /// outputs per step. Each output has its own accumulator, seeded with
+    /// `-0.0` as `dot`'s `sum` is and adding `w·a` in ascending input
+    /// order, so it is bit-identical to `dot`, which computes the leftover
+    /// outputs. The eight rows are read eight inputs at a time into a tile
+    /// stored input-major, so each input's eight weights are contiguous
+    /// and the accumulators add in packed lanes.
     fn forward(&self, input: &[f64]) -> Vec<f64> {
         debug_assert_eq!(input.len(), self.in_dim);
-        let mut out = Vec::with_capacity(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let z = self.b[o] + dbtune_linalg::matrix::dot(row, input);
-            out.push(self.act.apply(z));
+        let full = self.out_dim - self.out_dim % LANES;
+        let tiled = self.in_dim - self.in_dim % LANES;
+        let mut z = Vec::with_capacity(self.out_dim);
+        for o in (0..full).step_by(LANES) {
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| self.row(o + l));
+            let mut acc = [-0.0; LANES];
+            // Both slices have a length the compiler can see; zipped with
+            // `&input[i0..]` instead, the pass ran twice as slowly.
+            for i0 in (0..tiled).step_by(LANES) {
+                let mut tile = [[0.0; LANES]; LANES];
+                for (l, row) in rows.iter().enumerate() {
+                    let ws: &[f64; LANES] =
+                        row[i0..i0 + LANES].try_into().expect("a tile is eight inputs wide");
+                    for (t, &w) in tile.iter_mut().zip(ws) {
+                        t[l] = w;
+                    }
+                }
+                for (t, &a) in tile.iter().zip(&input[i0..i0 + LANES]) {
+                    for (s, &w) in acc.iter_mut().zip(t) {
+                        *s += w * a;
+                    }
+                }
+            }
+            for (i, &a) in input.iter().enumerate().skip(tiled) {
+                for (s, row) in acc.iter_mut().zip(&rows) {
+                    *s += row[i] * a;
+                }
+            }
+            z.extend(acc);
         }
-        out
+        z.extend((full..self.out_dim).map(|o| dbtune_linalg::matrix::dot(self.row(o), input)));
+        z.iter().zip(&self.b).map(|(s, b)| self.act.apply(b + s)).collect()
+    }
+
+    /// [`Layer::forward`] of [`LANES`] inputs at once: `x[i][l]` is
+    /// element `i` of input `l`. Each lane repeats `forward`'s operations
+    /// on its own operands in the same order, so it is bit-identical to
+    /// `forward` of its input.
+    fn forward_lanes(&self, x: &[Lanes]) -> Vec<Lanes> {
+        debug_assert_eq!(x.len(), self.in_dim);
+        (0..self.out_dim)
+            .map(|o| {
+                let mut acc = [-0.0; LANES];
+                for (&w, xi) in self.row(o).iter().zip(x) {
+                    for (s, &a) in acc.iter_mut().zip(xi) {
+                        *s += w * a;
+                    }
+                }
+                acc.map(|s| self.act.apply(self.b[o] + s))
+            })
+            .collect()
     }
 
     /// Gradient with respect to the layer input, `Wᵀ·dz`. Rows whose `dz`
     /// is zero add nothing and are skipped.
     fn input_delta(&self, dz: &[f64]) -> Vec<f64> {
-        let n = self.in_dim;
-        let mut prev = vec![0.0; n];
+        let mut prev = vec![0.0; self.in_dim];
         for (o, &d) in dz.iter().enumerate() {
             if d == 0.0 {
                 continue;
             }
-            for (p, w) in prev.iter_mut().zip(&self.w[o * n..(o + 1) * n]) {
+            for (p, w) in prev.iter_mut().zip(self.row(o)) {
                 *p += d * w;
             }
         }
@@ -153,7 +216,8 @@ impl Layer {
 
     /// Adam update of every weight and bias from `dz = dL/dz` and the
     /// layer input `a_in`. The weight gradient is `dz[o]·a_in[i]`.
-    fn adam_step(&mut self, adam: &Adam, dz: &[f64], a_in: &[f64]) {
+    /// `UNIT_BC1` is `adam.bc1 == 1.0` (see [`Adam::update`]).
+    fn adam_step<const UNIT_BC1: bool>(&mut self, adam: &Adam, dz: &[f64], a_in: &[f64]) {
         let n = self.in_dim;
         for (o, &d) in dz.iter().enumerate() {
             let row = o * n..(o + 1) * n;
@@ -162,9 +226,9 @@ impl Layer {
                 .zip(&mut self.mw[row.clone()])
                 .zip(&mut self.vw[row]);
             for (((w, m), v), a) in weights.zip(a_in) {
-                adam.update(w, m, v, d * a);
+                adam.update::<UNIT_BC1>(w, m, v, d * a);
             }
-            adam.update(&mut self.b[o], &mut self.mb[o], &mut self.vb[o], d);
+            adam.update::<UNIT_BC1>(&mut self.b[o], &mut self.mb[o], &mut self.vb[o], d);
         }
     }
 }
@@ -193,11 +257,13 @@ impl Adam {
     /// Every parameter's operations read only its own operands, so a row
     /// of these vectorizes to the same bits as one parameter at a time; an
     /// FMA, a reciprocal multiply or any reordering would change them.
+    /// `UNIT_BC1` says that `bc1` is exactly 1.0 (from step 356 on), and
+    /// then the division by it is skipped: `m / 1.0 == m` for every `m`.
     #[inline(always)]
-    fn update(&self, w: &mut f64, m: &mut f64, v: &mut f64, g: f64) {
+    fn update<const UNIT_BC1: bool>(&self, w: &mut f64, m: &mut f64, v: &mut f64, g: f64) {
         *m = ADAM_B1 * *m + (1.0 - ADAM_B1) * g;
         *v = ADAM_B2 * *v + (1.0 - ADAM_B2) * g * g;
-        let mhat = *m / self.bc1;
+        let mhat = if UNIT_BC1 { *m } else { *m / self.bc1 };
         let vhat = *v / self.bc2;
         *w -= self.lr * mhat / (vhat.sqrt() + ADAM_EPS);
     }
@@ -231,6 +297,28 @@ impl Mlp {
         a
     }
 
+    /// [`Mlp::forward`] of every input, eight inputs per step; each output
+    /// is bit-identical to `forward`'s. The last step pads its unused
+    /// lanes with zeros and drops their outputs.
+    pub fn forward_batch<R: AsRef<[f64]>>(&self, inputs: &[R]) -> Vec<Vec<f64>> {
+        let mut out = Vec::with_capacity(inputs.len());
+        for block in inputs.chunks(LANES) {
+            let mut x = vec![[0.0; LANES]; self.params.input_dim];
+            for (l, input) in block.iter().enumerate() {
+                let input = input.as_ref();
+                debug_assert_eq!(input.len(), self.params.input_dim);
+                for (xi, &v) in x.iter_mut().zip(input) {
+                    xi[l] = v;
+                }
+            }
+            for layer in &self.layers {
+                x = layer.forward_lanes(&x);
+            }
+            out.extend((0..block.len()).map(|l| x.iter().map(|xo| xo[l]).collect()));
+        }
+        out
+    }
+
     /// Forward pass retaining per-layer activations for backprop.
     fn forward_cached(&self, input: &[f64]) -> Vec<Vec<f64>> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
@@ -256,13 +344,18 @@ impl Mlp {
             bc1: 1.0 - ADAM_B1.powi(self.adam_t as i32),
             bc2: 1.0 - ADAM_B2.powi(self.adam_t as i32),
         };
+        // From step 356 on `bc1` is exactly 1.0, and the update skips the
+        // division by it; the test runs once per step, outside every loop.
+        // lint: allow(F1) exact on purpose: only a bc1 of exactly 1.0 leaves every m / bc1 unchanged
+        let unit_bc1 = adam.bc1 == 1.0;
+        let adam_step = if unit_bc1 { Layer::adam_step::<true> } else { Layer::adam_step::<false> };
         for (li, layer) in self.layers.iter_mut().enumerate().rev() {
             for (d, a) in delta.iter_mut().zip(&acts[li + 1]) {
                 *d *= layer.act.derivative_from_output(*a);
             }
             // Taken before the weights change; nothing reads layer 0's.
             let prev_delta = if li > 0 { layer.input_delta(&delta) } else { Vec::new() };
-            layer.adam_step(&adam, &delta, &acts[li]);
+            adam_step(layer, &adam, &delta, &acts[li]);
             delta = prev_delta;
         }
     }
@@ -295,8 +388,14 @@ impl Mlp {
     }
 
     /// Polyak soft update: `self ← τ·source + (1−τ)·self` (target networks).
+    ///
+    /// # Panics
+    /// Panics, before writing anything, if `source` has different layer
+    /// shapes.
     pub fn soft_update_from(&mut self, source: &Mlp, tau: f64) {
-        assert_eq!(self.layers.len(), source.layers.len(), "architecture mismatch");
+        let shapes =
+            |net: &Mlp| net.layers.iter().map(|l| (l.in_dim, l.out_dim)).collect::<Vec<_>>();
+        assert_eq!(shapes(self), shapes(source), "architecture mismatch");
         for (dst, src) in self.layers.iter_mut().zip(&source.layers) {
             for (d, s) in dst.w.iter_mut().zip(&src.w) {
                 *d = tau * s + (1.0 - tau) * *d;
@@ -432,18 +531,35 @@ mod tests {
         assert_eq!(src.forward(&x), dst.forward(&x));
     }
 
+    /// True when `f` panics.
+    fn panics(f: impl FnOnce()) -> bool {
+        #[expect(clippy::disallowed_methods, reason = "the tests assert that these calls panic")]
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        result.is_err()
+    }
+
     #[test]
     fn set_weights_flat_rejects_a_wrong_length_before_writing() {
         let mut net = Mlp::new(MlpParams::regression(4, 9));
         let before = net.weights_flat();
         for wrong in [before.len() - 1, before.len() + 1] {
             let flat = vec![1.0; wrong];
-            #[expect(clippy::disallowed_methods, reason = "the test asserts that this call panics")]
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                net.set_weights_flat(&flat);
-            }));
-            assert!(result.is_err(), "length {wrong} accepted");
+            assert!(panics(|| net.set_weights_flat(&flat)), "length {wrong} accepted");
             assert_eq!(net.weights_flat(), before, "length {wrong} wrote weights");
+        }
+    }
+
+    #[test]
+    fn soft_update_rejects_a_different_architecture_before_writing() {
+        let params =
+            |hidden: &[usize]| MlpParams { hidden: hidden.to_vec(), ..MlpParams::regression(4, 9) };
+        let mut net = Mlp::new(params(&[8, 8]));
+        let before = net.weights_flat();
+        // Wider, narrower, deeper, and the same layer widths in another order.
+        for hidden in [&[16, 16][..], &[4, 8], &[8, 8, 8], &[8, 4]] {
+            let source = Mlp::new(params(hidden));
+            assert!(panics(|| net.soft_update_from(&source, 0.5)), "hidden {hidden:?} accepted");
+            assert_eq!(net.weights_flat(), before, "hidden {hidden:?} wrote weights");
         }
     }
 

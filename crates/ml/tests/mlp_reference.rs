@@ -3,11 +3,15 @@
 //! `RefMlp` is the plain training step that `Mlp::step_with` must match:
 //! `train_step` runs a forward pass, then `step_with_output_gradient` runs
 //! a second one, backpropagates through every layer (layer 0's input
-//! gradient included) and updates Adam one indexed weight at a time. The
-//! optimized step must give every weight and every returned error the
-//! same bits, step after step, in debug and in release builds. NaN is compared as NaN: which NaN an operation returns
-//! when both operands are NaN depends on operand order, which IEEE 754
-//! leaves open and the compiler may swap for a commutative operation.
+//! gradient included) and updates Adam one indexed weight at a time,
+//! dividing by both bias corrections at every step. Its forward pass
+//! computes each output with one `dot`. The optimized step must give
+//! every weight and every returned error the same bits, step after step,
+//! in debug and in release builds, and `Mlp::forward_batch` every output
+//! the same bits as `forward`. NaN is compared as NaN: which NaN an
+//! operation returns when both operands are NaN depends on operand order,
+//! which IEEE 754 leaves open and the compiler may swap for a commutative
+//! operation.
 
 use dbtune_linalg::matrix::dot;
 use dbtune_ml::{Activation, Mlp, MlpParams};
@@ -18,7 +22,8 @@ use rand::{Rng, SeedableRng};
 const ADAM_B1: f64 = 0.9;
 const ADAM_B2: f64 = 0.999;
 const ADAM_EPS: f64 = 1e-8;
-const STEPS: usize = 60;
+/// Past step 356, from which Adam's first bias correction is exactly 1.0.
+const STEPS: usize = 400;
 const ACTIVATIONS: [Activation; 4] =
     [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Linear];
 
@@ -275,7 +280,7 @@ fn activation_pairs(shift: usize) -> impl Iterator<Item = (Activation, Activatio
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `train_step` (one forward pass, no layer-0 input gradient, row-wise
     /// Adam) against the double-forward, indexed-Adam reference.
@@ -351,6 +356,62 @@ proptest! {
                 assert_same_bits(&critic.weights_flat(), &ref_critic.weights_flat(), &what);
                 assert_same_bits(&actor.weights_flat(), &ref_actor.weights_flat(), &what);
             }
+        }
+    }
+
+    /// The minibatch forward pass against `forward` and the reference's
+    /// `dot`-per-output pass, for batches that fill, pad or undershoot a
+    /// step of eight inputs and outputs narrower than, as wide as and wider
+    /// than a step of eight.
+    #[test]
+    fn forward_batch_matches_forward_bitwise(
+        input_dim in 1usize..=20,
+        hidden in proptest::collection::vec(1usize..=20, 0..=2),
+        output_dim in 1usize..=17,
+        batch in 1usize..=20,
+        (scale, seed, shift) in (-300i32..=300, 0u64..1 << 40, 0usize..4),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inputs = rows(&mut rng, batch, input_dim, scale);
+        for acts in activation_pairs(shift) {
+            let mut net = Mlp::new(params(input_dim, &hidden, output_dim, acts, seed));
+            let weights: Vec<f64> =
+                net.weights_flat().iter().map(|_| element(&mut rng, scale)).collect();
+            net.set_weights_flat(&weights);
+            let reference = RefMlp::of(&net);
+            let outputs = net.forward_batch(&inputs);
+            prop_assert_eq!(outputs.len(), batch);
+            for (k, (x, got)) in inputs.iter().zip(&outputs).enumerate() {
+                let what = format!("{acts:?} {input_dim}-{hidden:?}-{output_dim} input {k} of {batch}");
+                assert_same_bits(got, &net.forward(x), &what);
+                assert_same_bits(got, &reference.forward(x), &what);
+            }
+        }
+    }
+}
+
+/// Every product is `-0.0` (negative weights, zero inputs) and every bias
+/// is `-0.0`, so the output is `-0.0` only if each accumulator starts at
+/// `-0.0`, as `dot`'s `sum` does; from `+0.0` it would be `+0.0`. Eleven
+/// inputs fill one tile of eight and leave three.
+#[test]
+fn forward_seeds_its_accumulators_with_negative_zero() {
+    const INPUTS: usize = 11;
+    for output_dim in [1, 7, 8, 9, 16, 17] {
+        let acts = (Activation::Linear, Activation::Linear);
+        let mut net = Mlp::new(params(INPUTS, &[], output_dim, acts, 1));
+        let weights: Vec<f64> = (0..INPUTS * output_dim)
+            .map(|k| -1.0 - k as f64)
+            .chain(std::iter::repeat_n(-0.0, output_dim))
+            .collect();
+        net.set_weights_flat(&weights);
+        let zeros = [0.0; INPUTS];
+        let want = vec![-0.0; output_dim];
+        let what = format!("{output_dim} outputs");
+        assert_same_bits(&net.forward(&zeros), &want, &what);
+        assert_same_bits(&RefMlp::of(&net).forward(&zeros), &want, &what);
+        for got in net.forward_batch(&vec![zeros; 11]) {
+            assert_same_bits(&got, &want, &format!("{what}, minibatch"));
         }
     }
 }

@@ -335,7 +335,8 @@ mod tests {
     fn boxed_allocations_count_exactly() {
         enable();
         let t0 = thread_stats();
-        let b = Box::new([0u8; 4096]); // 1 alloc, 4096 bytes
+        // black_box keeps the optimizer from deleting the allocation.
+        let b = std::hint::black_box(Box::new([0u8; 4096])); // 1 alloc, 4096 bytes
         drop(b);
         let t1 = thread_stats();
         assert_eq!(t1.alloc_count - t0.alloc_count, 1);
