@@ -8,12 +8,13 @@
 //! Usage: `trace_diff <base.jsonl> <current.jsonl> [mode=warn|gate]
 //! [rel=0.30] [floor_ms=5]`
 //!
-//! Deterministic quantities — counters, gauges, span counts, cell
-//! counts — must match **exactly**: the tuning loop's control flow never
-//! depends on wall clock, so any delta means the two runs did different
-//! work. Wall times are compared on each span's fastest observation
-//! (min-of-N) and flagged only beyond the relative threshold `rel` AND
-//! the absolute floor `floor_ms`.
+//! Deterministic quantities — counters, gauges outside `mem.`, span
+//! counts, `diag` record counts — must match **exactly**: the tuning
+//! loop's control flow never depends on wall clock, so any delta means
+//! the two runs did different work. Wall times are compared on each
+//! span's fastest observation (min-of-N) and, like the `mem.*` gauges,
+//! flagged only beyond the relative threshold `rel` AND the absolute
+//! floor `floor_ms`.
 //!
 //! Exit codes: 0 clean (or `mode=warn`), 1 flagged deltas under
 //! `mode=gate`, 2 usage or unreadable/invalid journal.

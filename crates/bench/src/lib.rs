@@ -16,7 +16,7 @@ use dbtune_core::exec::{
 use dbtune_core::importance::{ImportanceInput, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::space::TuningSpace;
-use dbtune_core::telemetry::{self, TraceEvent};
+use dbtune_core::telemetry;
 use dbtune_core::tuner::{lhs_pool, run_session, SessionConfig, SessionResult};
 use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METRICS_DIM};
 use rand::rngs::StdRng;
@@ -408,19 +408,16 @@ pub struct TuningCell {
 }
 
 /// Runs grid cell `index`: a tuning session against the cell's
-/// cache-wrapped simulator ([`GridOpts::cell_objective`]). Returns the
-/// result plus the session's own cache hit/miss counts (per-cell, unlike
-/// the grid-wide [`EvalCache::stats`]), the numbers the journal's
-/// per-cell events report. Pure given the cell and the options: the
-/// shared cache only memoizes, so results are identical with the cache
-/// on, off, or shared, and exhausted fault retries surface as failures to
-/// the session's failure policy.
+/// cache-wrapped simulator ([`GridOpts::cell_objective`]). Pure given the
+/// cell and the options: the shared cache only memoizes, so results are
+/// identical with the cache on, off, or shared, and exhausted fault
+/// retries surface as failures to the session's failure policy.
 pub fn run_grid_cell(
     cell: &TuningCell,
     cache: Option<Arc<EvalCache>>,
     opts: &GridOpts,
     index: usize,
-) -> (SessionResult, u64, u64) {
+) -> SessionResult {
     let sim = DbSimulator::new(cell.workload, Hardware::B, cell.seed);
     let catalog = sim.catalog().clone();
     let space = TuningSpace::with_default_base(&catalog, cell.selected.clone(), Hardware::B);
@@ -432,7 +429,7 @@ pub fn run_grid_cell(
     let diag_label = telemetry::global()
         .diag_enabled()
         .then(|| diag_session_label(cell.opt_kind, cell.workload, cell.selected.len(), cell.seed));
-    let result = run_session(
+    run_session(
         &mut obj,
         &space,
         &mut opt,
@@ -443,8 +440,7 @@ pub fn run_grid_cell(
             diag_label,
             ..Default::default()
         },
-    );
-    (result, obj.n_hits() as u64, obj.n_misses() as u64)
+    )
 }
 
 /// The diag session label a grid cell's records carry: optimizer slug,
@@ -475,30 +471,11 @@ pub fn cell_fault_plan(grid: &FaultPlan, index: usize) -> FaultPlan {
 }
 
 /// Runs a grid of tuning sessions on the worker pool with a shared cache,
-/// returning results in grid order plus the execution report. When the
-/// trace journal is on, each completed cell emits a `cell` event with its
-/// grid index, per-session cache hits/misses, duration, and thread.
+/// returning results in grid order plus the execution report.
 pub fn run_tuning_grid(cells: &[TuningCell], opts: &GridOpts) -> (Vec<SessionResult>, ExecReport) {
     let cache = opts.make_cache();
-    let tele = telemetry::global();
     let results = run_grid(cells, opts.workers, |index, cell| {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "journal cell-event duration — trace telemetry only"
-        )]
-        let t0 = std::time::Instant::now();
-        let (result, hits, misses) = run_grid_cell(cell, cache.clone(), opts, index);
-        if tele.journal.is_enabled() {
-            tele.journal.emit(TraceEvent::Cell {
-                index: index as u64,
-                cache_hits: hits,
-                cache_misses: misses,
-                dur_nanos: t0.elapsed().as_nanos() as u64,
-                thread: telemetry::thread_ordinal(),
-                seq: 0,
-            });
-        }
-        result
+        run_grid_cell(cell, cache.clone(), opts, index)
     });
     (results, opts.report(cache.as_ref()))
 }
@@ -666,7 +643,7 @@ pub fn run_tuning(
         faults: FaultPlan::disabled(),
         retry: RetryPolicy::none(),
     };
-    run_grid_cell(&cell, None, &opts, 0).0
+    run_grid_cell(&cell, None, &opts, 0)
 }
 
 /// Median of a slice (convenience re-export for drivers).

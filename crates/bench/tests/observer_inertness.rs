@@ -29,7 +29,7 @@ use dbtune_core::exec::CacheStats;
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::telemetry::{self, TraceEvent, SCHEMA_VERSION};
 use dbtune_dbsim::Workload;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
 use std::sync::LazyLock;
@@ -130,7 +130,7 @@ fn journal_lines_all_parse_against_the_schema() {
         }
         kinds.insert(event.kind());
     }
-    for kind in ["meta", "span", "cell", "counter"] {
+    for kind in ["meta", "span", "counter"] {
         assert!(kinds.contains(kind), "journal has no '{kind}' events; kinds seen: {kinds:?}");
     }
 }
@@ -153,6 +153,31 @@ fn profiled_journal_carries_sound_mem_events() {
     }
     assert!(spans > 0, "mem=on journal has no span events");
     assert!(!FIG9.all_on_journal.contains("\"type\":\"mem\""), "no separate mem records");
+}
+
+#[test]
+fn every_exec_cell_span_nests_in_an_exec_worker_span_and_matches_the_cell_count() {
+    // A worker's idle time is read as its `exec.worker` span's self time,
+    // which holds only if every cell it ran is a direct child span.
+    let journal = dbtune_trace::load_journal_str(&FIG9.all_on_journal).expect("journal loads");
+    let mut names = BTreeMap::new();
+    for jl in &journal.events {
+        if let TraceEvent::Span { name, id, thread, .. } = &jl.event {
+            names.insert((*thread, *id), name.as_str());
+        }
+    }
+    let mut cells = 0u64;
+    for jl in &journal.events {
+        let TraceEvent::Span { name, parent_id, thread, .. } = &jl.event else { continue };
+        if name == "exec.cell" {
+            cells += 1;
+            let parent = parent_id.and_then(|p| names.get(&(*thread, p)).copied());
+            assert_eq!(parent, Some("exec.worker"), "line {}: exec.cell's parent", jl.line);
+        }
+    }
+    let counted = dbtune_trace::summarize(&journal).counters.get("exec.cells").copied();
+    assert!(cells > 0, "the journal has no exec.cell spans");
+    assert_eq!(Some(cells), counted, "one exec.cell span per counted cell");
 }
 
 #[test]

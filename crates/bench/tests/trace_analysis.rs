@@ -213,6 +213,16 @@ fn identical_seed_runs_diff_to_zero_counter_deltas() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("zero counter deltas"));
+
+    // With no wall clock in any counter or gauge, the two runs' saved
+    // telemetry blocks agree too.
+    let telemetry = |run: &str| {
+        let path = dir.join(run).join("results/fig9_overhead.json");
+        let value = load_json_file(&path).expect("driver wrote results json");
+        let block = lookup(&value, "telemetry").expect("top-level 'telemetry'");
+        ["counters", "gauges"].map(|k| lookup(block, k).expect("telemetry key").clone())
+    };
+    assert_eq!(telemetry("run_a"), telemetry("run_b"), "workers=1 telemetry must reproduce");
 }
 
 #[test]

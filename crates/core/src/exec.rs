@@ -48,7 +48,6 @@ use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Seeding
@@ -210,92 +209,48 @@ where
     }
     let workers = workers.clamp(1, n);
 
-    // Executor telemetry (docs/observability.md): per-cell `exec.cell`
-    // spans, per-worker busy/idle/steal ledgers,
-    // and a queue-depth gauge sampled at each claim. Pure observation —
-    // none of it feeds back into scheduling or results.
+    // Executor telemetry (docs/observability.md): one `exec.worker` span
+    // per worker thread, one `exec.cell` span per cell, and the
+    // `exec.cells` count. Pure observation — none of it feeds back into
+    // scheduling or results.
     let tele = telemetry::global();
     let cells_done = tele.metrics.counter("exec.cells");
-    let busy_ctr = tele.metrics.counter("exec.worker.busy_nanos");
-    let idle_ctr = tele.metrics.counter("exec.worker.idle_nanos");
-    let steal_ctr = tele.metrics.counter("exec.worker.steal_nanos");
-    let depth_gauge = tele.metrics.gauge("exec.queue.depth");
 
     if workers == 1 {
-        // Serial fast path: the caller is the worker; it never idles.
-        let out = cells
+        // Serial fast path: the caller is the worker.
+        return cells
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                depth_gauge.set((n - i - 1) as i64);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "cell-duration telemetry; never feeds results"
-                )]
-                let t = Instant::now();
                 let result = {
                     let _cell = tele.span("exec.cell");
                     f(i, c)
                 };
-                let nanos = t.elapsed().as_nanos() as u64;
-                busy_ctr.add(nanos);
                 cells_done.inc();
                 result
             })
             .collect();
-        return out;
     }
 
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let (cursor_ref, slots_ref, f_ref) = (&cursor, &slots, &f);
+    let (cursor_ref, slots_ref, f_ref, cells_done) = (&cursor, &slots, &f, &cells_done);
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
-            let (cells_done, busy_ctr, idle_ctr, steal_ctr, depth_gauge) = (
-                cells_done.clone(),
-                busy_ctr.clone(),
-                idle_ctr.clone(),
-                steal_ctr.clone(),
-                depth_gauge.clone(),
-            );
             scope.spawn(move |_| {
                 let _worker = tele.span("exec.worker");
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "worker busy/idle ledger — observability only"
-                )]
-                let worker_start = Instant::now();
-                let (mut busy, mut steal) = (0u64, 0u64);
                 loop {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "steal-time ledger — observability only"
-                    )]
-                    let t_claim = Instant::now();
                     let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                    steal += t_claim.elapsed().as_nanos() as u64;
                     if i >= n {
                         break;
                     }
-                    depth_gauge.set(n as i64 - i as i64 - 1);
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "cell-duration telemetry; never feeds results"
-                    )]
-                    let t = Instant::now();
                     let result = {
                         let _cell = tele.span("exec.cell");
                         f_ref(i, &cells[i])
                     };
-                    let nanos = t.elapsed().as_nanos() as u64;
-                    busy += nanos;
                     cells_done.inc();
                     *slots_ref[i].lock() = Some(result);
                 }
-                busy_ctr.add(busy);
-                steal_ctr.add(steal);
-                let lifetime = worker_start.elapsed().as_nanos() as u64;
-                idle_ctr.add(lifetime.saturating_sub(busy + steal));
             });
         }
     })
@@ -831,8 +786,8 @@ impl<O: DeterministicObjective> CachedObjective<O> {
     }
 
     /// Of [`Self::n_evals`], how many were answered from the shared cache.
-    /// Per-wrapper (unlike [`EvalCache::stats`], which aggregates over the
-    /// whole grid), which is what the per-cell journal events report.
+    /// Per-wrapper, unlike [`EvalCache::stats`], which aggregates over the
+    /// whole grid.
     pub fn n_hits(&self) -> usize {
         self.n_hits
     }

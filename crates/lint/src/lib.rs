@@ -25,8 +25,8 @@
 //! graph, and [`passes`] runs three graph-level families over it —
 //! **R** (determinism taint reachable from the results-producing
 //! tuner/exec/dbsim paths), **C2** (inconsistent lock order), and **S**
-//! (telemetry schema agreement between code, `docs/observability.md`,
-//! and the `dbtune-trace::diff` policy table).
+//! (telemetry schema agreement between code and
+//! `docs/observability.md`).
 //!
 //! Violations are suppressible line-by-line with a `// lint:` pragma that
 //! *must* carry a justification; every pragma is captured in the JSON

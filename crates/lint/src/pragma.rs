@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! // lint: allow(C1) monotonic one-way latch; a stale read skips one count
-//! // lint: allow(S1, S3) <justification>
+//! // lint: allow(S1, S2) <justification>
 //! ```
 //!
 //! A trailing pragma suppresses matching findings on its own line; a

@@ -27,12 +27,11 @@
 //!
 //! The workspace-level passes in [`crate::passes`] add three more
 //! families over the call graph ([`crate::graph`]): **R** (determinism
-//! taint reachable from results paths: R1 clock laundering, R2 RNG
-//! laundering, R3 env reads, R4 thread-id), **C2** (inconsistent
-//! lock-acquisition order across the call graph), and **S** (telemetry
-//! schema drift between code, `docs/observability.md`, and the
-//! `dbtune-trace::diff` policy table: S1 undocumented emitter, S2
-//! documented-but-dead name, S3 policy entry with no emitter).
+//! taint reachable from results paths: R1 clock laundering, R3 env
+//! reads, R4 thread-id), **C2** (inconsistent lock-acquisition order
+//! across the call graph), and **S** (telemetry schema drift between
+//! code and `docs/observability.md`: S1 undocumented emitter, S2
+//! documented-but-dead name).
 
 use crate::pragma::{self, Pragma};
 use crate::report::{Finding, PragmaRecord};
@@ -40,7 +39,7 @@ use crate::scanner::{self, is_ident_char};
 
 /// Every rule id the engine can emit (and `allow(..)` can name).
 pub const RULE_IDS: &[&str] =
-    &["F1", "E1", "M1", "R1", "R2", "R3", "R4", "C1", "C2", "S1", "S2", "S3", "P1", "P2", "P3"];
+    &["F1", "E1", "M1", "R1", "R3", "R4", "C1", "C2", "S1", "S2", "P1", "P2", "P3"];
 
 /// Where a file sits in the workspace, which decides rule applicability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -559,12 +558,14 @@ mod tests {
 
     #[test]
     fn retired_rule_pragma_is_p3() {
-        // D1–D3, E2 and E3 moved to clippy.toml; a leftover pragma naming
-        // one of them is an unknown id, so a missed migration fails the gate.
+        // D1–D3, E2 and E3 moved to clippy.toml, and R2 (which could not
+        // fire) and S3 (whose diff-policy table is gone) were deleted; a
+        // leftover pragma naming one of them is an unknown id, so a missed
+        // migration fails the gate.
         let src = "fn f() -> u64 {\n    now() // lint: allow(D2) timing is telemetry only\n}\n";
         assert_eq!(findings("crates/core/src/x.rs", src), vec![(2, "P3".into())]);
-        for id in ["D1", "D2", "D3", "E2", "E3"] {
-            assert!(!RULE_IDS.contains(&id), "{id} is clippy's now");
+        for id in ["D1", "D2", "D3", "E2", "E3", "R2", "S3"] {
+            assert!(!RULE_IDS.contains(&id), "{id} is retired");
         }
     }
 

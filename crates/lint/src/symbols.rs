@@ -7,8 +7,8 @@
 //! * **call sites** — `name(`, `path::name(`, and `.method(` call
 //!   occurrences inside each function, with the set of lock guards held
 //!   at the site;
-//! * **taint sources** — wall-clock reads, unseeded RNG construction,
-//!   environment reads, thread-id reads (rule family R);
+//! * **taint sources** — wall-clock reads, environment reads, thread-id
+//!   reads (rule family R);
 //! * **lock events** — `let`-bound Mutex/RwLock guard acquisitions and
 //!   the held-then-acquired pairs they create (rule C2);
 //! * **telemetry emissions** — the literal names registered via
@@ -30,10 +30,6 @@ pub enum TaintKind {
     /// laundered through telemetry; clippy's `disallowed_methods` reports
     /// the direct read).
     Clock,
-    /// `thread_rng` / `from_entropy` / `OsRng` / `rand::random` (R2 when
-    /// laundered; the vendored `rand` defines none of them, so a direct
-    /// call does not compile).
-    Rng,
     /// `env::var` / `env::vars` / `env::var_os` (R3).
     Env,
     /// `thread::current()` / `ThreadId` (R4).
@@ -108,8 +104,8 @@ pub struct FnItem {
 
 impl FnItem {
     /// True when the function's return-type text mentions a primitive
-    /// numeric type or `Duration` — the shapes a laundered clock/RNG
-    /// read escapes through (rules R1/R2).
+    /// numeric type or `Duration` — the shapes a laundered clock read
+    /// escapes through (rule R1).
     pub fn returns_numeric(&self) -> bool {
         const NUMERIC: &[&str] = &[
             "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
@@ -128,8 +124,6 @@ pub struct FileSymbols {
 
 /// Wall-clock read patterns.
 const CLOCK_READS: &[&str] = &["Instant::now", "SystemTime::now", "UNIX_EPOCH"];
-/// Unseeded randomness patterns.
-const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "rand::random"];
 /// Environment-read patterns (R3): `env::var`, `env::vars`, `env::var_os`.
 const ENV_READS: &[&str] = &["env::var", "env::vars", "env::var_os"];
 /// Thread-identity patterns (R4).
@@ -272,7 +266,6 @@ pub fn extract(source: &str) -> FileSymbols {
         // --- taint sources.
         for (pats, kind) in [
             (CLOCK_READS, TaintKind::Clock),
-            (UNSEEDED_RNG, TaintKind::Rng),
             (ENV_READS, TaintKind::Env),
             (THREAD_READS, TaintKind::ThreadId),
         ] {
@@ -549,10 +542,10 @@ mod tests {
 
     #[test]
     fn single_line_bodies_attribute_to_the_new_fn() {
-        let src = "pub fn jitter() -> u64 { rand::thread_rng().gen() }\n";
+        let src = "pub fn workers() -> u64 { std::env::var(\"W\").map_or(1, |_| 2) }\n";
         let syms = extract(src);
         assert_eq!(syms.fns.len(), 1);
-        assert_eq!(syms.fns[0].taints, vec![(TaintKind::Rng, 1)]);
+        assert_eq!(syms.fns[0].taints, vec![(TaintKind::Env, 1)]);
         assert_eq!(syms.fns[0].body, (1, 1));
     }
 }

@@ -136,8 +136,8 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
     let extra = passes::run(root, &graph, &file_syms);
 
     // Merge graph-level findings into their files, then resolve pragmas
-    // per file. Findings attributed to unscanned paths (docs rows, a
-    // policy table outside the scan set) pass through unsuppressed.
+    // per file. Findings attributed to unscanned paths (docs rows) pass
+    // through unsuppressed.
     let mut by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     for f in extra {
         by_path.entry(f.path.clone()).or_default().push(f);

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Version stamped into the journal's leading `meta` event.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// One journal event. Field order in the serialized JSON is exactly the
 /// declaration order of each variant.
@@ -85,22 +85,6 @@ pub enum TraceEvent {
         /// Journal sequence number.
         seq: u64,
     },
-    /// One executor grid cell completed:
-    /// `{"type":"cell","index":N,"cache_hits":N,"cache_misses":N,"dur_nanos":N,"thread":N,"seq":N}`.
-    Cell {
-        /// Grid-order cell index.
-        index: u64,
-        /// Evaluation-cache hits observed by this cell's session.
-        cache_hits: u64,
-        /// Evaluation-cache misses observed by this cell's session.
-        cache_misses: u64,
-        /// Wall-clock cell duration.
-        dur_nanos: u64,
-        /// Per-process thread ordinal.
-        thread: u64,
-        /// Journal sequence number.
-        seq: u64,
-    },
     /// One tuner iteration's optimizer-quality record (emitted only when
     /// diagnostics are enabled — see `Telemetry::enable_diag`):
     /// `{"type":"diag","session":S,"iter":N,"outcome":S,"score_bits":N,"best_bits":N,"regret_bits":N|null,"cum_regret_bits":N|null,"novelty_bits":N|null,"pred_mean_bits":N|null,"pred_var_bits":N|null,"seq":N}`.
@@ -149,7 +133,6 @@ impl TraceEvent {
             TraceEvent::Span { .. } => "span",
             TraceEvent::Counter { .. } => "counter",
             TraceEvent::Gauge { .. } => "gauge",
-            TraceEvent::Cell { .. } => "cell",
             TraceEvent::Diag { .. } => "diag",
         }
     }
@@ -193,12 +176,6 @@ impl TraceEvent {
                 let _ = write!(s, r#"{{"type":"gauge","name":"#);
                 escape_into(&mut s, name);
                 let _ = write!(s, r#","value":{value},"seq":{seq}}}"#);
-            }
-            TraceEvent::Cell { index, cache_hits, cache_misses, dur_nanos, thread, seq } => {
-                let _ = write!(
-                    s,
-                    r#"{{"type":"cell","index":{index},"cache_hits":{cache_hits},"cache_misses":{cache_misses},"dur_nanos":{dur_nanos},"thread":{thread},"seq":{seq}}}"#
-                );
             }
             TraceEvent::Diag {
                 session,
@@ -311,14 +288,6 @@ impl TraceEvent {
                 value: get_i64("value")?,
                 seq: get_u64("seq")?,
             }),
-            "cell" => Ok(TraceEvent::Cell {
-                index: get_u64("index")?,
-                cache_hits: get_u64("cache_hits")?,
-                cache_misses: get_u64("cache_misses")?,
-                dur_nanos: get_u64("dur_nanos")?,
-                thread: get_u64("thread")?,
-                seq: get_u64("seq")?,
-            }),
             "diag" => Ok(TraceEvent::Diag {
                 session: get_str("session")?,
                 iter: get_u64("iter")?,
@@ -343,7 +312,6 @@ impl TraceEvent {
             TraceEvent::Span { seq, .. }
             | TraceEvent::Counter { seq, .. }
             | TraceEvent::Gauge { seq, .. }
-            | TraceEvent::Cell { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq,
         }
     }
@@ -354,7 +322,6 @@ impl TraceEvent {
             TraceEvent::Span { seq, .. }
             | TraceEvent::Counter { seq, .. }
             | TraceEvent::Gauge { seq, .. }
-            | TraceEvent::Cell { seq, .. }
             | TraceEvent::Diag { seq, .. } => *seq = n,
         }
         self
@@ -663,15 +630,7 @@ mod tests {
             seq: 1,
         });
         round_trip(TraceEvent::Counter { name: "exec.cache.hits".into(), value: u64::MAX, seq: 2 });
-        round_trip(TraceEvent::Gauge { name: "exec.queue.depth".into(), value: -5, seq: 3 });
-        round_trip(TraceEvent::Cell {
-            index: 6,
-            cache_hits: 40,
-            cache_misses: 2,
-            dur_nanos: 1_000_000,
-            thread: 1,
-            seq: 5,
-        });
+        round_trip(TraceEvent::Gauge { name: "exec.cache.entries".into(), value: -5, seq: 3 });
         round_trip(TraceEvent::Diag {
             session: "bo/ro_heavy".into(),
             iter: 17,

@@ -13,7 +13,8 @@
 //!   (`dbtune_trace::summarize`), not kept in process.
 //! * **Metrics** ([`metrics`]): a registry of named counters and gauges
 //!   for things that are counts rather than durations — evaluation-cache
-//!   hits, simulator crash-region hits, executor queue depth.
+//!   hits, simulator crash-region hits, grid cells completed. Durations
+//!   are spans.
 //! * **Journal** ([`journal`]): an optional JSONL sink emitting one
 //!   structured event per span close / metric flush. Enabled with the
 //!   `DBTUNE_TRACE=<path>` environment variable or the drivers' `trace=`

@@ -43,7 +43,8 @@ impl Counter {
     }
 }
 
-/// Last-write-wins instantaneous value (e.g. queue depth).
+/// Last-write-wins instantaneous value (e.g. the evaluation cache's entry
+/// count at grid end).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -151,7 +152,7 @@ mod tests {
     #[test]
     fn gauges_overwrite_and_track_max() {
         let r = Registry::new();
-        let g = r.gauge("exec.queue.depth");
+        let g = r.gauge("exec.cache.entries");
         g.set(7);
         g.set(3);
         assert_eq!(g.get(), 3);

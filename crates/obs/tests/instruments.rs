@@ -41,14 +41,6 @@ mod journal {
             },
             TraceEvent::Counter { name: "c".into(), value: 1, seq: 6 },
             TraceEvent::Gauge { name: "g".into(), value: -1, seq: 7 },
-            TraceEvent::Cell {
-                index: 0,
-                cache_hits: 0,
-                cache_misses: 1,
-                dur_nanos: 9,
-                thread: 0,
-                seq: 8,
-            },
             TraceEvent::Diag {
                 session: "s".into(),
                 iter: 0,
@@ -60,7 +52,7 @@ mod journal {
                 novelty_bits: None,
                 pred_mean_bits: None,
                 pred_var_bits: None,
-                seq: 9,
+                seq: 8,
             },
         ]
     }
@@ -68,7 +60,7 @@ mod journal {
     #[test]
     fn kind_is_the_serialized_type_tag() {
         let kinds: Vec<&str> = one_of_each().iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, ["meta", "span", "counter", "gauge", "cell", "diag"]);
+        assert_eq!(kinds, ["meta", "span", "counter", "gauge", "diag"]);
         for ev in one_of_each() {
             let tag = format!(r#"{{"type":"{}","#, ev.kind());
             assert!(ev.to_jsonl().starts_with(&tag), "{}", ev.to_jsonl());
@@ -78,7 +70,7 @@ mod journal {
     #[test]
     fn seq_reads_every_kind_and_emit_renumbers_in_write_order() {
         let seqs: Vec<u64> = one_of_each().iter().map(TraceEvent::seq).collect();
-        assert_eq!(seqs, [0, 5, 6, 7, 8, 9], "meta carries no sequence number");
+        assert_eq!(seqs, [0, 5, 6, 7, 8], "meta carries no sequence number");
         let path = temp_path("emit_seq.jsonl");
         let j = Journal::new();
         j.enable(&path, "unit").expect("enable");
@@ -92,10 +84,7 @@ mod journal {
             .map(|l| TraceEvent::parse_line(l).expect("valid line"))
             .map(|ev| (ev.kind(), ev.seq()))
             .collect();
-        assert_eq!(
-            written,
-            [("meta", 0), ("diag", 1), ("cell", 2), ("gauge", 3), ("counter", 4), ("span", 5)]
-        );
+        assert_eq!(written, [("meta", 0), ("diag", 1), ("gauge", 2), ("counter", 3), ("span", 4)]);
     }
 
     #[test]
@@ -624,7 +613,7 @@ mod telemetry {
         t.metrics.counter("sim.evals").add(7);
         t.metrics.counter("exec.cells").add(2);
         t.metrics.gauge("mem.live_bytes").set(5);
-        t.metrics.gauge("exec.queue.depth").set(-3);
+        t.metrics.gauge("exec.cache.entries").set(-3);
         t.enable_journal(&path, "test").expect("enable");
         t.flush_metrics();
         // A second flush appends the cumulative values again.
@@ -645,7 +634,7 @@ mod telemetry {
             [
                 ("exec.cells", "2"),
                 ("sim.evals", evals),
-                ("exec.queue.depth", "-3"),
+                ("exec.cache.entries", "-3"),
                 ("mem.live_bytes", "5"),
             ]
             .map(|(n, v)| (n.to_string(), v.to_string()))

@@ -2,25 +2,25 @@
 //! regressions with a noise-aware wall-time threshold while holding
 //! deterministic quantities to exact equality.
 //!
-//! Two kinds of key, two rules:
+//! Counters count work and spans time it, so one rule sorts every key:
 //!
-//! * **Deterministic counts** — counters (`exec.cache.hits`,
-//!   `sim.evals`, …), gauges, span counts, and cell counts are
-//!   byte-identical across runs of the same configuration (the PR 1–3
-//!   determinism contract). *Any* delta is flagged: it means the two
-//!   runs did different work, and no timing comparison is meaningful
-//!   until that is explained. The fault-injection counters
-//!   (`exec.retries`, `exec.retry_exhausted`, `exec.panics_contained`,
-//!   `sim.faults.*`) fall under this exact rule too: fault schedules are
+//! * **Exact** — every counter (`exec.cache.hits`, `sim.evals`,
+//!   `exec.retries`, `sim.faults.*`, …), every gauge outside `mem.`,
+//!   span counts, per-span allocation totals and the `diag` record count
+//!   are identical across runs of the same configuration at `workers=1`.
+//!   *Any* delta is flagged: it means the two runs did different work,
+//!   and no timing comparison is meaningful until that is explained.
+//!   The fault-injection counters are no exception: fault schedules are
 //!   pure functions of the plan seed, so a chaos run's retry count is as
-//!   deterministic as its eval count. Counters whose name ends in
-//!   `_nanos` or `_secs` (`exec.worker.busy_nanos`, …) accumulate wall
-//!   clock, not work, and are compared under the wall-time rule instead.
-//! * **Wall times** — compared on the min-of-N statistic (fastest of N
-//!   observations; the minimum of a deterministic code path estimates
-//!   its true cost, while means and maxima absorb scheduler noise) and
-//!   flagged only beyond a relative threshold *and* an absolute floor,
-//!   so nanosecond-scale spans cannot trip percentage alarms.
+//!   deterministic as its eval count.
+//! * **Under the threshold** — span minima and `mem.*` gauges. Wall
+//!   times compare on the min-of-N statistic (fastest of N observations;
+//!   the minimum of a deterministic code path estimates its true cost,
+//!   while means and maxima absorb scheduler noise); memory gauges
+//!   measure allocator state, which moves with thread overlap and flush
+//!   timing. Either is flagged only beyond a relative threshold *and* an
+//!   absolute floor, so nanosecond-scale spans cannot trip percentage
+//!   alarms.
 
 use crate::summary::RunSummary;
 use std::collections::BTreeSet;
@@ -42,63 +42,12 @@ impl Default for DiffConfig {
     }
 }
 
-/// How a metric's cross-run delta is judged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricPolicy {
-    /// Deterministic work count: any delta means the runs did different
-    /// work, and is flagged.
-    Exact,
-    /// Noisy measurement (wall-time accumulator, allocator state):
-    /// compared under the threshold rule.
-    Noise,
-}
-
-/// The workspace metric schema: every counter and gauge the tree emits,
-/// with the diff rule it is held to. Names not listed here fall back to
-/// the naming-convention heuristics below (`_nanos`/`_secs` counters and
-/// `mem.` gauges are noisy), so the table is an explicit pin, not a new
-/// behavior — entry assignments match what the heuristics decide.
-///
-/// Keep one entry per line: the `dbtune-lint` schema pass (rule family
-/// S) parses this table textually and cross-checks it against the
-/// emitters in code and the tables in `docs/observability.md`.
-pub const METRIC_POLICY: &[(&str, MetricPolicy)] = &[
-    ("exec.cache.entries", MetricPolicy::Exact),
-    ("exec.cache.hits", MetricPolicy::Exact),
-    ("exec.cache.misses", MetricPolicy::Exact),
-    ("exec.cells", MetricPolicy::Exact),
-    ("exec.panics_contained", MetricPolicy::Exact),
-    ("exec.queue.depth", MetricPolicy::Exact),
-    ("exec.retries", MetricPolicy::Exact),
-    ("exec.retry_exhausted", MetricPolicy::Exact),
-    ("exec.worker.busy_nanos", MetricPolicy::Noise),
-    ("exec.worker.idle_nanos", MetricPolicy::Noise),
-    ("exec.worker.steal_nanos", MetricPolicy::Noise),
-    ("mem.alloc_bytes", MetricPolicy::Exact),
-    ("mem.alloc_count", MetricPolicy::Exact),
-    ("mem.allocs_per_eval", MetricPolicy::Noise),
-    ("mem.live_bytes", MetricPolicy::Noise),
-    ("mem.peak_bytes", MetricPolicy::Noise),
-    ("sim.crashes", MetricPolicy::Exact),
-    ("sim.evals", MetricPolicy::Exact),
-    ("sim.faults.crash", MetricPolicy::Exact),
-    ("sim.faults.noise", MetricPolicy::Exact),
-    ("sim.faults.stall", MetricPolicy::Exact),
-    ("sim.faults.timeout", MetricPolicy::Exact),
-    ("tuner.quarantine.rejections", MetricPolicy::Exact),
-];
-
-/// Looks a metric name up in [`METRIC_POLICY`].
-pub fn policy_for(key: &str) -> Option<MetricPolicy> {
-    METRIC_POLICY.iter().find(|(k, _)| *k == key).map(|&(_, p)| p)
-}
-
 /// What a diff entry compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffKind {
     /// Deterministic count (exact-equality rule).
     Count,
-    /// Wall time (threshold rule).
+    /// Wall time or memory gauge (threshold rule).
     WallTime,
 }
 
@@ -106,8 +55,8 @@ pub enum DiffKind {
 #[derive(Clone, Debug)]
 pub struct DiffEntry {
     /// Aligned key, prefixed by namespace (`counter:`, `gauge:`,
-    /// `mem.allocs:`, `mem.bytes:`, `span.count:`, `span.min:`), or a
-    /// bare `cells` / `diag.records`.
+    /// `mem.allocs:`, `mem.bytes:`, `span.count:`, `span.min:`), or the
+    /// bare `diag.records`.
     pub key: String,
     /// Comparison rule applied.
     pub kind: DiffKind,
@@ -145,16 +94,12 @@ fn exact_entry(key: String, base: Option<f64>, cur: Option<f64>) -> DiffEntry {
     DiffEntry { key, kind: DiffKind::Count, base, cur, flagged, note }
 }
 
-fn wall_entry(key: String, base: Option<f64>, cur: Option<f64>, cfg: &DiffConfig) -> DiffEntry {
-    noisy_entry(key, base, cur, cfg, "ns")
-}
-
-/// The threshold rule for any noisy measurement: wall times (`unit` =
-/// "ns") and memory quantities (peak/live bytes, allocation totals),
-/// which jitter with thread scheduling and allocator internals the same
-/// way wall clock jitters with the scheduler. `abs_floor_nanos` doubles
-/// as the floor in the measurement's own unit (5e6 ≈ 5 ms ≈ 5 MB — both
-/// are sensible "too small to care" scales).
+/// The threshold rule for any noisy measurement: span minima (`unit` =
+/// "ns") and memory gauges (peak/live bytes, allocations per
+/// evaluation), which jitter with thread scheduling and allocator
+/// internals the same way wall clock jitters with the scheduler.
+/// `abs_floor_nanos` doubles as the floor in the measurement's own unit
+/// (5e6 ≈ 5 ms ≈ 5 MB — both are sensible "too small to care" scales).
 fn noisy_entry(
     key: String,
     base: Option<f64>,
@@ -195,20 +140,7 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
     for key in union_keys(&base.counters, &cur.counters) {
         let (b, c) =
             (base.counters.get(key).map(|&v| v as f64), cur.counters.get(key).map(|&v| v as f64));
-        // Counters that accumulate wall clock (`exec.worker.busy_nanos`
-        // and friends) are measurements, not counts — they get the
-        // noise rule. Everything else counts work and must be exact.
-        // Known names resolve through METRIC_POLICY; unknown names fall
-        // back to the `_nanos`/`_secs` naming convention.
-        let noisy = match policy_for(key) {
-            Some(p) => p == MetricPolicy::Noise,
-            None => key.ends_with("_nanos") || key.ends_with("_secs"),
-        };
-        if noisy {
-            out.push(wall_entry(format!("counter:{key}"), b, c, cfg));
-        } else {
-            out.push(exact_entry(format!("counter:{key}"), b, c));
-        }
+        out.push(exact_entry(format!("counter:{key}"), b, c));
     }
     for key in union_keys(&base.gauges, &cur.gauges) {
         let (b, c) =
@@ -216,14 +148,8 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
         // Memory gauges (`mem.peak_bytes`, `mem.live_bytes`,
         // `mem.allocs_per_eval`) are measurements of allocator state,
         // not work counts: peak depends on cross-thread overlap and
-        // live on flush timing, so they get the threshold rule. Known
-        // names resolve through METRIC_POLICY; unknown names fall back
-        // to the `mem.` prefix convention.
-        let noisy = match policy_for(key) {
-            Some(p) => p == MetricPolicy::Noise,
-            None => key.starts_with("mem."),
-        };
-        if noisy {
+        // live on flush timing, so they get the threshold rule.
+        if key.starts_with("mem.") {
             let unit = if key.contains("bytes") { "bytes" } else { "allocs" };
             out.push(noisy_entry(format!("gauge:{key}"), b, c, cfg, unit));
         } else {
@@ -245,7 +171,6 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
             c.map(|m| m.total_bytes as f64),
         ));
     }
-    out.push(exact_entry("cells".to_string(), Some(base.cells as f64), Some(cur.cells as f64)));
     out.push(exact_entry(
         "diag.records".to_string(),
         Some(base.diag_records as f64),
@@ -258,11 +183,12 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
             b.map(|s| s.count as f64),
             c.map(|s| s.count as f64),
         ));
-        out.push(wall_entry(
+        out.push(noisy_entry(
             format!("span.min:{key}"),
             b.map(|s| s.min_nanos as f64),
             c.map(|s| s.min_nanos as f64),
             cfg,
+            "ns",
         ));
     }
     out
@@ -290,29 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_policy_table_pins_the_naming_conventions() {
-        // The table is an explicit pin of the heuristics, not an
-        // override: a Noise entry must be a wall-time accumulator or an
-        // allocator-state gauge by name, and vice versa — so adding a
-        // mis-filed entry (or renaming a metric out of its convention)
-        // fails here instead of silently changing diff behavior.
-        for (key, policy) in METRIC_POLICY {
-            let counter_noise = key.ends_with("_nanos") || key.ends_with("_secs");
-            let gauge_noise = key.starts_with("mem.") && !key.contains("alloc_");
-            let expect = if counter_noise || gauge_noise {
-                MetricPolicy::Noise
-            } else {
-                MetricPolicy::Exact
-            };
-            assert_eq!(*policy, expect, "policy for {key} contradicts its naming convention");
-        }
-        assert_eq!(policy_for("sim.evals"), Some(MetricPolicy::Exact));
-        assert_eq!(policy_for("exec.worker.busy_nanos"), Some(MetricPolicy::Noise));
-        assert_eq!(policy_for("mem.peak_bytes"), Some(MetricPolicy::Noise));
-        assert_eq!(policy_for("no.such.metric"), None);
-    }
-
-    #[test]
     fn identical_runs_produce_zero_flags() {
         let a = summary(100, 50_000_000, 10);
         let entries = diff_summaries(&a, &a.clone(), &DiffConfig::default());
@@ -321,27 +224,31 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_counters_use_the_noise_rule_not_exactness() {
+    fn every_counter_is_exact_and_only_mem_gauges_get_the_threshold() {
+        // No name makes a counter a measurement: a `_nanos` counter
+        // counts like any other, so a one-unit delta flags.
         let mut a = summary(100, 50_000_000, 10);
         let mut b = summary(100, 50_000_000, 10);
-        a.counters.insert("exec.worker.busy_nanos".into(), 13_167_771);
-        b.counters.insert("exec.worker.busy_nanos".into(), 14_533_586);
+        a.counters.insert("x_nanos".into(), 13_167_771);
+        b.counters.insert("x_nanos".into(), 13_167_772);
+        // Gauges are exact too, except allocator state under `mem.`.
+        a.gauges.insert("exec.cache.entries".into(), 226);
+        b.gauges.insert("exec.cache.entries".into(), 227);
+        a.gauges.insert("mem.live_bytes".into(), 100_000_000);
+        b.gauges.insert("mem.live_bytes".into(), 110_000_000);
         let entries = diff_summaries(&a, &b, &DiffConfig::default());
-        let busy = entries
-            .iter()
-            .find(|e| e.key == "counter:exec.worker.busy_nanos")
-            .expect("busy counter in diff");
-        assert_eq!(busy.kind, DiffKind::WallTime);
-        assert!(!busy.flagged, "10% jitter on a timing counter is noise: {busy:?}");
-
-        // But a timing counter that regresses past threshold+floor flags.
-        b.counters.insert("exec.worker.busy_nanos".into(), 40_000_000);
-        let entries = diff_summaries(&a, &b, &DiffConfig::default());
-        let busy = entries
-            .iter()
-            .find(|e| e.key == "counter:exec.worker.busy_nanos")
-            .expect("busy counter in diff");
-        assert!(busy.flagged, "{busy:?}");
+        let find = |key: &str| {
+            entries.iter().find(|e| e.key == key).unwrap_or_else(|| panic!("{key} in diff"))
+        };
+        let nanos = find("counter:x_nanos");
+        assert_eq!(nanos.kind, DiffKind::Count);
+        assert!(nanos.flagged, "a one-unit counter delta must flag: {nanos:?}");
+        let entries_gauge = find("gauge:exec.cache.entries");
+        assert_eq!(entries_gauge.kind, DiffKind::Count);
+        assert!(entries_gauge.flagged, "{entries_gauge:?}");
+        let live = find("gauge:mem.live_bytes");
+        assert_eq!(live.kind, DiffKind::WallTime, "mem gauges use the threshold rule");
+        assert!(!live.flagged, "10% live-bytes jitter is noise: {live:?}");
     }
 
     #[test]
@@ -466,11 +373,11 @@ mod tests {
     #[test]
     fn empty_summaries_diff_clean() {
         // Two freshly-defaulted summaries (e.g. from empty journals)
-        // align on the structural keys only and flag nothing.
+        // align on the structural key only and flag nothing.
         let entries =
             diff_summaries(&RunSummary::default(), &RunSummary::default(), &DiffConfig::default());
-        assert!(entries.iter().any(|e| e.key == "cells"));
-        assert!(entries.iter().any(|e| e.key == "diag.records"));
+        let keys: Vec<&str> = entries.iter().map(|e| e.key.as_str()).collect();
+        assert_eq!(keys, ["diag.records"]);
         assert!(!entries.iter().any(|e| e.flagged), "{entries:#?}");
     }
 

@@ -191,4 +191,25 @@ mod tests {
             format!("line 1: schema version 2 (this toolkit supports {SCHEMA_VERSION})")
         );
     }
+
+    #[test]
+    fn rejects_version_3_journals_and_knows_no_cell_events() {
+        // Version 3 journals carried one `cell` line per grid cell, which
+        // schema 4 dropped (each cell is timed by its `exec.cell` span
+        // and counted by `exec.cells`). The loader names the version; a
+        // `cell` line on its own is an event type the parser does not know.
+        let cell = concat!(
+            "{\"type\":\"cell\",\"index\":0,\"cache_hits\":1,\"cache_misses\":2,",
+            "\"dur_nanos\":5,\"thread\":0,\"seq\":1}",
+        );
+        let v3 = format!("{{\"type\":\"meta\",\"version\":3,\"source\":\"x\"}}\n{cell}\n");
+        assert_eq!(
+            load_journal_str(&v3).expect_err("must be rejected"),
+            format!("line 1: schema version 3 (this toolkit supports {SCHEMA_VERSION})")
+        );
+        assert_eq!(
+            TraceEvent::parse_line(cell).expect_err("cell is no event type"),
+            "unknown event type 'cell'"
+        );
+    }
 }

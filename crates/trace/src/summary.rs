@@ -59,10 +59,8 @@ pub struct RunSummary {
     /// Per-span-name allocation aggregates (empty unless the run had
     /// memprof latched on).
     pub mem: BTreeMap<String, MemSummary>,
-    /// Completed grid cells observed (`cell` events).
-    pub cells: u64,
-    /// Optimizer-quality records observed (`diag` events). Like `cells`
-    /// this is a control-flow count — deterministic for a fixed driver
+    /// Optimizer-quality records observed (`diag` events). This is a
+    /// control-flow count — deterministic for a fixed driver
     /// configuration — so it rides along in the summary even though the
     /// record payloads themselves are analyzed by `dbtune-diag`.
     pub diag_records: u64,
@@ -103,7 +101,6 @@ pub fn summarize(journal: &JournalData) -> RunSummary {
             TraceEvent::Gauge { name, value, .. } => {
                 out.gauges.insert(name.clone(), *value);
             }
-            TraceEvent::Cell { .. } => out.cells += 1,
             TraceEvent::Diag { .. } => out.diag_records += 1,
             TraceEvent::Meta { .. } => {}
         }
@@ -160,14 +157,7 @@ mod tests {
                 line(TraceEvent::Counter { name: "sim.evals".into(), value: 4, seq: 4 }),
                 line(TraceEvent::Counter { name: "sim.evals".into(), value: 9, seq: 5 }),
                 line(TraceEvent::Gauge { name: "exec.cache.entries".into(), value: 3, seq: 6 }),
-                line(TraceEvent::Cell {
-                    index: 0,
-                    cache_hits: 1,
-                    cache_misses: 2,
-                    dur_nanos: 5,
-                    thread: 0,
-                    seq: 7,
-                }),
+                line(TraceEvent::Counter { name: "exec.cells".into(), value: 1, seq: 7 }),
                 line(TraceEvent::Diag {
                     session: "bo/ro".into(),
                     iter: 0,
@@ -185,9 +175,9 @@ mod tests {
         };
         let s = summarize(&journal);
         assert_eq!(s.source, "unit");
-        assert_eq!(s.cells, 1);
         assert_eq!(s.diag_records, 1);
         assert_eq!(s.counters["sim.evals"], 9, "last flush wins");
+        assert_eq!(s.counters["exec.cells"], 1, "cells are counted by the executor's counter");
         assert_eq!(s.gauges["exec.cache.entries"], 3);
         let fit = &s.spans["fit"];
         assert_eq!(fit.count, 3);

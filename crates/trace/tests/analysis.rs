@@ -43,7 +43,7 @@ mod tree {
         let events = journal(vec![
             counter(1),
             span("fit", 2, Some(1), 1, 2, 0),
-            TraceEvent::Gauge { name: "exec.queue.depth".into(), value: -1, seq: 0 },
+            TraceEvent::Gauge { name: "exec.cache.entries".into(), value: 7, seq: 0 },
             span("suggest", 1, None, 0, 5, 0),
             counter(2),
         ]);
@@ -519,9 +519,9 @@ mod summary {
             events: vec![
                 span("evaluate", 1, 0, 0),
                 span("observe", 2, 42, 3),
-                gauge("exec.queue.depth", 4),
+                gauge("exec.cache.entries", 4),
                 gauge("mem.live_bytes", 10),
-                gauge("exec.queue.depth", -1),
+                gauge("exec.cache.entries", -1),
             ],
         };
         let s = summarize(&journal);
@@ -532,7 +532,7 @@ mod summary {
         assert_eq!(s.spans["evaluate"].total_nanos, 0, "zero-length closes still count");
         assert_eq!(s.spans["evaluate"].count, 1);
         let gauges: Vec<(&str, i64)> = s.gauges.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        assert_eq!(gauges, [("exec.queue.depth", -1), ("mem.live_bytes", 10)]);
+        assert_eq!(gauges, [("exec.cache.entries", -1), ("mem.live_bytes", 10)]);
         assert!(s.counters.is_empty());
     }
 }

@@ -72,12 +72,18 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
             },
             2 => TraceEvent::Counter { name, value: a, seq },
             3 => TraceEvent::Gauge { name, value: signed, seq },
-            _ => TraceEvent::Cell {
-                index: a,
-                cache_hits: b,
-                cache_misses: c,
-                dur_nanos: b,
-                thread,
+            // `shape` picks the outcome and which optional fields are null.
+            _ => TraceEvent::Diag {
+                session: name,
+                iter: thread,
+                outcome: ["ok", "crash", "fault", "ok"][shape as usize].to_string(),
+                score_bits: a,
+                best_bits: b,
+                regret_bits: (shape & 1 == 1).then_some(c),
+                cum_regret_bits: (shape & 1 == 1).then_some(a),
+                novelty_bits: (shape & 2 == 2).then_some(b),
+                pred_mean_bits: (shape & 2 == 2).then_some(c),
+                pred_var_bits: (shape == 3).then_some(signed as u64),
                 seq,
             },
         })
@@ -147,7 +153,7 @@ fn malformed_lines_report_errors_not_panics() {
         "{\"type\":\"meta\",\"version\":\"one\",\"source\":\"x\"}",
         "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"seq\":1}trailing",
         "not json at all",
-        "{\"type\":\"cell\",\"index\":1,\"cache_hits\":1,\"cache_misses\":",
+        "{\"type\":\"diag\",\"session\":\"s\",\"iter\":1,\"outcome\":",
     ];
     for case in cases {
         let result = TraceEvent::parse_line(case);

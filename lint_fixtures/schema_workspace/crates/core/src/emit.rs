@@ -1,15 +1,14 @@
-//! Fixture: emitters for the S family. Names present in the docs table
-//! (and, for counters/gauges, in `METRIC_POLICY`) are clean; `app.rogue`
-//! and the `loose` span are schema drift.
+//! Fixture: emitters for the S family. Names present in the docs tables
+//! are clean; `app.rogue` and the `loose` span are schema drift.
 
-// expect: no findings — every name is documented and policied.
+// expect: no findings — every name is documented.
 pub fn serve(t: &Telemetry) {
     let _s = span("boot");
     t.metrics.counter("app.requests").inc();
     t.metrics.gauge("app.queue_depth").set(3);
 }
 
-// expect: S1 + S3 — an undocumented counter with no policy entry.
+// expect: S1 — an undocumented counter.
 pub fn rogue(t: &Telemetry) {
     t.metrics.counter("app.rogue").inc();
 }
